@@ -8,6 +8,12 @@ discrete dispersion relation: inertia-gravity branches from the mass and
 stiffness reductions, Rossby branches from the directional-derivative
 reductions.  Closed-form expressions for all reduced matrices are built
 in as an independent oracle for the assembled ones.
+
+Both branch families are generalized Hermitian eigenproblems, Lr v = lam Mr v
+(gravity) and (i T) v = omega K v (Rossby) with Mr and K positive definite.
+Reductions, closed forms and eigensolves take stacks of wave vectors; a sweep
+solves blocks of zone points through one batched Cholesky reduction and
+numpy.linalg.eigh, so the spectra are real by construction.
 """
 
 from __future__ import annotations
@@ -62,6 +68,9 @@ _LOCAL_TO_REDUCED = (3, 0, 1, 2)
 _D1_SIGN = 1.0
 _D2_SIGN = 1.0
 
+# zone points per batched evaluation; bounds the temporaries of a sweep
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ReferenceHexagon:
@@ -107,33 +116,31 @@ def build_reference_hexagon():
 
 @lru_cache(maxsize=4)
 def _patch_matrices(quad_degree=4):
-    """19x19 mass, stiffness and two derivative matrices on the hexagon."""
+    """19x19 mass, stiffness and two derivative matrices on the hexagon, stacked."""
     hexa = build_reference_hexagon()
     quad = fem.quadrature_rule(quad_degree)
     n = len(hexa.nodes)
-    M = np.zeros((n, n))
-    L = np.zeros((n, n))
-    D1 = np.zeros((n, n))
-    D2 = np.zeros((n, n))
+    out = np.zeros((4, n, n))
     for dofs in hexa.triangles:
         corners = hexa.nodes[dofs[:3]]
         me, le = fem.p2_element_matrices(corners, quad)
         d1e = fem.p2_element_ddx(corners, (1.0, 0.0), quad)
         d2e = fem.p2_element_ddx(corners, (0.0, 1.0), quad)
         ix = np.ix_(dofs, dofs)
-        M[ix] += me
-        L[ix] += le
-        D1[ix] += d1e
-        D2[ix] += d2e
-    return M, L, D1, D2
+        for X, xe in zip(out, (me, le, d1e, d2e)):
+            X[ix] += xe
+    return out
 
 
 def bloch_matrix_S(kdx):
-    """19x4 phase matrix: row n carries exp(i kdx . xi_n) in its class column."""
+    """19x4 phase matrix: row n carries exp(i kdx . xi_n) in its class column.
+
+    For an (N, 2) array of wave vectors the result is the (N, 19, 4) stack.
+    """
     hexa = build_reference_hexagon()
     kdx = np.asarray(kdx, dtype=float)
-    S = np.zeros((19, 4), dtype=complex)
-    S[np.arange(19), hexa.classes] = np.exp(1j * (hexa.nodes @ kdx))
+    S = np.zeros(kdx.shape[:-1] + (19, 4), dtype=complex)
+    S[..., np.arange(19), hexa.classes] = np.exp(1j * (kdx @ hexa.nodes.T))
     return S
 
 
@@ -146,109 +153,114 @@ class BlochMatrices:
     D2r: np.ndarray
 
 
+def _reductions(kdx, quad_degree=4):
+    """(Mr, Lr, D1r, D2r) = S^H X S, each (..., 4, 4) for kdx of shape (..., 2)."""
+    S = bloch_matrix_S(kdx)[..., None, :, :]
+    R = S.conj().swapaxes(-1, -2) @ _patch_matrices(quad_degree) @ S
+    p = np.asarray(_REDUCED_TO_LOCAL)
+    return tuple(np.moveaxis(R[..., p, :][..., p], -3, 0))
+
+
 def reduced_matrices(kdx, quad_degree=4):
     """Assembled 4x4 reductions S^H X S in the closed-form class ordering."""
-    S = bloch_matrix_S(kdx)
-    M, L, D1, D2 = _patch_matrices(quad_degree)
-    p = np.asarray(_REDUCED_TO_LOCAL)
-    sel = np.ix_(p, p)
-
-    def reduce(X):
-        return (S.conj().T @ X @ S)[sel]
-
-    return BlochMatrices(
-        kdx=(float(kdx[0]), float(kdx[1])),
-        Mr=reduce(M),
-        Lr=reduce(L),
-        D1r=reduce(D1),
-        D2r=reduce(D2),
-    )
+    return BlochMatrices((float(kdx[0]), float(kdx[1])), *_reductions(kdx, quad_degree))
 
 
 # --------------------------------------------------------------------------
-# closed forms
+# closed forms, each evaluated at arrays k, l of any common shape
 
 
 def _mr_closed(k, l):
     c = np.cos
     q = _S3 / 4.0 * l
-    X = np.zeros((4, 4))
-    X[0, 0] = X[1, 1] = X[2, 2] = 4.0 * _S3 / 15.0
-    X[0, 1] = (2.0 * _S3 / 15.0) * c(-k / 4.0 + q)
-    X[0, 2] = (2.0 * _S3 / 15.0) * c(k / 4.0 + q)
-    X[1, 2] = (2.0 * _S3 / 15.0) * c(k / 2.0)
-    X[0, 3] = -(_S3 / 30.0) * c(2.0 * q)
-    X[1, 3] = -(_S3 / 30.0) * c(3.0 * k / 4.0 - q)
-    X[2, 3] = -(_S3 / 30.0) * c(3.0 * k / 4.0 + q)
-    X[3, 3] = 3.0 * _S3 / 20.0 - (_S3 / 60.0) * (
+    X = np.zeros(np.shape(k) + (4, 4))
+    X[..., 0, 0] = X[..., 1, 1] = X[..., 2, 2] = 4.0 * _S3 / 15.0
+    X[..., 0, 1] = (2.0 * _S3 / 15.0) * c(-k / 4.0 + q)
+    X[..., 0, 2] = (2.0 * _S3 / 15.0) * c(k / 4.0 + q)
+    X[..., 1, 2] = (2.0 * _S3 / 15.0) * c(k / 2.0)
+    X[..., 0, 3] = -(_S3 / 30.0) * c(2.0 * q)
+    X[..., 1, 3] = -(_S3 / 30.0) * c(3.0 * k / 4.0 - q)
+    X[..., 2, 3] = -(_S3 / 30.0) * c(3.0 * k / 4.0 + q)
+    X[..., 3, 3] = 3.0 * _S3 / 20.0 - (_S3 / 60.0) * (
         c(k) + c(k / 2.0 + 2.0 * q) + c(-k / 2.0 + 2.0 * q)
     )
-    return X + np.triu(X, 1).T
+    return X + np.swapaxes(np.triu(X, 1), -1, -2)
 
 
 def _lr_closed(k, l):
     c = np.cos
     q = _S3 / 4.0 * l
-    X = np.zeros((4, 4))
-    X[0, 0] = X[1, 1] = X[2, 2] = 8.0 * _S3
-    X[0, 1] = -(8.0 * _S3 / 3.0) * c(-k / 4.0 + q)
-    X[0, 2] = -(8.0 * _S3 / 3.0) * c(k / 4.0 + q)
-    X[1, 2] = -(8.0 * _S3 / 3.0) * c(k / 2.0)
-    X[0, 3] = -(8.0 * _S3 / 3.0) * c(k / 2.0)
-    X[1, 3] = -(8.0 * _S3 / 3.0) * c(k / 4.0 + q)
-    X[2, 3] = -(8.0 * _S3 / 3.0) * c(-k / 4.0 + q)
-    X[3, 3] = 6.0 * _S3 + (2.0 * _S3 / 3.0) * (
+    X = np.zeros(np.shape(k) + (4, 4))
+    X[..., 0, 0] = X[..., 1, 1] = X[..., 2, 2] = 8.0 * _S3
+    X[..., 0, 1] = -(8.0 * _S3 / 3.0) * c(-k / 4.0 + q)
+    X[..., 0, 2] = -(8.0 * _S3 / 3.0) * c(k / 4.0 + q)
+    X[..., 1, 2] = -(8.0 * _S3 / 3.0) * c(k / 2.0)
+    X[..., 0, 3] = -(8.0 * _S3 / 3.0) * c(k / 2.0)
+    X[..., 1, 3] = -(8.0 * _S3 / 3.0) * c(k / 4.0 + q)
+    X[..., 2, 3] = -(8.0 * _S3 / 3.0) * c(-k / 4.0 + q)
+    X[..., 3, 3] = 6.0 * _S3 + (2.0 * _S3 / 3.0) * (
         c(k) + c(-k / 2.0 + 2.0 * q) + c(k / 2.0 + 2.0 * q)
     )
-    return X + np.triu(X, 1).T
+    return X + np.swapaxes(np.triu(X, 1), -1, -2)
 
 
 def _x1_closed(k, l):
     s = np.sin
     q = _S3 / 4.0 * l
-    X = np.zeros((4, 4))
-    X[0, 1] = -(2.0 * _S3 / 5.0) * s(-k / 4.0 + q)
-    X[0, 2] = (2.0 * _S3 / 5.0) * s(k / 4.0 + q)
-    X[1, 2] = (4.0 * _S3 / 5.0) * s(k / 2.0)
-    X[0, 3] = (3.0 * _S3 / 5.0) * s(k / 2.0)
-    X[1, 3] = -(_S3 / 10.0) * s(3.0 * k / 4.0 - q) + (3.0 * _S3 / 10.0) * s(k / 4.0 + q)
-    X[2, 3] = -(3.0 * _S3 / 10.0) * s(-k / 4.0 + q) - (_S3 / 10.0) * s(3.0 * k / 4.0 + q)
-    X[3, 3] = (
+    X = np.zeros(np.shape(k) + (4, 4))
+    X[..., 0, 1] = -(2.0 * _S3 / 5.0) * s(-k / 4.0 + q)
+    X[..., 0, 2] = (2.0 * _S3 / 5.0) * s(k / 4.0 + q)
+    X[..., 1, 2] = (4.0 * _S3 / 5.0) * s(k / 2.0)
+    X[..., 0, 3] = (3.0 * _S3 / 5.0) * s(k / 2.0)
+    X[..., 1, 3] = -(_S3 / 10.0) * s(3.0 * k / 4.0 - q) + (3.0 * _S3 / 10.0) * s(k / 4.0 + q)
+    X[..., 2, 3] = -(3.0 * _S3 / 10.0) * s(-k / 4.0 + q) - (_S3 / 10.0) * s(3.0 * k / 4.0 + q)
+    X[..., 3, 3] = (
         -(_S3 / 5.0) * s(k)
         - (_S3 / 10.0) * s(k / 2.0 + 2.0 * q)
         - (_S3 / 10.0) * s(k / 2.0 - 2.0 * q)
     )
-    return X + np.triu(X, 1).T
+    return X + np.swapaxes(np.triu(X, 1), -1, -2)
 
 
 def _x2_closed(k, l):
     s = np.sin
     q = _S3 / 4.0 * l
-    X = np.zeros((4, 4))
-    X[0, 1] = (6.0 / 5.0) * s(-k / 4.0 + q)
-    X[0, 2] = (6.0 / 5.0) * s(k / 4.0 + q)
-    X[1, 2] = 0.0
-    X[0, 3] = -(1.0 / 5.0) * s(2.0 * q)
-    X[1, 3] = -(1.0 / 10.0) * s(-3.0 * k / 4.0 + q) + (9.0 / 10.0) * s(k / 4.0 + q)
-    X[2, 3] = -(1.0 / 10.0) * s(3.0 * k / 4.0 + q) + (9.0 / 10.0) * s(-k / 4.0 + q)
-    X[3, 3] = (
+    X = np.zeros(np.shape(k) + (4, 4))
+    X[..., 0, 1] = (6.0 / 5.0) * s(-k / 4.0 + q)
+    X[..., 0, 2] = (6.0 / 5.0) * s(k / 4.0 + q)
+    X[..., 1, 2] = 0.0
+    X[..., 0, 3] = -(1.0 / 5.0) * s(2.0 * q)
+    X[..., 1, 3] = -(1.0 / 10.0) * s(-3.0 * k / 4.0 + q) + (9.0 / 10.0) * s(k / 4.0 + q)
+    X[..., 2, 3] = -(1.0 / 10.0) * s(3.0 * k / 4.0 + q) + (9.0 / 10.0) * s(-k / 4.0 + q)
+    X[..., 3, 3] = (
         -(3.0 / 10.0) * s(k / 2.0 + 2.0 * q)
         - (3.0 / 20.0) * s(-k / 2.0 + 2.0 * q)
         + (3.0 / 20.0) * s(k / 2.0 - 2.0 * q)
     )
-    return X + np.triu(X, 1).T
+    return X + np.swapaxes(np.triu(X, 1), -1, -2)
+
+
+def _closed_forms(kdx):
+    """Closed-form (Mr, Lr, D1r, D2r), each (..., 4, 4) for kdx of shape (..., 2)."""
+    kdx = np.asarray(kdx, dtype=float)
+    k, l = kdx[..., 0], kdx[..., 1]
+    return (
+        _mr_closed(k, l).astype(complex),
+        _lr_closed(k, l).astype(complex),
+        1j * _D1_SIGN * _x1_closed(k, l),
+        1j * _D2_SIGN * _x2_closed(k, l),
+    )
 
 
 def symbolic_reference(kdx):
     """Closed-form reduced matrices; the oracle for reduced_matrices."""
-    k, l = float(kdx[0]), float(kdx[1])
-    return BlochMatrices(
-        kdx=(k, l),
-        Mr=_mr_closed(k, l).astype(complex),
-        Lr=_lr_closed(k, l).astype(complex),
-        D1r=1j * _D1_SIGN * _x1_closed(k, l),
-        D2r=1j * _D2_SIGN * _x2_closed(k, l),
-    )
+    return BlochMatrices((float(kdx[0]), float(kdx[1])), *_closed_forms(kdx))
+
+
+def _in_blocks(fn, pts):
+    """fn over pts in blocks of _BLOCK rows; each output array concatenated."""
+    parts = [fn(pts[i:i + _BLOCK]) for i in range(0, len(pts), _BLOCK)]
+    return [np.concatenate(field) for field in zip(*parts)]
 
 
 def oracle_report(n_samples=100, seed=0, quad_degree=4):
@@ -257,16 +269,16 @@ def oracle_report(n_samples=100, seed=0, quad_degree=4):
     Returns {block: (max discrepancy, kdx where it occurred)}.
     """
     pts = random_zone_points(n_samples, seed)
-    worst = {"Mr": (0.0, (0.0, 0.0)), "Lr": (0.0, (0.0, 0.0)),
-             "D1r": (0.0, (0.0, 0.0)), "D2r": (0.0, (0.0, 0.0))}
-    for kdx in pts:
-        got = reduced_matrices(kdx, quad_degree=quad_degree)
-        want = symbolic_reference(kdx)
-        for name in worst:
-            d = float(np.max(np.abs(getattr(got, name) - getattr(want, name))))
-            if d > worst[name][0]:
-                worst[name] = (d, (float(kdx[0]), float(kdx[1])))
-    return worst
+
+    def discrepancies(block):
+        pairs = zip(_reductions(block, quad_degree), _closed_forms(block))
+        return [np.abs(got - want).max(axis=(-2, -1)) for got, want in pairs]
+
+    report = {}
+    for name, err in zip(("Mr", "Lr", "D1r", "D2r"), _in_blocks(discrepancies, pts)):
+        i = int(np.argmax(err))
+        report[name] = (float(err[i]), (float(pts[i, 0]), float(pts[i, 1])))
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -282,24 +294,24 @@ _ZONE_NORMALS = np.array(
 
 
 def in_brillouin_zone(kdx, tol=1e-12):
-    """Inside the hexagonal first zone (six half-plane inequalities)."""
+    """Inside the hexagonal first zone (six half-plane inequalities).
+
+    For an (N, 2) array of wave vectors, one flag per row.
+    """
     kdx = np.asarray(kdx, dtype=float)
-    return bool(np.all(np.abs(_ZONE_NORMALS @ kdx) <= _ZONE_BOUND + tol))
+    inside = np.all(np.abs(kdx @ _ZONE_NORMALS.T) <= _ZONE_BOUND + tol, axis=-1)
+    return inside if inside.ndim else bool(inside)
 
 
 def random_zone_points(n, seed=0):
     """Uniform samples from the first Brillouin zone by rejection."""
     rng = np.random.default_rng(seed)
     r = 4.0 * math.pi / 3.0  # corner radius bounds the zone
-    out = []
+    out = np.empty((0, 2))
     while len(out) < n:
         cand = rng.uniform(-r, r, size=(4 * n, 2))
-        for kdx in cand:
-            if in_brillouin_zone(kdx):
-                out.append(kdx)
-                if len(out) == n:
-                    break
-    return np.array(out)
+        out = np.concatenate([out, cand[in_brillouin_zone(cand)][: n - len(out)]])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -330,33 +342,85 @@ def _require_zone(kdx):
         raise ValueError(f"kdx {tuple(kdx)} lies outside the first Brillouin zone")
 
 
-def gravity_branches(kdx, params, dx=1.0):
-    """Four inertia-gravity frequencies omega^2 = f0^2 + (c2/dx^2) lam."""
-    _require_zone(kdx)
-    bm = reduced_matrices(kdx)
-    B = np.linalg.solve(bm.Mr, bm.Lr)
-    vals, vecs = linalg.eig_dense(B)
-    scale = max(1.0, np.max(np.abs(vals.real)))
-    if np.max(np.abs(vals.imag)) > 1e-9 * scale:
-        raise linalg.SolverError(
-            f"gravity eigenvalues not real at kdx {tuple(kdx)}: {vals}"
-        )
-    lam = np.clip(vals.real, 0.0, None)
-    omegas = np.sqrt(params.f0 ** 2 + params.c2 / dx ** 2 * lam)
-    return DispersionResult(kdx=tuple(np.asarray(kdx, float)), omegas=omegas, vectors=vecs)
+def _eigh_pencil(A, B):
+    """Eigenpairs of the Hermitian pencils A v = w B v with B positive definite.
+
+    A and B are (N, 4, 4) stacks.  The eigenvalues ascend; each eigenvector
+    has unit norm, with its first significant entry real and positive.
+    """
+    try:
+        C = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.SolverError(f"reduced matrix is not positive definite: {exc}") from None
+    Cinv = np.linalg.inv(C)
+    CinvH = Cinv.conj().swapaxes(-1, -2)
+    w, y = np.linalg.eigh(Cinv @ A @ CinvH)
+    v = CinvH @ y
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
+    mag = np.abs(v)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    lead = np.take_along_axis(v, first[..., None, :], axis=-2)
+    return w, v * (lead.conj() / np.abs(lead))
+
+
+def _gravity(kdx, params, dx):
+    """Frequencies omega^2 = f0^2 + (c2/dx^2) lam and vectors of Lr v = lam Mr v."""
+    Mr, Lr, _, _ = _reductions(kdx)
+    lam, vecs = _eigh_pencil(Lr, Mr)
+    return np.sqrt(params.f0 ** 2 + params.c2 / dx ** 2 * np.clip(lam, 0.0, None)), vecs
 
 
 def _classify_vectors(vecs):
-    labels, flags = [], []
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        v = v / np.linalg.norm(v)
-        scores = np.abs(TEMPLATES @ v.conj())
-        order = np.argsort(scores)[::-1]
-        top, second = scores[order[0]], scores[order[1]]
-        labels.append(TEMPLATE_NAMES[order[0]])
-        flags.append(bool(top - second < 0.01 * top))
-    return tuple(labels), tuple(flags)
+    """Best template of each unit column of vecs (N, 4, 4), and whether the
+    runner-up scores within 1 % of it."""
+    scores = np.abs(TEMPLATES @ vecs.conj())  # (N, template, column)
+    order = np.argsort(scores, axis=-2)
+    ranked = np.take_along_axis(scores, order, axis=-2)
+    top, second = ranked[..., -1, :], ranked[..., -2, :]
+    return order[..., -1, :], top - second < 0.01 * top
+
+
+def _east(fhat):
+    """Unit local east: the clockwise quarter-turn of the direction fhat."""
+    fhat = np.asarray(fhat, dtype=float)
+    nf = np.linalg.norm(fhat)
+    if nf == 0:
+        raise ValueError("fhat must be a nonzero direction")
+    return fhat[1] / nf, -fhat[0] / nf
+
+
+def _rossby(kdx, params, east, dx):
+    """Frequencies, vectors, template indices and ambiguity flags of
+    (i T) v = omega K v, K = Lr/dx^2 + Mr/L_R^2, T = (beta/dx) Dr_east."""
+    Mr, Lr, D1r, D2r = _reductions(kdx)
+    K = Lr / dx ** 2 + params.lr2_inv * Mr
+    T = (params.beta / dx) * (east[0] * D1r + east[1] * D2r)
+    omegas, vecs = _eigh_pencil(1j * T, K)
+    # where T vanishes (kdx = 0) every branch is at rest
+    dscale = np.maximum(np.abs(D1r).max(axis=(-2, -1)), np.abs(D2r).max(axis=(-2, -1)))
+    at_rest = np.abs(T).max(axis=(-2, -1)) <= (
+        1e-13 * abs(params.beta) / dx * np.maximum(dscale, 1.0))
+    omegas[at_rest] = 0.0
+    vecs[at_rest] = np.eye(4)
+    return (omegas, vecs, *_classify_vectors(vecs))
+
+
+def _results(kdx, omegas, vecs, labels=None, flags=None):
+    """One DispersionResult per row of the batched branch arrays."""
+    rows = zip(map(tuple, kdx), omegas, vecs)
+    if labels is None:
+        return [DispersionResult(*row) for row in rows]
+    # an object array hands out the TEMPLATE_NAMES strings themselves, not copies
+    names = np.array(TEMPLATE_NAMES, dtype=object)[labels].tolist()
+    return [DispersionResult(*row, tuple(n), tuple(f))
+            for row, n, f in zip(rows, names, flags.tolist())]
+
+
+def gravity_branches(kdx, params, dx=1.0):
+    """Four inertia-gravity frequencies omega^2 = f0^2 + (c2/dx^2) lam."""
+    _require_zone(kdx)
+    pts = np.asarray(kdx, dtype=float).reshape(1, 2)
+    return _results(pts, *_gravity(pts, params, dx))[0]
 
 
 def rossby_branches(kdx, params, fhat=(0.0, 1.0), dx=1.0):
@@ -366,35 +430,8 @@ def rossby_branches(kdx, params, fhat=(0.0, 1.0), dx=1.0):
     clockwise quarter-turn of fhat (the direction of increasing f).
     """
     _require_zone(kdx)
-    fhat = np.asarray(fhat, dtype=float)
-    nf = np.linalg.norm(fhat)
-    if nf == 0:
-        raise ValueError("fhat must be a nonzero direction")
-    e1, e2 = fhat[1] / nf, -fhat[0] / nf
-
-    bm = reduced_matrices(kdx)
-    K = bm.Lr / dx ** 2 + params.lr2_inv * bm.Mr
-    T = (params.beta / dx) * (e1 * bm.D1r + e2 * bm.D2r)
-
-    dscale = max(np.max(np.abs(bm.D1r)), np.max(np.abs(bm.D2r)), 1.0)
-    if np.max(np.abs(T)) <= 1e-13 * abs(params.beta) / dx * dscale:
-        omegas = np.zeros(4)
-        vecs = np.eye(4, dtype=complex)
-        labels, flags = _classify_vectors(vecs)
-        return DispersionResult(tuple(np.asarray(kdx, float)), omegas, vecs, labels, flags)
-
-    mu, vecs = linalg.eig_dense(np.linalg.solve(K, T))
-    omegas = -mu.imag  # omega = i mu for time dependence exp(-i omega t)
-    defect = np.max(np.abs(mu.real))
-    if defect > 1e-10 * np.max(np.abs(omegas)):
-        raise linalg.SolverError(
-            f"rossby eigenvalues not purely imaginary at kdx {tuple(kdx)}"
-        )
-    order = np.argsort(omegas)
-    omegas = omegas[order]
-    vecs = vecs[:, order]
-    labels, flags = _classify_vectors(vecs)
-    return DispersionResult(tuple(np.asarray(kdx, float)), omegas, vecs, labels, flags)
+    pts = np.asarray(kdx, dtype=float).reshape(1, 2)
+    return _results(pts, *_rossby(pts, params, _east(fhat), dx))[0]
 
 
 def sweep_brillouin(n_grid, kind, params, fhat=None, dx=1.0):
@@ -405,17 +442,13 @@ def sweep_brillouin(n_grid, kind, params, fhat=None, dx=1.0):
         raise ValueError(f"unknown sweep kind {kind!r}")
     r = 4.0 * math.pi / 3.0
     centers = r * (-1.0 + (2.0 * np.arange(n_grid) + 1.0) / n_grid)
-    rows = []
-    for l in centers:
-        for k in centers:
-            kdx = np.array([k, l])
-            if not in_brillouin_zone(kdx):
-                continue
-            if kind == "gravity":
-                rows.append(gravity_branches(kdx, params, dx))
-            else:
-                rows.append(rossby_branches(kdx, params, fhat or (0.0, 1.0), dx))
-    return rows
+    k, l = np.meshgrid(centers, centers)
+    pts = np.column_stack([k.ravel(), l.ravel()])
+    pts = pts[in_brillouin_zone(pts)]
+    if kind == "gravity":
+        return _results(pts, *_in_blocks(lambda b: _gravity(b, params, dx), pts))
+    east = _east(fhat or (0.0, 1.0))
+    return _results(pts, *_in_blocks(lambda b: _rossby(b, params, east, dx), pts))
 
 
 # --------------------------------------------------------------------------

@@ -104,11 +104,20 @@ def _add_mesh_flags(p):
 
 
 def _build_mesh(args):
-    if args.n1 < 1 or args.n2 < 1:
-        raise UsageError("mesh dimensions must be positive")
-    if args.mesh_kind == "equilateral":
-        return build_equilateral_torus(args.n1, args.n2, args.dx)
-    return build_right_triangle_torus(args.n1, args.n2, args.n1 * args.dx, args.n2 * args.dx)
+    try:
+        if args.mesh_kind == "equilateral":
+            return build_equilateral_torus(args.n1, args.n2, args.dx)
+        return build_right_triangle_torus(args.n1, args.n2, args.n1 * args.dx, args.n2 * args.dx)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _params(cls, **values):
+    """SweParams or RossbyParams from flags; rejected values are usage errors."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -116,9 +125,14 @@ def _build_mesh(args):
 
 
 def cmd_converge(args):
-    levels = [int(s) for s in args.levels.split(",") if s]
+    try:
+        levels = [int(s) for s in args.levels.split(",") if s]
+    except ValueError:
+        raise UsageError("--levels must be comma-separated integers") from None
     if len(levels) < 3:
         raise UsageError("need at least three refinement levels")
+    if levels != sorted(levels) or levels[0] < 2:
+        raise UsageError("--levels must be increasing mesh sizes of at least 2")
     results = {}
     for mode in ("collocated", "projected"):
         results[mode] = dynamics.run_convergence(
@@ -161,11 +175,13 @@ def cmd_converge(args):
 
 
 def _dispersion_rows(args, kind):
-    params_g = dynamics.SweParams(f0=args.f0, beta=0.0, c2=args.c2)
     if kind == "gravity":
+        params_g = _params(dynamics.SweParams, f0=args.f0, beta=0.0, c2=args.c2)
         return bloch.sweep_brillouin(args.ngrid, "gravity", params_g, dx=args.dx)
-    rp = dynamics.RossbyParams(f0=args.f0, beta=args.beta, c2=args.c2)
+    rp = _params(dynamics.RossbyParams, f0=args.f0, beta=args.beta, c2=args.c2)
     fhat = _parse_pair(args.fhat, "--fhat")
+    if fhat == (0.0, 0.0):
+        raise UsageError("--fhat must be a nonzero direction")
     return bloch.sweep_brillouin(args.ngrid, "rossby", rp, fhat=fhat, dx=args.dx)
 
 
@@ -175,6 +191,8 @@ def cmd_dispersion(args, kind=None):
         raise UsageError("--kind must be gravity or rossby")
     if args.ngrid < 8:
         raise UsageError("--ngrid must be at least 8")
+    if args.dx <= 0:
+        raise UsageError("--dx must be positive")
     try:
         rows = _dispersion_rows(args, kind)
     except linalg.SolverError as exc:
@@ -330,7 +348,7 @@ def cmd_simulate(args):
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
     mesh = _build_mesh(args)
-    params = dynamics.SweParams(f0=args.f0, beta=args.beta, c2=args.c2)
+    params = _params(dynamics.SweParams, f0=args.f0, beta=args.beta, c2=args.c2)
     try:
         state, exact = _simulate_initial(args, mesh, params)
     except ValueError as exc:

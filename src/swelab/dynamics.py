@@ -16,7 +16,6 @@ to gradients of quadratics.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,11 +190,8 @@ class _Stepper:
         )
 
 
-_STEPPER_CACHE = weakref.WeakKeyDictionary()
-
-
 def _stepper(mesh, dt, params):
-    per_mesh = _STEPPER_CACHE.setdefault(mesh, {})
+    per_mesh = mesh.cache.setdefault("steppers", {})
     key = (dt, params.f0, params.beta, params.c2)
     st = per_mesh.get(key)
     if st is None:

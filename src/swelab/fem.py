@@ -11,7 +11,6 @@ reference triangle (0,0)-(1,0)-(0,1).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,8 @@ __all__ = [
     "assemble_stiffness_p2",
     "assemble_mass_p1dg",
     "assemble_coriolis",
-    "assemble_grad_coupling",
     "assemble_ddx_p2",
     "gradient_embedding",
-    "gradient_p2_to_p1dg",
     "perp",
     "perp_matrix",
     "collocate",
@@ -414,13 +411,6 @@ def gradient_embedding(p2, v):
     return _scatter(blocks, rows, cols, (v.n_dofs, p2.n_dofs))
 
 
-def assemble_grad_coupling(p2, v, quad=None):
-    """G with (G eta)_w = <w, grad eta>, realized as M_v times the exact embedding."""
-    Mv = assemble_mass_p1dg(v, quad=quad)
-    E = gradient_embedding(p2, v)
-    return (Mv @ E).tocsr()
-
-
 def assemble_ddx_p2(space, direction, quad=None):
     """D with (D psi)_alpha = <alpha, direction . grad psi>; skew on a torus."""
     quad = quad or _RULES[4]
@@ -429,14 +419,6 @@ def assemble_ddx_p2(space, direction, quad=None):
     blocks = _p2_ddx_blocks(Jinv, area, quad, direction)
     cd = space.cell_dofs()
     return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
-
-
-def gradient_p2_to_p1dg(h, vspace=None):
-    """Exact pointwise gradient of a P2 field as a P1DG vector field."""
-    if vspace is None:
-        vspace = operators(h.space.mesh).v
-    E = operators(h.space.mesh).E
-    return Field(vspace, E @ h.coeffs)
 
 
 def perp(u):
@@ -541,12 +523,9 @@ class OperatorSet:
         return np.array([ex @ mvu, ey @ mvu]) / self.area
 
 
-_OPERATOR_CACHE = weakref.WeakKeyDictionary()
-
-
 def operators(mesh):
     """Assemble (once per mesh) the operator bundle shared across modules."""
-    ops = _OPERATOR_CACHE.get(mesh)
+    ops = mesh.cache.get("operators")
     if ops is None:
         p2 = P2Space(mesh)
         v = P1dgVecSpace(mesh)
@@ -565,7 +544,7 @@ def operators(mesh):
             area=float(area.sum()),
             el_area=area,
         )
-        _OPERATOR_CACHE[mesh] = ops
+        mesh.cache["operators"] = ops
     return ops
 
 

@@ -1,4 +1,4 @@
-"""Sparse SPD solves and small dense eigenproblems.
+"""Sparse SPD solves.
 
 The solver is Jacobi-preconditioned conjugate gradients with an explicit
 symmetry gate and an optional constant-nullspace projection, so that the
@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["SolverError", "solve_spd", "eig_dense"]
+__all__ = ["SolverError", "solve_spd"]
 
 
 class SolverError(RuntimeError):
-    """Raised when an iterative solve fails to reach its tolerance."""
+    """Raised when a solve fails: no convergence, or a matrix that is not definite."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
@@ -104,38 +104,3 @@ def solve_spd(A, b, tol=1e-12, nullspace=False, x0=None):
             residual=true_res,
         )
     return x
-
-
-def eig_dense(A, max_dim=32):
-    """Eigenvalues and eigenvectors of a small dense matrix.
-
-    Results are sorted by (real part, imaginary part).  Each eigenvector is
-    scaled to unit norm with its first significant entry rotated to the
-    positive real axis, and is verified against a backward-error bound.
-    """
-    A = np.asarray(A)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError(f"matrix must be square, got {A.shape}")
-    if n > max_dim:
-        raise ValueError(f"dense eigensolve limited to {max_dim}, got {n}")
-
-    vals, vecs = np.linalg.eig(A)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    anorm = np.linalg.norm(A, 2) if n else 0.0
-    for j in range(n):
-        v = vecs[:, j]
-        v = v / np.linalg.norm(v)
-        k = np.argmax(np.abs(v) > 1e-12 * np.abs(v).max())
-        phase = v[k] / abs(v[k])
-        v = v / phase
-        vecs[:, j] = v
-        err = np.linalg.norm(A @ v - vals[j] * v)
-        if err > max(1e-10 * max(anorm, 1.0), 1e-13):
-            raise SolverError(
-                f"eigenpair {j} fails its backward error bound ({err:.3e})"
-            )
-    return vals, vecs

@@ -53,6 +53,8 @@ class Mesh:
     tri_edges: np.ndarray = field(init=False)    # (n_f, 3), edge opposite local vertex e
     edge_tris: np.ndarray = field(init=False)    # (n_e, 2), -1 where adjacency is missing
     edge_degree: np.ndarray = field(init=False)  # (n_e,), number of adjacent face sides
+    # per-mesh results of other modules (operators, steppers); freed with the mesh
+    cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)

@@ -10,6 +10,7 @@ Agreement between these and the package is a genuine dual-route check.
 import functools
 
 import numpy as np
+import scipy.linalg
 import sympy as sp
 
 
@@ -133,3 +134,13 @@ def rank_by_svd(columns, rel=1e-8):
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > rel * s[0]))
+
+
+def pencil_eigvals(A, B):
+    """Eigenvalues of the pencil A v = w B v by the non-Hermitian route.
+
+    The general eigensolver on B^-1 A uses no symmetry, so for a Hermitian
+    pencil the imaginary parts of its complex, unordered result show the
+    rounding of this route only.
+    """
+    return scipy.linalg.eigvals(np.linalg.solve(B, A))

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swelab import bloch, fem
 from swelab.dynamics import RossbyParams, SweParams
 from swelab.mesh import build_equilateral_torus
 
-from .oracles import rank_by_svd
+from .oracles import pencil_eigvals, rank_by_svd
 
 ZONE_R = 2.0 * math.pi / math.sqrt(3.0)
 
@@ -226,6 +228,50 @@ def test_sweep_brillouin():
         bloch.sweep_brillouin(4, "gravity", params)
     with pytest.raises(ValueError):
         bloch.sweep_brillouin(8, "acoustic", params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.0, max_value=2 * math.pi))
+def test_batched_spectra_match_non_hermitian_reference(seed, angle):
+    gparams = SweParams(f0=1e-4, c2=1e5)
+    rparams = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    dx = 1e5
+    east = (math.sin(angle), -math.cos(angle))  # clockwise quarter-turn of fhat
+    pts = bloch.random_zone_points(70, seed=seed)  # more than one block
+    grav, _ = bloch._gravity(pts, gparams, dx)
+    ross = bloch._rossby(pts, rparams, bloch._east((math.cos(angle), math.sin(angle))), dx)[0]
+    for kdx, g, r in zip(pts, grav, ross):
+        red = bloch.reduced_matrices(kdx)
+        lam = pencil_eigvals(red.Lr, red.Mr)
+        assert np.abs(lam.imag).max() <= 1e-10 * np.abs(lam).max()
+        want = np.sqrt(gparams.f0**2 + gparams.c2 / dx**2 * np.clip(np.sort(lam.real), 0.0, None))
+        assert np.abs(g - want).max() <= 1e-10 * want.max()
+
+        K = red.Lr / dx**2 + rparams.lr2_inv * red.Mr
+        T = (rparams.beta / dx) * (east[0] * red.D1r + east[1] * red.D2r)
+        mu = pencil_eigvals(T, K)  # mu = -i omega
+        scale = np.abs(mu).max()
+        assert np.abs(mu.real).max() <= 1e-10 * scale
+        assert np.abs(r - np.sort(-mu.imag)).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("kind", ["gravity", "rossby"])
+def test_sweep_rows_equal_per_point_results(kind):
+    if kind == "gravity":
+        params = SweParams(f0=1.0, c2=1.0)
+        rows = bloch.sweep_brillouin(16, "gravity", params)
+        per_point = [bloch.gravity_branches(r.kdx, params) for r in rows]
+    else:
+        params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+        rows = bloch.sweep_brillouin(16, "rossby", params, fhat=(0.3, -1.0), dx=1e5)
+        per_point = [bloch.rossby_branches(r.kdx, params, (0.3, -1.0), dx=1e5) for r in rows]
+    assert len(rows) > 2 * bloch._BLOCK
+    for r, p in zip(rows, per_point):
+        # equal up to the rounding of batched against single matrix products
+        assert r.kdx == p.kdx
+        assert np.abs(r.omegas - p.omegas).max() <= 1e-12 * np.abs(p.omegas).max()
+        assert np.abs(r.vectors - p.vectors).max() <= 1e-10
+        assert r.labels == p.labels and r.ambiguous == p.ambiguous
 
 
 def test_lattice_dof_classes():

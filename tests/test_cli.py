@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swelab import cli
+from swelab import bloch, cli
 
 
 def run(argv, capsys):
@@ -22,12 +22,30 @@ def run(argv, capsys):
         ["oracle", "--samples", "0"],
         ["simulate", "--init", "nonsense"],
         ["dump-matrices", "--which", "M,Q"],
+        ["dispersion", "--dx", "0"],
+        ["rossby", "--f0", "0"],
+        ["dispersion", "--c2", "-1"],
+        ["simulate", "--n1", "1"],
+        ["helmholtz", "--dx", "0"],
+        ["converge", "--levels", "16,8,4"],
+        ["converge", "--levels", "8,x,32"],
+        ["rossby", "--fhat", "0,0"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert "usage error" in err or "usage" in err
+
+
+def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
+    # a negated patch mass makes every reduced Mr negative definite, so the
+    # batched Cholesky factorization fails
+    patch = bloch._patch_matrices()
+    monkeypatch.setattr(bloch, "_patch_matrices", lambda quad_degree=4: -patch)
+    code, out, err = run(["dispersion", "--ngrid", "8"], capsys)
+    assert code == 1
+    assert "not positive definite" in err
 
 
 def test_oracle_pass(capsys):

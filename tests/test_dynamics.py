@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -269,3 +271,14 @@ def test_step_midpoint_is_linear():
     rc = dynamics.step_midpoint(combo, dt, params)
     assert np.abs(rc.u.coeffs - a * r1.u.coeffs - b * r2.u.coeffs).max() < 1e-10
     assert np.abs(rc.eta.coeffs - a * r1.eta.coeffs - b * r2.eta.coeffs).max() < 1e-10
+
+
+def test_stepped_mesh_is_freed():
+    # the cached operators and steppers live on the mesh, so they must not
+    # keep it alive once the caller drops it
+    mesh = build_right_triangle_torus(3, 3, 1.0, 1.0)
+    dynamics.step_midpoint(_random_state(mesh), 0.1, SweParams(f0=1.0, beta=0.5, c2=1.0))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None

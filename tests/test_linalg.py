@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab.linalg import SolverError, eig_dense, solve_spd
+from swelab.linalg import SolverError, solve_spd
 
 
 def _random_spd(n, rng, density=0.4):
@@ -73,30 +73,3 @@ def test_solve_spd_property(n, seed):
     x = solve_spd(A, b, tol=1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
-
-def test_eig_dense_backward_error_and_order():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    w, V = eig_dense(A)
-    order = np.lexsort((w.imag, w.real))
-    assert np.array_equal(order, np.arange(len(w)))
-    for k in range(7):
-        r = np.linalg.norm(A @ V[:, k] - w[k] * V[:, k])
-        assert r <= 1e-12 * np.linalg.norm(A)
-        assert np.isclose(np.linalg.norm(V[:, k]), 1.0, atol=1e-13)
-        first = V[:, k][np.abs(V[:, k]) > 1e-8][0]
-        assert abs(first.imag) < 1e-12 and first.real > 0
-
-
-def test_eig_dense_hermitian_real_spectrum():
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = B + B.conj().T
-    w, V = eig_dense(H)
-    assert np.abs(w.imag).max() < 1e-12
-    assert np.all(np.diff(w.real) >= -1e-12)
-
-
-def test_eig_dense_rejects_large():
-    with pytest.raises(ValueError):
-        eig_dense(np.eye(64), max_dim=32)
