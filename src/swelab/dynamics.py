@@ -113,6 +113,30 @@ def energy(state, params):
 # implicit midpoint stepper
 
 
+_SPLIT_MAX_ITER = 200
+
+
+def _split_solve(sym, rhs_at, y0, tol):
+    """Solve (Sym + Skew) y = b by the splitting y <- Sym^-1 (b - Skew y).
+
+    ``sym`` is the SPD part and ``rhs_at(y)`` returns b - Skew y.  The
+    iteration contracts while the skew part is small against the symmetric
+    one; it stops once the update is below tol relative to y.
+    """
+    y = y0
+    for _ in range(_SPLIT_MAX_ITER):
+        y_new = linalg.solve_spd(sym, rhs_at(y), tol=tol, x0=y)
+        delta = np.linalg.norm(y_new - y)
+        y = y_new
+        if delta <= tol * max(np.linalg.norm(y), 1e-300):
+            return y
+    raise linalg.SolverError(
+        "midpoint splitting iteration failed to converge",
+        residual=delta,
+        iterations=_SPLIT_MAX_ITER,
+    )
+
+
 class _Stepper:
     """Prepared operators for one (mesh, dt, params) combination."""
 
@@ -152,16 +176,7 @@ class _Stepper:
     def solve_eta(self, rhs, x0, tol):
         if self.S_skew is None:
             return linalg.solve_spd(self.S_sym, rhs, tol=tol, x0=x0)
-        y = x0.copy()
-        for _ in range(100):
-            y_new = linalg.solve_spd(self.S_sym, rhs - self.S_skew @ y, tol=tol, x0=y)
-            delta = np.linalg.norm(y_new - y)
-            y = y_new
-            if delta <= tol * max(np.linalg.norm(y), 1e-300):
-                return y
-        raise linalg.SolverError(
-            "symmetrized midpoint iteration failed to converge", residual=delta
-        )
+        return _split_solve(self.S_sym, lambda y: rhs - self.S_skew @ y, x0, tol)
 
     def step(self, state, tol):
         ops = self.ops
@@ -425,17 +440,8 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     psi = psis[0].copy()
     for s in range(n_steps):
         # fixed point for psi_{n+1}: K y = K psi + beta dt D (psi + y)/2
-        y = psi.copy()
         base = K @ psi + 0.5 * params.beta * dt * (D @ psi)
-        for _ in range(200):
-            y_new = linalg.solve_spd(K, base + 0.5 * params.beta * dt * (D @ y), tol=tol, x0=y)
-            delta = np.linalg.norm(y_new - y)
-            y = y_new
-            if delta <= tol * max(np.linalg.norm(y), 1e-300):
-                break
-        else:
-            raise linalg.SolverError("rossby midpoint iteration failed to converge")
-        psi = y
+        psi = _split_solve(K, lambda y: base + 0.5 * params.beta * dt * (D @ y), psi, tol)
         psis[s + 1] = psi
         invariant[s + 1] = float(psi @ (K @ psi))
 

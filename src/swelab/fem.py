@@ -349,7 +349,7 @@ def _coriolis_blocks(mesh, f, quad):
     lam = np.atleast_2d(quad.points)
     if callable(f):
         xq = np.einsum("qk,fkc->fqc", lam, X)
-        fvals = _eval_scalar(f, xq)
+        fvals = _evaluate(f, xq)
         Wf = np.einsum("q,fq,qi,qj->fij", quad.weights, fvals, lam, lam)
     else:
         W = np.einsum("q,qi,qj->ij", quad.weights, lam, lam)
@@ -359,17 +359,22 @@ def _coriolis_blocks(mesh, f, quad):
     return np.kron(Wf, R)
 
 
-def _eval_scalar(f, x):
-    """Evaluate a scalar function on points of shape (..., 2)."""
+def _evaluate(fn, x, value_shape=()):
+    """Values of a callback on points of shape (..., 2), shaped (..., *value_shape).
+
+    fn is first called once on all points as an (n, 2) array.  If it raises
+    the TypeError or ValueError of a point-wise function given an array, or
+    returns the wrong shape, it is called point by point instead.
+    """
     flat = x.reshape(-1, 2)
+    shape = (*x.shape[:-1], *value_shape)
     try:
-        vals = np.asarray(f(flat), dtype=float)
-        if vals.shape == (flat.shape[0],):
-            return vals.reshape(x.shape[:-1])
-    except Exception:
+        vals = np.asarray(fn(flat), dtype=float)
+        if vals.shape == (len(flat), *value_shape):
+            return vals.reshape(shape)
+    except (TypeError, ValueError):
         pass
-    vals = np.array([float(f(p)) for p in flat])
-    return vals.reshape(x.shape[:-1])
+    return np.array([np.asarray(fn(p), dtype=float) for p in flat]).reshape(shape)
 
 
 def _check_affine(f, mesh):
@@ -380,9 +385,9 @@ def _check_affine(f, mesh):
     span = np.maximum(hi - lo, 1.0)
     pts_a = lo + rng.random((4, 2)) * span
     pts_b = lo + rng.random((4, 2)) * span
-    fa = _eval_scalar(f, pts_a)
-    fb = _eval_scalar(f, pts_b)
-    fm = _eval_scalar(f, 0.5 * (pts_a + pts_b))
+    fa = _evaluate(f, pts_a)
+    fb = _evaluate(f, pts_b)
+    fm = _evaluate(f, 0.5 * (pts_a + pts_b))
     scale = max(1.0, np.abs(fa).max(), np.abs(fb).max())
     if np.abs(fm - 0.5 * (fa + fb)).max() > 1e-9 * scale:
         raise ValueError("Coriolis parameter must be an affine function of position")
@@ -440,22 +445,10 @@ def collocate(space, fn):
     """Nodal interpolation: point values at the dof nodes become coefficients."""
     if isinstance(space, P2Space):
         pts = space.dof_points()
-        return Field(space, _eval_scalar(fn, pts))
+        return Field(space, _evaluate(fn, pts))
     if isinstance(space, P1dgVecSpace):
-        pts = space.node_coords().reshape(-1, 2)
-        vals = _eval_vector(fn, pts)
-        return Field(space, vals.ravel())
+        return Field(space, _evaluate(fn, space.node_coords(), (2,)).ravel())
     raise TypeError(f"cannot collocate onto {type(space).__name__}")
-
-
-def _eval_vector(fn, pts):
-    try:
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape == (pts.shape[0], 2):
-            return vals
-    except Exception:
-        pass
-    return np.array([np.asarray(fn(p), dtype=float) for p in pts])
 
 
 def _projection_stencil():

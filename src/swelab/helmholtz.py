@@ -22,7 +22,6 @@ __all__ = [
     "recompose",
     "project_hp2",
     "component_energies",
-    "spurious_dimension",
 ]
 
 
@@ -105,20 +104,3 @@ def component_energies(u, c2=1.0, tol=1e-12):
         name: 0.5 * float(f.coeffs @ (ops.Mv @ f.coeffs)) for name, f in pieces.items()
     }
 
-
-def spurious_dimension(mesh, tol=1e-12):
-    """Dimension of the residual subspace, found by decomposing every basis vector.
-
-    Quadratic cost in the velocity dimension; intended for small meshes.
-    """
-    ops = fem.operators(mesh)
-    n = ops.v.n_dofs
-    if mesh.n_f > 200:
-        raise ValueError("spurious_dimension is limited to meshes with at most 200 faces")
-    cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols[:, j] = decompose(Field(ops.v, e), tol=tol).residual.coeffs
-    s = np.linalg.svd(cols, compute_uv=False)
-    return int(np.sum(s > 1e-8 * s[0]))

@@ -8,9 +8,18 @@ lattice units, so that
     corner = vertices[triangles[f, c]] + shifts[f, c] @ lattice
 
 is geometrically contiguous even when the triangle wraps around the seam.
-Edges are derived from the triangles.  The edge key includes the shift
-difference of its endpoints, which keeps parallel edges and self-loops on
-small tori distinct.
+Edges are derived from the triangles, and one canonical key decides both
+their identity and their orientation.  The side of face f opposite corner e
+runs from corner a = e+1 to corner b = e+2 (mod 3) and has the key
+
+    (va, vb, d) = (triangles[f, a], triangles[f, b], shifts[f, b] - shifts[f, a]),
+
+flipped to (vb, va, -d) when va > vb, or when va == vb and d < -d in
+lexicographic order.  The shift difference d keeps parallel edges and
+self-loops on small tori distinct.  Two sides are the same edge exactly when
+their keys agree, edges are numbered in sorted key order (so dof numbering
+does not depend on the order of the triangles), and an edge runs from
+vertex va to vertex vb + d @ lattice.
 """
 
 from __future__ import annotations
@@ -109,42 +118,63 @@ class Mesh:
         return 0.5 * (va + vb)
 
     def _build_edges(self):
-        key_index = {}
-        edges, eshifts, degree, etris = [], [], [], []
-        tri_edges = np.empty((self.n_f, 3), dtype=np.intp)
-        for f in range(self.n_f):
-            tri = self.triangles[f]
-            s = self.shifts[f]
-            for e in range(3):
-                a, b = (e + 1) % 3, (e + 2) % 3
-                va, vb = int(tri[a]), int(tri[b])
-                d = (int(s[b, 0] - s[a, 0]), int(s[b, 1] - s[a, 1]))
-                if va > vb or (va == vb and d < (-d[0], -d[1])):
-                    va, vb, d = vb, va, (-d[0], -d[1])
-                key = (va, vb, d)
-                idx = key_index.get(key)
-                if idx is None:
-                    idx = len(edges)
-                    key_index[key] = idx
-                    edges.append((va, vb))
-                    eshifts.append(d)
-                    degree.append(0)
-                    etris.append([-1, -1])
-                if degree[idx] < 2:
-                    etris[idx][degree[idx]] = f
-                degree[idx] += 1
-                tri_edges[f, e] = idx
-        # renumber edges in sorted canonical-key order so dof numbering is
-        # reproducible regardless of triangle ordering
-        n_e = len(edges)
-        order = sorted(range(n_e), key=lambda i: (edges[i][0], edges[i][1], eshifts[i]))
-        rank = np.empty(n_e, dtype=np.intp)
-        rank[order] = np.arange(n_e)
-        self.edges = np.array([edges[i] for i in order], dtype=np.intp).reshape(n_e, 2)
-        self.edge_shifts = np.array([eshifts[i] for i in order], dtype=np.intp).reshape(n_e, 2)
-        self.edge_tris = np.array([etris[i] for i in order], dtype=np.intp).reshape(n_e, 2)
-        self.edge_degree = np.array([degree[i] for i in order], dtype=np.intp)
-        self.tri_edges = rank[tri_edges]
+        keys, _ = _side_keys(self.triangles, self.shifts)
+        uniq, inverse = np.unique(keys.reshape(-1, 4), axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        n_e = len(uniq)
+        self.edges = np.ascontiguousarray(uniq[:, :2])
+        self.edge_shifts = np.ascontiguousarray(uniq[:, 2:])
+        self.tri_edges = inverse.reshape(self.n_f, 3)
+        self.edge_degree = np.bincount(inverse, minlength=n_e)
+        # sides grouped by edge, each group in face order; its first two faces
+        sides = np.argsort(inverse, kind="stable")
+        first = np.cumsum(self.edge_degree) - self.edge_degree
+        self.edge_tris = np.full((n_e, 2), -1, dtype=np.intp)
+        self.edge_tris[:, 0] = sides[first] // 3
+        two = self.edge_degree >= 2
+        self.edge_tris[two, 1] = sides[first[two] + 1] // 3
+
+
+def _side_keys(triangles, shifts):
+    """Canonical key (va, vb, d0, d1) of each face side, (n_f, 3, 4), and where it was flipped.
+
+    Side e of a face runs from local corner e+1 to e+2 (mod 3), so it lies
+    opposite corner e.
+    """
+    a, b = [1, 2, 0], [2, 0, 1]
+    va, vb = triangles[:, a], triangles[:, b]
+    d = shifts[:, b] - shifts[:, a]
+    flip = (va > vb) | (
+        (va == vb) & ((d[..., 0] < 0) | ((d[..., 0] == 0) & (d[..., 1] < 0)))
+    )
+    keys = np.concatenate([va[..., None], vb[..., None], d], axis=-1)
+    flipped = np.concatenate([vb[..., None], va[..., None], -d], axis=-1)
+    return np.where(flip[..., None], flipped, keys), flip
+
+
+def _cell_torus(n1, n2, steps, lengths, axes, split):
+    """Torus of n1*n2 parallelogram cells, each split into two triangles.
+
+    Vertex i + n1*j sits at (i*steps[0])*axes[0] + (j*steps[1])*axes[1],
+    products taken in that order so that coordinates round the same way
+    for every caller; the lattice rows are lengths[k]*axes[k].  ``split`` lists the two faces
+    of a cell as indices into its corners (00, 10, 01, 11); cell i + n1*j
+    owns faces 2*(i + n1*j) and 2*(i + n1*j) + 1.
+    """
+    axes = np.asarray(axes, dtype=float)
+    lattice = np.asarray(lengths, dtype=float)[:, None] * axes
+    j, i = np.divmod(np.arange(n1 * n2), n1)
+    vertices = np.outer(i * steps[0], axes[0]) + np.outer(j * steps[1], axes[1])
+
+    # cell corners 00, 10, 01, 11, unwrapped; a corner past the seam wraps
+    # to vertex 0 of its row or column and carries a shift of one period
+    ci = i[:, None] + np.array([0, 1, 0, 1])
+    cj = j[:, None] + np.array([0, 0, 1, 1])
+    corners = ci % n1 + n1 * (cj % n2)
+    corner_shifts = np.stack([ci // n1, cj // n2], axis=-1)
+    triangles = corners[:, split].reshape(-1, 3)
+    shifts = corner_shifts[:, split].reshape(-1, 3, 2)
+    return Mesh(vertices, triangles, shifts, lattice)
 
 
 def build_equilateral_torus(n1, n2, dx):
@@ -157,37 +187,9 @@ def build_equilateral_torus(n1, n2, dx):
         raise ValueError("need n1, n2 >= 2; smaller tori have degenerate periodic identification")
     if dx <= 0:
         raise ValueError("dx must be positive")
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.5, 0.5 * np.sqrt(3.0)])
-    lattice = np.array([n1 * dx * e1, n2 * dx * e2])
-
-    vertices = np.empty((n1 * n2, 2))
-    for j in range(n2):
-        for i in range(n1):
-            vertices[i + n1 * j] = i * dx * e1 + j * dx * e2
-
-    triangles = np.empty((2 * n1 * n2, 3), dtype=np.intp)
-    shifts = np.zeros((2 * n1 * n2, 3, 2), dtype=np.intp)
-    f = 0
-    for j in range(n2):
-        for i in range(n1):
-            ip, jp = i + 1, j + 1
-            si = 1 if ip == n1 else 0
-            sj = 1 if jp == n2 else 0
-            v00 = i + n1 * j
-            v10 = (ip % n1) + n1 * j
-            v01 = i + n1 * (jp % n2)
-            v11 = (ip % n1) + n1 * (jp % n2)
-            s00 = (0, 0)
-            s10 = (si, 0)
-            s01 = (0, sj)
-            s11 = (si, sj)
-            triangles[f] = (v00, v10, v01)
-            shifts[f] = (s00, s10, s01)
-            triangles[f + 1] = (v10, v11, v01)
-            shifts[f + 1] = (s10, s11, s01)
-            f += 2
-    return Mesh(vertices, triangles, shifts, lattice)
+    axes = [[1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]
+    # split along the short diagonal, corner 10 to corner 01
+    return _cell_torus(n1, n2, (dx, dx), (n1 * dx, n2 * dx), axes, [[0, 1, 2], [1, 3, 2]])
 
 
 def build_right_triangle_torus(nx, ny, Lx, Ly):
@@ -196,32 +198,9 @@ def build_right_triangle_torus(nx, ny, Lx, Ly):
         raise ValueError("need nx, ny >= 2; smaller tori have degenerate periodic identification")
     if Lx <= 0 or Ly <= 0:
         raise ValueError("domain extents must be positive")
-    hx, hy = Lx / nx, Ly / ny
-    lattice = np.array([[Lx, 0.0], [0.0, Ly]])
-
-    vertices = np.empty((nx * ny, 2))
-    for j in range(ny):
-        for i in range(nx):
-            vertices[i + nx * j] = (i * hx, j * hy)
-
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.intp)
-    shifts = np.zeros((2 * nx * ny, 3, 2), dtype=np.intp)
-    f = 0
-    for j in range(ny):
-        for i in range(nx):
-            ip, jp = i + 1, j + 1
-            si = 1 if ip == nx else 0
-            sj = 1 if jp == ny else 0
-            v00 = i + nx * j
-            v10 = (ip % nx) + nx * j
-            v01 = i + nx * (jp % ny)
-            v11 = (ip % nx) + nx * (jp % ny)
-            triangles[f] = (v00, v10, v11)
-            shifts[f] = ((0, 0), (si, 0), (si, sj))
-            triangles[f + 1] = (v00, v11, v01)
-            shifts[f + 1] = ((0, 0), (si, sj), (0, sj))
-            f += 2
-    return Mesh(vertices, triangles, shifts, lattice)
+    axes = [[1.0, 0.0], [0.0, 1.0]]
+    # split along the diagonal from corner 00 to corner 11
+    return _cell_torus(nx, ny, (Lx / nx, Ly / ny), (Lx, Ly), axes, [[0, 1, 3], [0, 3, 2]])
 
 
 @dataclass
@@ -292,39 +271,30 @@ def validate(mesh):
         )
     )
 
-    # Periodic wrap consistency: both face-side copies of an edge must be the
-    # same segment up to one integer lattice translation, the same for both
-    # endpoints.  This is what makes crossing the seam and coming back exact.
+    # Periodic wrap consistency: both face-side copies of an edge, oriented
+    # by its canonical key, must be the same segment up to one integer
+    # lattice translation, the same for both endpoints.  This is what makes
+    # crossing the seam and coming back exact.
     corners = mesh.corner_coords()
+    _, flip = _side_keys(mesh.triangles, mesh.shifts)
     lat_inv = np.linalg.inv(mesh.lattice)
-    bad_wrap = []
     scale = max(1.0, float(np.abs(mesh.lattice).max()))
-    for ei in range(mesh.n_e):
-        f0, f1 = mesh.edge_tris[ei]
-        if f0 < 0 or f1 < 0:
-            continue  # reported by edge-adjacency already
-        seg = []
-        for f in (f0, f1):
-            loc = list(mesh.tri_edges[f]).index(ei)
-            a, b = (loc + 1) % 3, (loc + 2) % 3
-            va, vb = mesh.triangles[f, a], mesh.triangles[f, b]
-            pa, pb = corners[f, a], corners[f, b]
-            if va > vb or (va == vb and pa[0] > pb[0]):
-                pa, pb = pb, pa
-            seg.append((pa, pb))
-        t0 = (seg[1][0] - seg[0][0]) @ lat_inv
-        t1 = (seg[1][1] - seg[0][1]) @ lat_inv
-        if (
-            np.abs(t0 - np.round(t0)).max() > 1e-9
-            or np.abs(t1 - np.round(t1)).max() > 1e-9
-            or np.abs(t0 - t1).max() > 1e-9
-        ):
-            bad_wrap.append(ei)
-        else:
-            # the two copies must coincide geometrically after the translation
-            delta = seg[1][0] - np.round(t0) @ mesh.lattice - seg[0][0]
-            if np.abs(delta).max() > 1e-9 * scale:
-                bad_wrap.append(ei)
+    paired = np.nonzero(mesh.edge_degree >= 2)[0]  # the rest fail edge-adjacency already
+    f = mesh.edge_tris[paired]  # (m, 2): the two copies
+    loc = np.argmax(mesh.tri_edges[f] == paired[:, None, None], axis=2)
+    flipped = flip[f, loc]
+    start = corners[f, np.where(flipped, loc + 2, loc + 1) % 3]
+    end = corners[f, np.where(flipped, loc + 1, loc + 2) % 3]
+    t0 = (start[:, 1] - start[:, 0]) @ lat_inv
+    t1 = (end[:, 1] - end[:, 0]) @ lat_inv
+    delta = start[:, 1] - np.round(t0) @ mesh.lattice - start[:, 0]
+    wrong = (
+        (np.abs(t0 - np.round(t0)).max(axis=1) > 1e-9)
+        | (np.abs(t1 - np.round(t1)).max(axis=1) > 1e-9)
+        | (np.abs(t0 - t1).max(axis=1) > 1e-9)
+        | (np.abs(delta).max(axis=1) > 1e-9 * scale)
+    )
+    bad_wrap = paired[wrong]
     detail = "; ".join(f"inconsistent periodic shift at edge {i}" for i in bad_wrap[:8])
     checks.append(CheckResult("periodic-consistency", len(bad_wrap) == 0, detail))
 

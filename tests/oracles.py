@@ -5,6 +5,9 @@ basis evaluations and assembly loops: triangle integrals go through a
 Duffy-collapsed tensor Gauss-Legendre rule, and element matrices come from
 sympy closed-form integration of symbolically constructed basis functions.
 Agreement between these and the package is a genuine dual-route check.
+The brute-force counts (``spurious_dimension``, ``rank_by_svd``) and the
+dict-and-loop edge topology (``edge_topology``) are slow on purpose: they
+are what the package's closed forms and array code must agree with.
 """
 
 import functools
@@ -12,6 +15,8 @@ import functools
 import numpy as np
 import scipy.linalg
 import sympy as sp
+
+from swelab import fem, helmholtz
 
 
 def duffy_integrate(f, corners, n=12):
@@ -144,3 +149,70 @@ def pencil_eigvals(A, B):
     rounding of this route only.
     """
     return scipy.linalg.eigvals(np.linalg.solve(B, A))
+
+
+def spurious_dimension(mesh, tol=1e-12):
+    """Dimension of the residual subspace, found by decomposing every basis vector.
+
+    Quadratic cost in the velocity dimension; intended for small meshes.
+    """
+    ops = fem.operators(mesh)
+    n = ops.v.n_dofs
+    if mesh.n_f > 200:
+        raise ValueError("spurious_dimension is limited to meshes with at most 200 faces")
+    cols = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cols[:, j] = helmholtz.decompose(fem.Field(ops.v, e), tol=tol).residual.coeffs
+    s = np.linalg.svd(cols, compute_uv=False)
+    return int(np.sum(s > 1e-8 * s[0]))
+
+
+def edge_topology(triangles, shifts):
+    """Edge arrays of a periodic triangulation by a dict over canonical side keys.
+
+    Returns (edges, edge_shifts, tri_edges, edge_tris, edge_degree) as the
+    Mesh fields of the same names: side e of face f joins corners e+1 and
+    e+2, keyed (va, vb, shift delta) with va <= vb (for va == vb the delta
+    that is lexicographically no larger than its negation); edges are
+    numbered in sorted key order and edge_tris holds the first two faces
+    that meet an edge, in face order.
+    """
+    key_index = {}
+    edges, eshifts, degree, etris = [], [], [], []
+    n_f = len(triangles)
+    tri_edges = np.empty((n_f, 3), dtype=np.intp)
+    for f in range(n_f):
+        tri = triangles[f]
+        s = shifts[f]
+        for e in range(3):
+            a, b = (e + 1) % 3, (e + 2) % 3
+            va, vb = int(tri[a]), int(tri[b])
+            d = (int(s[b, 0] - s[a, 0]), int(s[b, 1] - s[a, 1]))
+            if va > vb or (va == vb and d < (-d[0], -d[1])):
+                va, vb, d = vb, va, (-d[0], -d[1])
+            key = (va, vb, d)
+            idx = key_index.get(key)
+            if idx is None:
+                idx = len(edges)
+                key_index[key] = idx
+                edges.append((va, vb))
+                eshifts.append(d)
+                degree.append(0)
+                etris.append([-1, -1])
+            if degree[idx] < 2:
+                etris[idx][degree[idx]] = f
+            degree[idx] += 1
+            tri_edges[f, e] = idx
+    n_e = len(edges)
+    order = sorted(range(n_e), key=lambda i: (edges[i][0], edges[i][1], eshifts[i]))
+    rank = np.empty(n_e, dtype=np.intp)
+    rank[order] = np.arange(n_e)
+    return (
+        np.array([edges[i] for i in order], dtype=np.intp).reshape(n_e, 2),
+        np.array([eshifts[i] for i in order], dtype=np.intp).reshape(n_e, 2),
+        rank[tri_edges],
+        np.array([etris[i] for i in order], dtype=np.intp).reshape(n_e, 2),
+        np.array([degree[i] for i in order], dtype=np.intp),
+    )

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from swelab import dynamics, fem, helmholtz
 from swelab.dynamics import (
@@ -14,6 +15,7 @@ from swelab.dynamics import (
     SweParams,
 )
 from swelab.fem import Field
+from swelab.linalg import SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus, write_mesh
 
 
@@ -207,6 +209,20 @@ def test_solve_rossby_rejects_bad_input():
         dynamics.solve_rossby(good, dt=0.1, T=1.0, params=params, fhat=(0.0, 0.0))
     with pytest.raises(ValueError):
         dynamics.solve_rossby(good, dt=-0.1, T=1.0, params=params)
+
+
+def test_split_solve_converges_or_raises():
+    sym = sp.identity(2, format="csr")
+    b = np.array([1.0, 2.0])
+    for strength, converges in ((0.1, True), (3.0, False)):
+        skew = sp.csr_matrix([[0.0, strength], [-strength, 0.0]])
+        rhs_at = lambda y: b - skew @ y
+        if converges:
+            y = dynamics._split_solve(sym, rhs_at, np.zeros(2), tol=1e-13)
+            assert np.allclose((sym + skew) @ y, b, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(SolverError):
+                dynamics._split_solve(sym, rhs_at, np.zeros(2), tol=1e-13)
 
 
 def test_checkpoint_roundtrip(tmp_path):

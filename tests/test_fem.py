@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ def test_collocate_hits_dof_points():
     fn = lambda x: np.cos(2 * np.pi * x[..., 0]) + np.sin(2 * np.pi * x[..., 1])
     h = fem.collocate(ops.p2, fn)
     assert np.allclose(h.coeffs, fn(ops.p2.dof_points()), atol=1e-14)
+
+
+def test_collocate_falls_back_only_for_pointwise_callbacks():
+    mesh = build_right_triangle_torus(2, 2, 1.0, 1.0)
+    ops = fem.operators(mesh)
+    # a point-wise callback fails on the array of all points and is then
+    # called once per point
+    scalar = lambda p: math.cos(p[0]) + 2.0 * p[1]
+    h = fem.collocate(ops.p2, scalar)
+    assert np.array_equal(h.coeffs, [scalar(p) for p in ops.p2.dof_points()])
+    vector = lambda p: (math.sin(p[0]), p[0] * p[1])
+    u = fem.collocate(ops.v, vector)
+    nodes = ops.v.node_coords().reshape(-1, 2)
+    assert np.array_equal(u.coeffs, np.ravel([vector(p) for p in nodes]))
+
+    # any other error of a vectorized callback is a bug in it: no retry
+    calls = []
+
+    def broken(x):
+        calls.append(x.shape)
+        raise RuntimeError("bug in the callback")
+
+    for space in (ops.p2, ops.v):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="bug in the callback"):
+            fem.collocate(space, broken)
+        assert len(calls) == 1
 
 
 def test_project_p2vec_reproduces_elementwise_linear_fields():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swelab.mesh import (
     Mesh,
@@ -11,6 +13,16 @@ from swelab.mesh import (
     validate,
     write_mesh,
 )
+
+from .oracles import edge_topology
+
+TOPOLOGY = ("edges", "edge_shifts", "tri_edges", "edge_tris", "edge_degree")
+
+
+def assert_topology_matches_reference(mesh):
+    for name, ref in zip(TOPOLOGY, edge_topology(mesh.triangles, mesh.shifts)):
+        got = getattr(mesh, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 2), (3, 4), (5, 2)])
@@ -78,6 +90,25 @@ def test_validate_catches_dangling_edge():
     report = validate(bad)
     assert not report.ok
     assert any(c.name == "edge-adjacency" and not c.passed for c in report.checks)
+    # the three sides of the dropped face are left with one face each
+    assert np.sort(bad.edge_degree)[:4].tolist() == [1, 1, 1, 2]
+    assert np.count_nonzero(bad.edge_tris[:, 1] == -1) == 3
+    assert_topology_matches_reference(bad)
+
+
+def test_validate_passes_on_self_loop_torus():
+    # 3 x 1 right-triangle torus: every vertical edge joins a vertex to its
+    # own copy one period up, so both copies of it are self-loops
+    triangles = [[0, 1, 1], [0, 1, 0], [1, 2, 2], [1, 2, 1], [2, 0, 0], [2, 0, 2]]
+    shifts = [[(0, 0), (0, 0), (0, 1)], [(0, 0), (0, 1), (0, 1)]] * 2 + [
+        [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
+    mesh = Mesh([[0.0, 0.0], [1 / 3, 0.0], [2 / 3, 0.0]], triangles, shifts, np.eye(2))
+    loops = np.nonzero(mesh.edges[:, 0] == mesh.edges[:, 1])[0]
+    assert loops.tolist() == [0, 5, 8]
+    assert mesh.edge_shifts[loops].tolist() == [[0, 1]] * 3
+    assert_topology_matches_reference(mesh)
+    report = validate(mesh)
+    assert report.ok, str(report)
 
 
 @pytest.mark.parametrize("m1,m2", [(1, 0), (0, 1), (2, -3), (5, 5)])
@@ -150,3 +181,27 @@ def test_build_rejects_degenerate_sizes():
         build_right_triangle_torus(2, 1, 1.0, 1.0)
     with pytest.raises(ValueError):
         build_equilateral_torus(2, 2, -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["equilateral", "right"]),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_topology_matches_reference(kind, n1, n2, seed):
+    if kind == "equilateral":
+        m = build_equilateral_torus(n1, n2, 0.5)
+    else:
+        m = build_right_triangle_torus(n1, n2, 1.0, 2.0)
+    assert_topology_matches_reference(m)
+
+    rng = np.random.default_rng(seed)
+    faces = rng.permutation(m.n_f)
+    label = rng.permutation(m.n_v)  # old vertex v becomes label[v]
+    vertices = np.empty_like(m.vertices)
+    vertices[label] = m.vertices
+    shuffled = Mesh(vertices, label[m.triangles[faces]], m.shifts[faces], m.lattice)
+    assert_topology_matches_reference(shuffled)
+    assert validate(shuffled).ok
