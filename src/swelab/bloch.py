@@ -370,14 +370,19 @@ def _gravity(kdx, params, dx):
     return np.sqrt(params.f0 ** 2 + params.c2 / dx ** 2 * np.clip(lam, 0.0, None)), vecs
 
 
-def _classify_vectors(vecs):
+def _classify_vectors(omegas, vecs):
     """Best template of each unit column of vecs (N, 4, 4), and whether the
-    runner-up scores within 1 % of it."""
+    runner-up scores within 1 % of it or the column's eigenvalue (omegas
+    ascend) is within 1e-8 of the row's largest |omega| of another one."""
     scores = np.abs(TEMPLATES @ vecs.conj())  # (N, template, column)
     order = np.argsort(scores, axis=-2)
     ranked = np.take_along_axis(scores, order, axis=-2)
     top, second = ranked[..., -1, :], ranked[..., -2, :]
-    return order[..., -1, :], top - second < 0.01 * top
+    close = np.diff(omegas, axis=-1) <= 1e-8 * np.abs(omegas).max(axis=-1, keepdims=True)
+    ambiguous = top - second < 0.01 * top
+    ambiguous[..., 1:] |= close
+    ambiguous[..., :-1] |= close
+    return order[..., -1, :], ambiguous
 
 
 def _east(fhat):
@@ -402,7 +407,7 @@ def _rossby(kdx, params, east, dx):
         1e-13 * abs(params.beta) / dx * np.maximum(dscale, 1.0))
     omegas[at_rest] = 0.0
     vecs[at_rest] = np.eye(4)
-    return (omegas, vecs, *_classify_vectors(vecs))
+    return (omegas, vecs, *_classify_vectors(omegas, vecs))
 
 
 def _results(kdx, omegas, vecs, labels=None, flags=None):

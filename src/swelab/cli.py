@@ -268,12 +268,6 @@ def cmd_oracle(args):
 # helmholtz
 
 
-def _component_table(u, c2):
-    e = helmholtz.component_energies(u, c2)
-    total = sum(e.values())
-    return e, total
-
-
 def cmd_helmholtz(args):
     if args.checkpoint:
         try:
@@ -290,7 +284,8 @@ def cmd_helmholtz(args):
     if args.filter_hp2:
         u = helmholtz.project_hp2(u, tol=args.tol)
 
-    e, total = _component_table(u, args.c2)
+    e = helmholtz.component_energies(u, args.c2, tol=args.tol)
+    total = sum(e.values())
     lines = ["component,energy"]
     for name, key in (
         ("mean", "mean"),
@@ -489,12 +484,11 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="key = value defaults file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-        p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--seed", type=int, default=seed)
 
     p = sub.add_parser("converge", help="free-surface convergence experiment")
     common(p)
+    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
     p.add_argument("--levels", default="8,16,32")
     p.add_argument("--steps-factor", type=float, default=1.0)
     p.set_defaults(func=cmd_converge)
@@ -502,6 +496,7 @@ def _build_parser():
     for name, kind in (("dispersion", None), ("rossby", "rossby")):
         p = sub.add_parser(name, help="Brillouin-zone dispersion sweep")
         common(p)
+        p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
         p.add_argument("--kind", choices=("gravity", "rossby"),
                        default="gravity" if kind is None else "rossby")
         p.add_argument("--ngrid", type=int, default=32)
@@ -524,6 +519,7 @@ def _build_parser():
 
     p = sub.add_parser("helmholtz", help="component energies of a velocity field")
     common(p)
+    p.add_argument("--tol", type=float, default=1e-12)
     _add_mesh_flags(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--c2", type=float, default=1.0)
@@ -532,6 +528,8 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="implicit-midpoint time integration")
     common(p)
+    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
+    p.add_argument("--tol", type=float, default=1e-12)
     _add_mesh_flags(p)
     p.add_argument("--init",
                    choices=("geostrophic", "physical", "spurious", "random", "wave"),

@@ -7,10 +7,12 @@ Semi-discrete system:
 
 integrated with the implicit midpoint rule.  The velocity block of the
 midpoint system is eliminated exactly (it is block diagonal per element),
-leaving one symmetric positive definite solve for the midpoint elevation.
-On the f-plane that Schur complement reduces in closed form to
+leaving one solve with the Schur complement S for the midpoint elevation.
+On the f-plane S reduces in closed form to the symmetric positive definite
 M + kappa L, because rotated gradients of quadratics are mass-orthogonal
-to gradients of quadratics.
+to gradients of quadratics.  On the beta-plane S also has a skew-symmetric
+part, which ``linalg.Solver`` splits off; that converges only while the
+skew part is small against the symmetric one, i.e. for small beta dt.
 """
 
 from __future__ import annotations
@@ -113,30 +115,6 @@ def energy(state, params):
 # implicit midpoint stepper
 
 
-_SPLIT_MAX_ITER = 200
-
-
-def _split_solve(sym, rhs_at, y0, tol):
-    """Solve (Sym + Skew) y = b by the splitting y <- Sym^-1 (b - Skew y).
-
-    ``sym`` is the SPD part and ``rhs_at(y)`` returns b - Skew y.  The
-    iteration contracts while the skew part is small against the symmetric
-    one; it stops once the update is below tol relative to y.
-    """
-    y = y0
-    for _ in range(_SPLIT_MAX_ITER):
-        y_new = linalg.solve_spd(sym, rhs_at(y), tol=tol, x0=y)
-        delta = np.linalg.norm(y_new - y)
-        y = y_new
-        if delta <= tol * max(np.linalg.norm(y), 1e-300):
-            return y
-    raise linalg.SolverError(
-        "midpoint splitting iteration failed to converge",
-        residual=delta,
-        iterations=_SPLIT_MAX_ITER,
-    )
-
-
 class _Stepper:
     """Prepared operators for one (mesh, dt, params) combination."""
 
@@ -148,13 +126,12 @@ class _Stepper:
         self.kappa = params.c2 * dt * dt / (4.0 * (1.0 + self.gamma ** 2))
         if params.beta == 0.0:
             # exact f-plane Schur complement
-            self.S_sym = (ops.M + self.kappa * ops.L).tocsr()
-            self.S_skew = None
+            self.Ainv = None
+            self.solver = linalg.Solver(ops.M + self.kappa * ops.L)
         else:
             quad = fem.quadrature_rule(5)
-            _, _, area = fem._geometry(mesh)
             mref = fem._p1_mass_ref(quad)
-            mv_blocks = 2.0 * area[:, None, None] * np.kron(mref, np.eye(2))
+            mv_blocks = 2.0 * ops.el_area[:, None, None] * np.kron(mref, np.eye(2))
             fprofile = lambda x: params.f0 + params.beta * x[..., 1]
             c_blocks = fem._coriolis_blocks(mesh, fprofile, quad)
             a_blocks = mv_blocks + 0.5 * dt * c_blocks
@@ -162,36 +139,26 @@ class _Stepper:
                 (np.linalg.inv(a_blocks), np.arange(mesh.n_f), np.arange(mesh.n_f + 1)),
                 shape=(6 * mesh.n_f, 6 * mesh.n_f),
             )
-            self.C = fem.assemble_coriolis(ops.v, fprofile, quad)
             K = (ops.G.T @ (self.Ainv @ ops.G)).tocsr()
-            S = (ops.M + (params.c2 * dt * dt / 4.0) * K).tocsr()
-            self.S_sym = (0.5 * (S + S.T)).tocsr()
-            self.S_skew = (0.5 * (S - S.T)).tocsr()
+            self.solver = linalg.Solver(ops.M + (params.c2 * dt * dt / 4.0) * K)
 
     def half_rotate(self, v):
         """Apply (I - gamma P)/(1 + gamma^2), the f-plane action of A^{-1} M_v."""
         g = self.gamma
         return (v - g * (self.ops.P @ v)) / (1.0 + g * g)
 
-    def solve_eta(self, rhs, x0, tol):
-        if self.S_skew is None:
-            return linalg.solve_spd(self.S_sym, rhs, tol=tol, x0=x0)
-        return _split_solve(self.S_sym, lambda y: rhs - self.S_skew @ y, x0, tol)
-
     def step(self, state, tol):
-        ops = self.ops
-        dt = self.dt
-        c2 = self.params.c2
+        ops, dt, c2 = self.ops, self.dt, self.params.c2
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
 
-        if self.S_skew is None:
+        if self.Ainv is None:
             z = self.half_rotate(u_n)
         else:
             z = self.Ainv @ (ops.Mv @ u_n)
         rhs = ops.M @ eta_n + 0.5 * dt * (ops.E.T @ (ops.Mv @ z))
-        eta_m = self.solve_eta(rhs, x0=eta_n, tol=tol)
+        eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
 
-        if self.S_skew is None:
+        if self.Ainv is None:
             u_m = self.half_rotate(u_n - 0.5 * c2 * dt * (ops.E @ eta_m))
         else:
             u_m = self.Ainv @ (ops.Mv @ u_n - 0.5 * c2 * dt * (ops.G @ eta_m))
@@ -216,7 +183,12 @@ def _stepper(mesh, dt, params):
 
 
 def step_midpoint(state, dt, params, tol=1e-13):
-    """Advance one implicit-midpoint step; inner solves to relative tol."""
+    """Advance one implicit-midpoint step; inner solves to relative tol.
+
+    On the beta-plane the skew-symmetric part of the Schur complement, which
+    grows with beta and dt, must be small against its symmetric part, or the
+    elevation solve raises ``linalg.SolverError``: then reduce dt.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     return _stepper(state.u.space.mesh, dt, params).step(state, tol)
@@ -410,6 +382,11 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     rotating the given northward unit vector fhat clockwise a quarter turn.
     The quadratic form psi^T (L + M f0^2/c2) psi is conserved because D is
     antisymmetric on a torus.
+
+    Each step splits off the skew part beta dt D/2, which must be small
+    against K = L + M f0^2/c2: a sweep contracts by dt max|omega| / 2 over the
+    mesh's Rossby frequencies, so dt above about 1.7 / max|omega| (200 sweeps
+    to tol 1e-13) raises ``linalg.SolverError``; then reduce dt.
     """
     fhat = np.asarray(fhat, dtype=float)
     nf = np.linalg.norm(fhat)
@@ -437,11 +414,12 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     invariant = np.empty(n_steps + 1)
     invariant[0] = float(psis[0] @ (K @ psis[0]))
 
+    # (K - beta dt D/2) psi_{n+1} = (K + beta dt D/2) psi_n
+    half = 0.5 * params.beta * dt
+    solver = linalg.Solver(K - half * D)
     psi = psis[0].copy()
     for s in range(n_steps):
-        # fixed point for psi_{n+1}: K y = K psi + beta dt D (psi + y)/2
-        base = K @ psi + 0.5 * params.beta * dt * (D @ psi)
-        psi = _split_solve(K, lambda y: base + 0.5 * params.beta * dt * (D @ y), psi, tol)
+        psi = solver.solve(K @ psi + half * (D @ psi), tol=tol, x0=psi)
         psis[s + 1] = psi
         invariant[s + 1] = float(psi @ (K @ psi))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import linalg
 from .mesh import Mesh
 
 __all__ = [
@@ -492,6 +493,7 @@ class OperatorSet:
     v: P1dgVecSpace
     M: sp.csr_matrix    # P2 mass
     L: sp.csr_matrix    # P2 stiffness
+    L_solver: linalg.Solver  # for L on the mean-free subspace, prepared once
     Mv: sp.csr_matrix   # P1DG vector mass
     E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG
     G: sp.csr_matrix    # Mv @ E
@@ -525,11 +527,13 @@ def operators(mesh):
         Mv = assemble_mass_p1dg(v)
         E = gradient_embedding(p2, v)
         _, _, area = _geometry(mesh)
+        L = assemble_stiffness_p2(p2)
         ops = OperatorSet(
             p2=p2,
             v=v,
             M=assemble_mass_p2(p2),
-            L=assemble_stiffness_p2(p2),
+            L=L,
+            L_solver=linalg.Solver(L, nullspace=True),
             Mv=Mv,
             E=E,
             G=(Mv @ E).tocsr(),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fem, linalg
+from . import fem
 from .fem import Field
 
 __all__ = [
@@ -44,8 +44,8 @@ def decompose(u, tol=1e-12):
     # grad(phi) (resp. perp grad(psi)) against u reduces to L by exactness
     rhs_phi = ops.E.T @ mvu
     rhs_psi = ops.E.T @ (ops.P.T @ mvu)
-    phi = linalg.solve_spd(ops.L, rhs_phi, tol=tol, nullspace=True)
-    psi = linalg.solve_spd(ops.L, rhs_psi, tol=tol, nullspace=True)
+    phi = ops.L_solver.solve(rhs_phi, tol=tol)
+    psi = ops.L_solver.solve(rhs_psi, tol=tol)
 
     # the solver returns coefficient-mean-zero vectors; shift to integral mean zero
     phi -= ops.p2_mean(phi)

@@ -274,6 +274,24 @@ def test_sweep_rows_equal_per_point_results(kind):
         assert r.labels == p.labels and r.ambiguous == p.ambiguous
 
 
+def test_degenerate_rossby_pairs_are_flagged():
+    # on the k = 0 axis of an odd grid the Rossby pencil has a two-fold
+    # omega = 0, whose eigenvectors are any basis of a plane
+    params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    axis = [r for r in bloch.sweep_brillouin(33, "rossby", params, dx=1e5)
+            if r.kdx[0] == 0.0 and r.kdx[1] != 0.0]
+    assert len(axis) >= 16
+    for r in axis:
+        w = np.asarray(r.omegas)
+        pairs = np.flatnonzero(np.diff(w) <= 1e-8 * np.abs(w).max())
+        assert pairs.size > 0
+        for j in pairs:
+            assert r.ambiguous[j] and r.ambiguous[j + 1]
+    # gaps on the even grid are at least 9e-4 of the largest |omega|: no flags
+    rows = bloch.sweep_brillouin(32, "rossby", params, dx=1e5)
+    assert not any(any(r.ambiguous) for r in rows)
+
+
 def test_lattice_dof_classes():
     mesh = build_equilateral_torus(4, 4, 0.5)
     classes = bloch.lattice_dof_classes(mesh)

@@ -30,12 +30,22 @@ def run(argv, capsys):
         ["converge", "--levels", "16,8,4"],
         ["converge", "--levels", "8,x,32"],
         ["rossby", "--fhat", "0,0"],
+        ["converge", "--tol", "1e-8"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert "usage error" in err or "usage" in err
+
+
+def test_beta_plane_splitting_failure_exits_1(capsys):
+    code, out, err = run(
+        ["simulate", "--mesh-kind", "equilateral", "--n1", "8", "--n2", "16", "--dx", "1e5",
+         "--f0", "1e-4", "--c2", "1e5", "--beta", "1e-10", "--dt", "6e4", "--steps", "1"],
+        capsys)
+    assert code == 1
+    assert "skew-symmetric part" in err and "reduce dt" in err
 
 
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from swelab import dynamics, fem, helmholtz
+from swelab import bloch, dynamics, fem, helmholtz, linalg
 from swelab.dynamics import (
     CheckpointFormatError,
     PlaneWaveSpec,
@@ -216,13 +216,26 @@ def test_split_solve_converges_or_raises():
     b = np.array([1.0, 2.0])
     for strength, converges in ((0.1, True), (3.0, False)):
         skew = sp.csr_matrix([[0.0, strength], [-strength, 0.0]])
-        rhs_at = lambda y: b - skew @ y
+        solver = linalg.Solver(sym + skew)
         if converges:
-            y = dynamics._split_solve(sym, rhs_at, np.zeros(2), tol=1e-13)
+            y = solver.solve(b, tol=1e-13, x0=np.zeros(2))
             assert np.allclose((sym + skew) @ y, b, rtol=0, atol=1e-12)
         else:
             with pytest.raises(SolverError):
-                dynamics._split_solve(sym, rhs_at, np.zeros(2), tol=1e-13)
+                solver.solve(b, tol=1e-13, x0=np.zeros(2))
+
+
+def test_solve_rossby_too_large_dt_says_reduce_dt():
+    # one sweep of the splitting contracts by dt max|omega| / 2, and lattice
+    # mode (1, 1) carries the largest Rossby frequency of this torus
+    params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    mesh = build_equilateral_torus(16, 32, 1e5)
+    omega, psi_hat = bloch.lattice_rossby_mode(mesh, 1, 1, params)
+    psi0 = Field(fem.operators(mesh).p2, np.real(psi_hat))
+    with pytest.raises(SolverError, match="reduce dt"):
+        dynamics.solve_rossby(psi0, dt=3.0 / abs(omega), T=3.0 / abs(omega), params=params)
+    traj = dynamics.solve_rossby(psi0, dt=1.0 / abs(omega), T=3.0 / abs(omega), params=params)
+    assert np.abs(traj.invariant - traj.invariant[0]).max() < 1e-11 * traj.invariant[0]
 
 
 def test_checkpoint_roundtrip(tmp_path):

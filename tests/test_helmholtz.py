@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swelab import fem, helmholtz
+from swelab import fem, helmholtz, linalg
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
 from .oracles import spurious_dimension
@@ -38,6 +38,21 @@ def test_roundtrip_and_orthogonality(mesh):
     total = u.coeffs @ (Mv @ u.coeffs)
     partial = sum(p @ (Mv @ p) for p in pieces)
     assert np.isclose(total, partial, rtol=1e-12)
+
+
+def test_decompose_reuses_one_prepared_solver(monkeypatch):
+    mesh = build_equilateral_torus(4, 4, 0.5)
+    solver = fem.operators(mesh).L_solver
+    built = []
+    monkeypatch.setattr(linalg.Solver, "__init__", lambda *a, **k: built.append(a))
+    u1, u2 = _random_velocity(mesh, 5), _random_velocity(mesh, 6)
+    first = helmholtz.decompose(u1)
+    for u in (u2, u1):
+        parts = helmholtz.decompose(u)
+        assert np.abs(helmholtz.recompose(parts, mesh).coeffs - u.coeffs).max() < 1e-10
+    assert built == [] and fem.operators(mesh).L_solver is solver
+    assert np.array_equal(parts.phi.coeffs, first.phi.coeffs)
+    assert np.array_equal(parts.psi.coeffs, first.psi.coeffs)
 
 
 @pytest.mark.parametrize("mesh", MESHES)

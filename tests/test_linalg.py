@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab.linalg import SolverError, solve_spd
+from swelab.linalg import Solver, SolverError
 
 
 def _random_spd(n, rng, density=0.4):
@@ -17,7 +17,7 @@ def test_solve_spd_matches_dense():
     rng = np.random.default_rng(0)
     A = _random_spd(40, np.random.RandomState(0))
     b = rng.standard_normal(40)
-    x = solve_spd(A, b, tol=1e-13)
+    x = Solver(A).solve(b, tol=1e-13)
     assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-9, atol=1e-11)
 
 
@@ -25,8 +25,9 @@ def test_solve_spd_warm_start():
     rng = np.random.default_rng(1)
     A = _random_spd(30, np.random.RandomState(1))
     b = rng.standard_normal(30)
-    x = solve_spd(A, b)
-    x2 = solve_spd(A, b, x0=x)
+    solver = Solver(A)
+    x = solver.solve(b)
+    x2 = solver.solve(b, x0=x)
     assert np.allclose(x2, x, rtol=1e-9, atol=1e-12)
 
 
@@ -41,26 +42,42 @@ def test_solve_spd_singular_with_nullspace():
     rng = np.random.default_rng(2)
     b = rng.standard_normal(n)
     b -= b.mean()
-    x = solve_spd(A, b, nullspace=True)
+    x = Solver(A, nullspace=True).solve(b)
     assert abs(x.mean()) < 1e-12
     assert np.linalg.norm(A @ x - b) < 1e-10 * np.linalg.norm(b)
 
 
-def test_solve_spd_rejects_asymmetric():
+def test_solver_splits_asymmetric():
+    # a mild skew part is split off and iterated to the solution of A x = b
     A = sparse.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(ValueError):
-        solve_spd(A, np.ones(2))
+    x = Solver(A).solve(np.ones(2), tol=1e-13)
+    assert np.allclose(x, [0.25, 0.5], rtol=0, atol=1e-13)
+    # a strong one makes the splitting diverge, and the error says why
+    strong = Solver(sparse.csr_matrix(np.array([[1.0, 3.0], [-3.0, 1.0]])))
+    with pytest.raises(SolverError, match="skew-symmetric part"):
+        strong.solve(np.ones(2))
+
+
+def test_solver_rejects_non_square():
+    with pytest.raises(ValueError, match="not square"):
+        Solver(sparse.csr_matrix(np.ones((2, 3))))
+
+
+def test_solver_rejects_mismatched_rhs():
+    solver = Solver(_random_spd(5, np.random.RandomState(4)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        solver.solve(np.ones(6))
 
 
 def test_solve_spd_fails_on_indefinite():
     A = sparse.csr_matrix(np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(SolverError):
-        solve_spd(A, np.array([1.0, 1.0, 1.0]))
+        Solver(A).solve(np.array([1.0, 1.0, 1.0]))
 
 
 def test_solve_spd_zero_rhs():
     A = _random_spd(8, np.random.RandomState(3))
-    x = solve_spd(A, np.zeros(8))
+    x = Solver(A).solve(np.zeros(8))
     assert np.allclose(x, 0.0)
 
 
@@ -70,6 +87,6 @@ def test_solve_spd_property(n, seed):
     rs = np.random.RandomState(seed)
     A = _random_spd(n, rs)
     b = np.random.default_rng(seed).standard_normal(n)
-    x = solve_spd(A, b, tol=1e-12)
+    x = Solver(A).solve(b, tol=1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
