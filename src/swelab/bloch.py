@@ -34,7 +34,6 @@ __all__ = [
     "build_reference_hexagon",
     "bloch_matrix_S",
     "reduced_matrices",
-    "symbolic_reference",
     "gravity_branches",
     "rossby_branches",
     "in_brillouin_zone",
@@ -250,11 +249,6 @@ def _closed_forms(kdx):
         1j * _D1_SIGN * _x1_closed(k, l),
         1j * _D2_SIGN * _x2_closed(k, l),
     )
-
-
-def symbolic_reference(kdx):
-    """Closed-form reduced matrices; the oracle for reduced_matrices."""
-    return BlochMatrices((float(kdx[0]), float(kdx[1])), *_closed_forms(kdx))
 
 
 def _in_blocks(fn, pts):

@@ -279,7 +279,7 @@ def l2_error_p2(eta, exact_fn):
     xq = np.einsum("qk,fkc->fqc", lam, X)
     vals_h = np.einsum("qi,fi->fq", fem._p2_values(lam), eta.coeffs[space.cell_dofs()])
     vals_e = exact_fn(xq)
-    _, _, area = fem._geometry(mesh)
+    _, area = fem._geometry(X)
     err2 = 2.0 * np.einsum("f,q,fq->", area, quad.weights, (vals_h - vals_e) ** 2)
     return math.sqrt(err2)
 

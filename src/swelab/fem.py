@@ -11,6 +11,8 @@ reference triangle (0,0)-(1,0)-(0,1).
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,6 @@ __all__ = [
     "p2_element_matrices",
     "p2_element_ddx",
     "operators",
-    "random_field",
     "write_matrix_text",
 ]
 
@@ -47,9 +48,12 @@ __all__ = [
 _GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Symmetric rule on the reference triangle; weights sum to its area 1/2."""
+    """Symmetric rule on the reference triangle; weights sum to its area 1/2.
+
+    Rules compare and hash by identity, so per-rule tables can be cached.
+    """
 
     points: np.ndarray   # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,)
@@ -219,95 +223,99 @@ class Field:
     __rmul__ = __mul__
 
 
-def random_field(space, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(space, rng.standard_normal(space.n_dofs))
-
-
 # --------------------------------------------------------------------------
 # geometry
 
 
-def _geometry(mesh):
-    """Corner coords, inverse Jacobians and areas for every element."""
-    X = mesh.corner_coords()
+def _geometry(X):
+    """Inverse Jacobians and areas of the faces with corner coordinates X, (n_f, 3, 2)."""
     J = np.stack([X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]], axis=-1)  # columns
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     if np.any(det <= 0):
-        raise ValueError("mesh contains a non-counter-clockwise triangle")
+        raise ValueError("triangle corners are not counter-clockwise")
     Jinv = np.empty_like(J)
     Jinv[:, 0, 0] = J[:, 1, 1]
     Jinv[:, 0, 1] = -J[:, 0, 1]
     Jinv[:, 1, 0] = -J[:, 1, 0]
     Jinv[:, 1, 1] = J[:, 0, 0]
     Jinv /= det[:, None, None]
-    return X, Jinv, 0.5 * det
+    return Jinv, 0.5 * det
 
 
 def _symmetrize(blocks):
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
 
 
-def _scatter(blocks, rows, cols, shape):
-    """Sum elementwise blocks into a CSR matrix."""
+def _scatter(blocks, space, col_space=None):
+    """Sum elementwise blocks into a CSR matrix from col_space (default: space) to space."""
+    col_space = col_space or space
+    rows, cols = space.cell_dofs(), col_space.cell_dofs()
     r = np.repeat(rows[:, :, None], cols.shape[1], axis=2).ravel()
     c = np.repeat(cols[:, None, :], rows.shape[1], axis=1).ravel()
-    A = sp.coo_matrix((blocks.ravel(), (r, c)), shape=shape)
+    A = sp.coo_matrix((blocks.ravel(), (r, c)), shape=(space.n_dofs, col_space.n_dofs))
     return A.tocsr()
 
 
 # --------------------------------------------------------------------------
 # element matrices (also used by the dispersion patch assembly)
+#
+# On an affine triangle each element matrix is a reference tensor, built once
+# per quadrature rule, contracted with a few geometry numbers of the face
+# (Kirby & Logg, ACM TOMS 32, 2006).  With Jinv the inverse Jacobian of the
+# reference map and |T| the area, the stiffness of face f is
+#
+#     K_f = sum_ab G_ab K_ref^ab,   G = 2|T| Jinv Jinv^T,
+#     K_ref^ab_ij = sum_q w_q dN_i/dr_a dN_j/dr_b,
+#
+# one (n_f, 4) @ (4, 36) product for all faces.  The d/dx blocks, the
+# gradient embedding and the affine Coriolis blocks take the geometry
+# 2|T| Jinv direction, Jinv and f(x_q) in the same way.
+
+
+_RefTensors = collections.namedtuple("_RefTensors", "mass stiffness ddx coriolis")
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_tensors(quad):
+    """Mass (6, 6), stiffness (4, 36) by rows ab, ddx (2, 36) by rows d and
+    coriolis (nq, 9) by rows q: w_q lam_qi lam_qj, for one quadrature rule."""
+    V, G, w = _p2_values(quad.points), _p2_ref_grads(quad.points), quad.weights
+    lam = np.atleast_2d(quad.points)
+    K = np.einsum("q,qia,qjb->abij", w, G, G)
+    return _RefTensors(
+        _symmetrize(np.einsum("q,qi,qj->ij", w, V, V)),
+        (0.5 * (K + K.transpose(1, 0, 3, 2))).reshape(4, 36),
+        np.einsum("q,qi,qjd->dij", w, V, G).reshape(2, 36),
+        (w[:, None, None] * lam[:, :, None] * lam[:, None, :]).reshape(-1, 9),
+    )
 
 
 def _p2_mass_blocks(area, quad):
-    V = _p2_values(quad.points)
-    Mref = np.einsum("q,qi,qj->ij", quad.weights, V, V)
-    Mref = 0.5 * (Mref + Mref.T)
-    return 2.0 * area[:, None, None] * Mref
+    return 2.0 * area[:, None, None] * _ref_tensors(quad).mass
 
 
 def _p2_stiffness_blocks(Jinv, area, quad):
-    G = _p2_ref_grads(quad.points)
-    Gp = np.einsum("qid,fdc->fqic", G, Jinv)
-    blocks = 2.0 * area[:, None, None] * np.einsum("q,fqic,fqjc->fij", quad.weights, Gp, Gp)
-    return _symmetrize(blocks)
+    G = 2.0 * area[:, None, None] * (Jinv @ np.swapaxes(Jinv, 1, 2))
+    return _symmetrize((G.reshape(-1, 4) @ _ref_tensors(quad).stiffness).reshape(-1, 6, 6))
 
 
 def _p2_ddx_blocks(Jinv, area, quad, direction):
-    V = _p2_values(quad.points)
-    G = _p2_ref_grads(quad.points)
-    Gp = np.einsum("qid,fdc->fqic", G, Jinv)
-    dirG = np.einsum("fqic,c->fqi", Gp, direction)
-    return 2.0 * area[:, None, None] * np.einsum("q,qi,fqj->fij", quad.weights, V, dirG)
-
-
-def _single(corners):
-    corners = np.asarray(corners, dtype=float).reshape(1, 3, 2)
-    J = np.stack([corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]], axis=-1)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    if det[0] <= 0:
-        raise ValueError("corners must be counter-clockwise")
-    Jinv = np.linalg.inv(J)
-    return Jinv, 0.5 * det
+    g = 2.0 * area[:, None] * (Jinv @ direction)
+    return (g @ _ref_tensors(quad).ddx).reshape(-1, 6, 6)
 
 
 def p2_element_matrices(corners, quad=None):
     """Exact P2 mass and stiffness 6x6 matrices for one triangle."""
     quad = quad or _RULES[4]
-    Jinv, area = _single(corners)
-    return (
-        _p2_mass_blocks(area, quad)[0],
-        _p2_stiffness_blocks(Jinv, area, quad)[0],
-    )
+    Jinv, area = _geometry(np.asarray(corners, dtype=float).reshape(1, 3, 2))
+    return _p2_mass_blocks(area, quad)[0], _p2_stiffness_blocks(Jinv, area, quad)[0]
 
 
 def p2_element_ddx(corners, direction, quad=None):
     """6x6 matrix of <N_i, direction . grad N_j> on one triangle."""
     quad = quad or _RULES[4]
-    direction = np.asarray(direction, dtype=float)
-    Jinv, area = _single(corners)
-    return _p2_ddx_blocks(Jinv, area, quad, direction)[0]
+    Jinv, area = _geometry(np.asarray(corners, dtype=float).reshape(1, 3, 2))
+    return _p2_ddx_blocks(Jinv, area, quad, np.asarray(direction, dtype=float))[0]
 
 
 # --------------------------------------------------------------------------
@@ -315,19 +323,13 @@ def p2_element_ddx(corners, direction, quad=None):
 
 
 def assemble_mass_p2(space, quad=None):
-    quad = quad or _RULES[4]
-    _, _, area = _geometry(space.mesh)
-    blocks = _p2_mass_blocks(area, quad)
-    cd = space.cell_dofs()
-    return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
+    _, area = _geometry(space.mesh.corner_coords())
+    return _scatter(_p2_mass_blocks(area, quad or _RULES[4]), space)
 
 
 def assemble_stiffness_p2(space, quad=None):
-    quad = quad or _RULES[4]
-    _, Jinv, area = _geometry(space.mesh)
-    blocks = _p2_stiffness_blocks(Jinv, area, quad)
-    cd = space.cell_dofs()
-    return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
+    Jinv, area = _geometry(space.mesh.corner_coords())
+    return _scatter(_p2_stiffness_blocks(Jinv, area, quad or _RULES[4]), space)
 
 
 def _p1_mass_ref(quad):
@@ -337,21 +339,18 @@ def _p1_mass_ref(quad):
 
 
 def assemble_mass_p1dg(space, quad=None):
-    quad = quad or _RULES[4]
-    _, _, area = _geometry(space.mesh)
-    block = np.kron(_p1_mass_ref(quad), np.eye(2))
-    blocks = 2.0 * area[:, None, None] * block
-    cd = space.cell_dofs()
-    return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
+    _, area = _geometry(space.mesh.corner_coords())
+    block = np.kron(_p1_mass_ref(quad or _RULES[4]), np.eye(2))
+    return _scatter(2.0 * area[:, None, None] * block, space)
 
 
 def _coriolis_blocks(mesh, f, quad):
-    X, _, area = _geometry(mesh)
+    X = mesh.corner_coords()
+    _, area = _geometry(X)
     lam = np.atleast_2d(quad.points)
     if callable(f):
-        xq = np.einsum("qk,fkc->fqc", lam, X)
-        fvals = _evaluate(f, xq)
-        Wf = np.einsum("q,fq,qi,qj->fij", quad.weights, fvals, lam, lam)
+        fvals = _evaluate(f, np.einsum("qk,fkc->fqc", lam, X))
+        Wf = (fvals @ _ref_tensors(quad).coriolis).reshape(-1, 3, 3)
     else:
         W = np.einsum("q,qi,qj->ij", quad.weights, lam, lam)
         Wf = float(f) * W[None, :, :]
@@ -396,35 +395,32 @@ def _check_affine(f, mesh):
 
 def assemble_coriolis(space, f, quad=None):
     """C with (C u)_w = <f w, perp(u)>; f a constant or an affine profile."""
-    quad = quad or _RULES[5]
     if callable(f):
         _check_affine(f, space.mesh)
-    blocks = _coriolis_blocks(space.mesh, f, quad)
-    cd = space.cell_dofs()
-    return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
+    return _scatter(_coriolis_blocks(space.mesh, f, quad or _RULES[5]), space)
+
+
+# E_ref[dc, iej] = Gc[i, j, d] [c == e] with Gc[i, j, d] the reference
+# gradient of N_j at corner i
+_EMBED_REF = np.einsum("ijd,ce->dciej", _p2_ref_grads(np.eye(3)), np.eye(2)).reshape(4, 36)
+
+
+def _gradient_blocks(Jinv):
+    """Component e of grad N_j at corner i of each face, (n_f, 6, 6) with rows 2i+e."""
+    return (Jinv.reshape(-1, 4) @ _EMBED_REF).reshape(-1, 6, 6)
 
 
 def gradient_embedding(p2, v):
     """Sparse E mapping P2 coefficients to the P1DG coefficients of the exact gradient."""
-    mesh = p2.mesh
-    _, Jinv, _ = _geometry(mesh)
-    corners = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    Gc = _p2_ref_grads(corners)  # (3, 6, 2) reference gradients at the corners
-    blocks = np.einsum("ijd,fdc->ficj", Gc, Jinv)  # (n_f, 3, 2, 6)
-    blocks = blocks.reshape(mesh.n_f, 6, 6)
-    rows = v.cell_dofs()
-    cols = p2.cell_dofs()
-    return _scatter(blocks, rows, cols, (v.n_dofs, p2.n_dofs))
+    Jinv, _ = _geometry(p2.mesh.corner_coords())
+    return _scatter(_gradient_blocks(Jinv), v, p2)
 
 
 def assemble_ddx_p2(space, direction, quad=None):
     """D with (D psi)_alpha = <alpha, direction . grad psi>; skew on a torus."""
-    quad = quad or _RULES[4]
-    direction = np.asarray(direction, dtype=float)
-    _, Jinv, area = _geometry(space.mesh)
-    blocks = _p2_ddx_blocks(Jinv, area, quad, direction)
-    cd = space.cell_dofs()
-    return _scatter(blocks, cd, cd, (space.n_dofs, space.n_dofs))
+    Jinv, area = _geometry(space.mesh.corner_coords())
+    blocks = _p2_ddx_blocks(Jinv, area, quad or _RULES[4], np.asarray(direction, dtype=float))
+    return _scatter(blocks, space)
 
 
 def perp(u):
@@ -493,13 +489,17 @@ class OperatorSet:
     v: P1dgVecSpace
     M: sp.csr_matrix    # P2 mass
     L: sp.csr_matrix    # P2 stiffness
-    L_solver: linalg.Solver  # for L on the mean-free subspace, prepared once
     Mv: sp.csr_matrix   # P1DG vector mass
     E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG
     G: sp.csr_matrix    # Mv @ E
     P: sp.csr_matrix    # pointwise perp
     area: float
     el_area: np.ndarray
+
+    @functools.cached_property
+    def L_solver(self):
+        """Solver for L on the mean-free subspace, prepared on first use."""
+        return linalg.Solver(self.L, nullspace=True)
 
     def constant_field(self, vec):
         """P1DG coefficients of a constant vector field."""
@@ -526,14 +526,12 @@ def operators(mesh):
         v = P1dgVecSpace(mesh)
         Mv = assemble_mass_p1dg(v)
         E = gradient_embedding(p2, v)
-        _, _, area = _geometry(mesh)
-        L = assemble_stiffness_p2(p2)
+        _, area = _geometry(mesh.corner_coords())
         ops = OperatorSet(
             p2=p2,
             v=v,
             M=assemble_mass_p2(p2),
-            L=L,
-            L_solver=linalg.Solver(L, nullspace=True),
+            L=assemble_stiffness_p2(p2),
             Mv=Mv,
             E=E,
             G=(Mv @ E).tocsr(),

@@ -19,7 +19,6 @@ from .fem import Field
 __all__ = [
     "HelmholtzComponents",
     "decompose",
-    "recompose",
     "project_hp2",
     "component_energies",
 ]
@@ -64,18 +63,6 @@ def decompose(u, tol=1e-12):
         psi=Field(p2, psi),
         residual=Field(u.space, resid),
     )
-
-
-def recompose(parts, mesh):
-    """Reassemble a velocity field from its Helmholtz components."""
-    ops = fem.operators(mesh)
-    coeffs = (
-        ops.constant_field(parts.mean)
-        + ops.E @ parts.phi.coeffs
-        + ops.P @ (ops.E @ parts.psi.coeffs)
-        + parts.residual.coeffs
-    )
-    return Field(ops.v, coeffs)
 
 
 def project_hp2(u, tol=1e-12):

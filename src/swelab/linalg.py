@@ -58,17 +58,27 @@ class Solver:
         if self.skew is None:
             return self._cg(b, tol, x0)
         y = np.zeros(self.n) if x0 is None else x0
-        for _ in range(_SPLIT_MAX_ITER):
-            y_new = self._cg(b - self.skew @ y, tol, y)
-            delta = np.linalg.norm(y_new - y)
+        delta = ynorm = 0.0
+        for k in range(_SPLIT_MAX_ITER):
+            rhs = b - self.skew @ y
+            # an overflowed sweep would pass every test below (inf <= tol * inf)
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(np.linalg.norm(rhs))
+            if not finite:
+                what = f"overflowed after {k} sweeps"
+                break
+            y_new = self._cg(rhs, tol, y)
+            delta, ynorm = np.linalg.norm(y_new - y), np.linalg.norm(y_new)
             y = y_new
-            if delta <= tol * max(np.linalg.norm(y), 1e-300):
+            if np.isfinite(ynorm) and delta <= tol * max(ynorm, 1e-300):
                 return y
+        else:
+            k = _SPLIT_MAX_ITER
+            what = f"failed to converge in {k} iterations"
         raise SolverError(
-            f"splitting iteration failed to converge in {_SPLIT_MAX_ITER} iterations "
-            f"(last update {delta:.3e}, |x| = {np.linalg.norm(y):.3e}): the skew-symmetric part "
-            "of the matrix must be small against its symmetric part; reduce dt",
-            residual=delta, iterations=_SPLIT_MAX_ITER)
+            f"splitting iteration {what} (last update {delta:.3e}, |x| = {ynorm:.3e}): the "
+            "skew-symmetric part of the matrix must be small against its symmetric part; reduce dt",
+            residual=delta, iterations=k)
 
     def _cg(self, b, tol, x0):
         """Jacobi-preconditioned conjugate gradients on the symmetric part."""

@@ -118,9 +118,17 @@ class Mesh:
         return 0.5 * (va + vb)
 
     def _build_edges(self):
-        keys, _ = _side_keys(self.triangles, self.shifts)
-        uniq, inverse = np.unique(keys.reshape(-1, 4), axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        keys = _side_keys(self.triangles, self.shifts)[0].reshape(-1, 4)
+        # one int64 per key, in the same lexicographic order, so that unique
+        # sorts plain integers instead of (n, 4) rows
+        lo = keys.min(axis=0, initial=0)
+        span = keys.max(axis=0, initial=0) - lo + 1
+        if np.prod(span.astype(float)) >= 2.0 ** 63:
+            raise ValueError("side keys do not fit in one int64")
+        packed = (((keys[:, 0] - lo[0]) * span[1] + keys[:, 1] - lo[1]) * span[2]
+                  + keys[:, 2] - lo[2]) * span[3] + keys[:, 3] - lo[3]
+        _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        uniq = keys[first]
         n_e = len(uniq)
         self.edges = np.ascontiguousarray(uniq[:, :2])
         self.edge_shifts = np.ascontiguousarray(uniq[:, 2:])

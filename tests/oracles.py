@@ -1,13 +1,19 @@
 """Independent reference computations for the test suite.
 
-Everything here deliberately avoids the package's own quadrature tables,
-basis evaluations and assembly loops: triangle integrals go through a
-Duffy-collapsed tensor Gauss-Legendre rule, and element matrices come from
-sympy closed-form integration of symbolically constructed basis functions.
-Agreement between these and the package is a genuine dual-route check.
-The brute-force counts (``spurious_dimension``, ``rank_by_svd``) and the
-dict-and-loop edge topology (``edge_topology``) are slow on purpose: they
-are what the package's closed forms and array code must agree with.
+Apart from the ``*_blocks`` kernels below, everything here avoids the
+package's own quadrature tables, basis evaluations and assembly loops:
+triangle integrals go through a Duffy-collapsed tensor Gauss-Legendre rule,
+and element matrices come from sympy closed-form integration of
+symbolically constructed basis functions.  Agreement between these and the
+package is a genuine dual-route check.  The brute-force counts
+(``spurious_dimension``, ``rank_by_svd``) and the dict-and-loop edge
+topology (``edge_topology``) are slow on purpose: they are what the
+package's closed forms and array code must agree with.  The ``*_blocks``
+element kernels share the package's basis and quadrature rules but sum over
+the quadrature points face by face, the route the package took before it
+contracted reference tensors with geometry; ``assemble_dense`` adds their
+blocks into a dense matrix one face at a time.  ``random_field``,
+``recompose`` and ``symbolic_reference`` are helpers that only the tests use.
 """
 
 import functools
@@ -16,7 +22,29 @@ import numpy as np
 import scipy.linalg
 import sympy as sp
 
-from swelab import fem, helmholtz
+from swelab import bloch, fem, helmholtz
+
+
+def random_field(space, seed=0):
+    rng = np.random.default_rng(seed)
+    return fem.Field(space, rng.standard_normal(space.n_dofs))
+
+
+def recompose(parts, mesh):
+    """Reassemble a velocity field from its Helmholtz components."""
+    ops = fem.operators(mesh)
+    coeffs = (
+        ops.constant_field(parts.mean)
+        + ops.E @ parts.phi.coeffs
+        + ops.P @ (ops.E @ parts.psi.coeffs)
+        + parts.residual.coeffs
+    )
+    return fem.Field(ops.v, coeffs)
+
+
+def symbolic_reference(kdx):
+    """Closed-form reduced matrices; the oracle for bloch.reduced_matrices."""
+    return bloch.BlochMatrices((float(kdx[0]), float(kdx[1])), *bloch._closed_forms(kdx))
 
 
 def duffy_integrate(f, corners, n=12):
@@ -216,3 +244,65 @@ def edge_topology(triangles, shifts):
         np.array([etris[i] for i in order], dtype=np.intp).reshape(n_e, 2),
         np.array([degree[i] for i in order], dtype=np.intp),
     )
+
+
+def _face_geometry(X):
+    """Inverse Jacobians and areas of the faces with corners X, (n, 3, 2)."""
+    J = np.stack([X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]], axis=-1)
+    return np.linalg.inv(J), 0.5 * np.linalg.det(J)
+
+
+def _symmetrize(blocks):
+    return 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
+
+
+def p2_mass_blocks(X, quad):
+    _, area = _face_geometry(X)
+    V = fem._p2_values(quad.points)
+    return 2.0 * area[:, None, None] * _symmetrize(np.einsum("q,qi,qj->ij", quad.weights, V, V))
+
+
+def p2_stiffness_blocks(X, quad):
+    Jinv, area = _face_geometry(X)
+    Gp = np.einsum("qid,fdc->fqic", fem._p2_ref_grads(quad.points), Jinv)
+    blocks = 2.0 * area[:, None, None] * np.einsum("q,fqic,fqjc->fij", quad.weights, Gp, Gp)
+    return _symmetrize(blocks)
+
+
+def p2_ddx_blocks(X, quad, direction):
+    Jinv, area = _face_geometry(X)
+    Gp = np.einsum("qid,fdc->fqic", fem._p2_ref_grads(quad.points), Jinv)
+    dirG = np.einsum("fqic,c->fqi", Gp, np.asarray(direction, dtype=float))
+    V = fem._p2_values(quad.points)
+    return 2.0 * area[:, None, None] * np.einsum("q,qi,fqj->fij", quad.weights, V, dirG)
+
+
+def gradient_blocks(X):
+    Jinv, _ = _face_geometry(X)
+    Gc = fem._p2_ref_grads(np.eye(3))  # (3, 6, 2) reference gradients at the corners
+    return np.einsum("ijd,fdc->ficj", Gc, Jinv).reshape(len(X), 6, 6)
+
+
+def p1dg_mass_blocks(X, quad):
+    _, area = _face_geometry(X)
+    lam = np.atleast_2d(quad.points)
+    W = _symmetrize(np.einsum("q,qi,qj->ij", quad.weights, lam, lam))
+    return 2.0 * area[:, None, None] * np.kron(W, np.eye(2))
+
+
+def coriolis_blocks(X, f, quad):
+    """Blocks of <f w, perp(u)> for a constant or an affine callable f."""
+    _, area = _face_geometry(X)
+    lam = np.atleast_2d(quad.points)
+    fvals = f(np.einsum("qk,fkc->fqc", lam, X)) if callable(f) else np.full((len(X), len(lam)), f)
+    Wf = np.einsum("q,fq,qi,qj->fij", quad.weights, fvals, lam, lam)
+    Wf = _symmetrize(Wf) * 2.0 * area[:, None, None]
+    return np.kron(Wf, np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def assemble_dense(blocks, rows, cols, shape):
+    """Dense sum of element blocks, added face by face."""
+    A = np.zeros(shape)
+    for block, r, c in zip(blocks, rows, cols):
+        A[np.ix_(r, c)] += block
+    return A

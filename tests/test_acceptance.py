@@ -14,7 +14,7 @@ from swelab.dynamics import PlaneWaveSpec, RossbyParams, State, SweParams
 from swelab.fem import Field
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
-from .oracles import rank_by_svd, spurious_dimension
+from .oracles import random_field, rank_by_svd, recompose, spurious_dimension
 
 
 def _report(num, name, ok, detail):
@@ -174,7 +174,7 @@ def test_06_geostrophic_steadiness():
     mesh = build_equilateral_torus(4, 4, 0.5)
     ops = fem.operators(mesh)
     params = SweParams(f0=1.2, c2=2.0)
-    eta0 = fem.random_field(ops.p2, seed=6)
+    eta0 = random_field(ops.p2, seed=6)
     eta0.coeffs -= ops.p2_mean(eta0.coeffs)
     worst = 0.0
     for dt in (0.01, 1.0, 40.0):
@@ -195,7 +195,7 @@ def test_07_helmholtz_suite():
     t0 = time.perf_counter()
     mesh = build_equilateral_torus(4, 4, 0.5)
     ops = fem.operators(mesh)
-    u = fem.random_field(ops.v, seed=77)
+    u = random_field(ops.v, seed=77)
     parts = helmholtz.decompose(u)
     pieces = [
         ops.constant_field(parts.mean),
@@ -208,7 +208,7 @@ def test_07_helmholtz_suite():
         abs(pieces[i] @ (ops.Mv @ pieces[j])) / scale
         for i in range(4) for j in range(i + 1, 4)
     )
-    back = helmholtz.recompose(parts, mesh)
+    back = recompose(parts, mesh)
     roundtrip = (np.linalg.norm(back.coeffs - u.coeffs)
                  / np.linalg.norm(u.coeffs))
     pythagoras = abs(sum(p @ (ops.Mv @ p) for p in pieces) - scale) / scale
@@ -252,9 +252,9 @@ def test_08_mode_decoupling():
         norm = 2.0 * e["residual"]
         worst_norm = max(worst_norm, abs(norm - spur0) / spur0)
 
-    ufull = fem.random_field(ops.v, seed=4)
+    ufull = random_field(ops.v, seed=4)
     filtered = helmholtz.project_hp2(ufull)
-    eta = fem.random_field(ops.p2, seed=5)
+    eta = random_field(ops.p2, seed=5)
     state = State(filtered, eta, 0.0)
     worst_spur = 0.0
     for _ in range(1000):
@@ -274,8 +274,8 @@ def test_09_energy_conservation():
     mesh = build_equilateral_torus(3, 3, 1.0)
     params = SweParams(f0=1.3, c2=2.0)
     ops = fem.operators(mesh)
-    state = State(fem.random_field(ops.v, seed=9),
-                  fem.random_field(ops.p2, seed=10), 0.0)
+    state = State(random_field(ops.v, seed=9),
+                  random_field(ops.p2, seed=10), 0.0)
     e0 = dynamics.energy(state, params)
     worst = 0.0
     for _ in range(1000):

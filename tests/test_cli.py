@@ -48,6 +48,18 @@ def test_beta_plane_splitting_failure_exits_1(capsys):
     assert "skew-symmetric part" in err and "reduce dt" in err
 
 
+def test_beta_plane_splitting_overflow_exits_1(capsys):
+    # the iterate grows until its norm overflows; that must not pass the
+    # convergence test (inf <= tol * inf) and reach the energy table
+    code, out, err = run(
+        ["simulate", "--mesh-kind", "equilateral", "--n1", "8", "--n2", "16", "--dx", "1e5",
+         "--f0", "1e-4", "--c2", "1e5", "--beta", "1e-10", "--dt", "3e5", "--steps", "1"],
+        capsys)
+    assert code == 1
+    assert "splitting iteration overflowed" in err and "last update" in err and "|x| =" in err
+    assert "CHECK" not in out and "e+29" not in out
+
+
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
     # a negated patch mass makes every reduced Mr negative definite, so the
     # batched Cholesky factorization fails

@@ -18,11 +18,13 @@ from swelab.fem import Field
 from swelab.linalg import SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus, write_mesh
 
+from .oracles import random_field
+
 
 def _random_state(mesh, seed=0):
     ops = fem.operators(mesh)
-    u = fem.random_field(ops.v, seed=seed)
-    eta = fem.random_field(ops.p2, seed=seed + 1)
+    u = random_field(ops.v, seed=seed)
+    eta = random_field(ops.p2, seed=seed + 1)
     return State(u, eta, 0.0)
 
 
@@ -41,7 +43,7 @@ def test_geostrophic_state_is_steady():
     mesh = build_equilateral_torus(4, 4, 0.25)
     ops = fem.operators(mesh)
     params = SweParams(f0=2.0, c2=1.5)
-    eta0 = fem.random_field(ops.p2, seed=3)
+    eta0 = random_field(ops.p2, seed=3)
     eta0.coeffs -= ops.p2_mean(eta0.coeffs)
     state = dynamics.geostrophic_init(eta0, params)
     u0, e0 = state.u.coeffs.copy(), state.eta.coeffs.copy()
@@ -184,7 +186,7 @@ def test_solve_rossby_conserves_invariant():
     mesh = build_equilateral_torus(4, 4, 0.5)
     ops = fem.operators(mesh)
     params = RossbyParams(f0=1.0, beta=0.4, c2=2.0)
-    psi0 = fem.random_field(ops.p2, seed=14)
+    psi0 = random_field(ops.p2, seed=14)
     psi0.coeffs -= ops.p2_mean(psi0.coeffs)
     traj = dynamics.solve_rossby(psi0, dt=0.05, T=2.0, params=params)
     inv = traj.invariant
@@ -203,7 +205,7 @@ def test_solve_rossby_rejects_bad_input():
     bad = Field(ops.p2, np.ones(ops.p2.n_dofs))
     with pytest.raises(ValueError):
         dynamics.solve_rossby(bad, dt=0.1, T=1.0, params=params)
-    good = fem.random_field(ops.p2, seed=1)
+    good = random_field(ops.p2, seed=1)
     good.coeffs -= ops.p2_mean(good.coeffs)
     with pytest.raises(ValueError):
         dynamics.solve_rossby(good, dt=0.1, T=1.0, params=params, fhat=(0.0, 0.0))

@@ -2,18 +2,24 @@ import io
 import itertools
 import math
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swelab import fem
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
+from . import oracles
 from .oracles import (
     duffy_integrate,
     element_matrices_exact,
     monomial_integral,
     p1_vector_mass_exact,
     p2_value_exact,
+    random_field,
 )
 
 SKEWED = np.array([[0.0, 0.0], [0.75, 0.125], [0.25, 0.625]])
@@ -94,6 +100,93 @@ def test_element_mass_against_duffy():
         assert np.isclose(Mh[i, j], duffy_integrate(entry(i, j), SKEWED), rtol=1e-10)
 
 
+def _random_ccw_triangles(rng, n):
+    """n counter-clockwise triangles of random size, place and shape, none sliver-thin."""
+    X = rng.uniform(-1.0, 1.0, (4 * n, 3, 2))
+    d1, d2 = X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    X[det < 0] = X[det < 0][:, ::-1]
+    longest = np.linalg.norm(X - np.roll(X, 1, axis=1), axis=2).max(axis=1)
+    X = X[np.abs(det) > 0.05 * longest ** 2][:n]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (len(X), 1, 1))
+    return scale * X + rng.uniform(-100.0, 100.0, (len(X), 1, 2))
+
+
+def _assert_blocks_close(got, ref, rtol):
+    err = np.abs(got - ref).max(axis=(1, 2))
+    assert np.all(err <= rtol * np.abs(ref).max(axis=(1, 2))), err.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.sampled_from([1, 2, 4, 5]))
+def test_tensor_kernels_match_quadrature_sums(seed, degree):
+    rng = np.random.default_rng(seed)
+    X = _random_ccw_triangles(rng, 16)
+    quad = fem.quadrature_rule(degree)
+    Jinv, area = fem._geometry(X)
+    direction = rng.standard_normal(2) * 10.0 ** rng.uniform(-2.0, 2.0)
+    c0, f0 = rng.standard_normal(3), rng.standard_normal()
+
+    def f(x):
+        return c0[0] + c0[1] * x[..., 0] + c0[2] * x[..., 1]
+
+    _assert_blocks_close(fem._p2_mass_blocks(area, quad), oracles.p2_mass_blocks(X, quad), 1e-13)
+    _assert_blocks_close(fem._p2_stiffness_blocks(Jinv, area, quad),
+                         oracles.p2_stiffness_blocks(X, quad), 1e-13)
+    _assert_blocks_close(fem._p2_ddx_blocks(Jinv, area, quad, direction),
+                         oracles.p2_ddx_blocks(X, quad, direction), 1e-13)
+    _assert_blocks_close(fem._gradient_blocks(Jinv), oracles.gradient_blocks(X), 1e-13)
+    fake = types.SimpleNamespace(corner_coords=lambda: X)
+    _assert_blocks_close(fem._coriolis_blocks(fake, f, quad),
+                         oracles.coriolis_blocks(X, f, quad), 1e-13)
+    _assert_blocks_close(fem._coriolis_blocks(fake, f0, quad),
+                         oracles.coriolis_blocks(X, f0, quad), 1e-13)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_right_triangle_torus(5, 3, 1.3, 0.7), build_equilateral_torus(4, 3, 0.37)],
+    ids=["right", "equilateral"],
+)
+def test_assembled_operators_match_quadrature_oracle(mesh):
+    ops = fem.operators(mesh)
+    X = mesh.corner_coords()
+    q4, q5 = fem.quadrature_rule(4), fem.quadrature_rule(5)
+    pd, vd = ops.p2.cell_dofs(), ops.v.cell_dofs()
+    n, nv = ops.p2.n_dofs, ops.v.n_dofs
+    direction = (0.6, -0.8)
+    profile = lambda x: 0.5 + 0.2 * x[..., 1] - 0.1 * x[..., 0]
+    Mv = oracles.assemble_dense(oracles.p1dg_mass_blocks(X, q4), vd, vd, (nv, nv))
+    E = oracles.assemble_dense(oracles.gradient_blocks(X), vd, pd, (nv, n))
+    pairs = [
+        (ops.M, oracles.assemble_dense(oracles.p2_mass_blocks(X, q4), pd, pd, (n, n))),
+        (ops.L, oracles.assemble_dense(oracles.p2_stiffness_blocks(X, q4), pd, pd, (n, n))),
+        (ops.Mv, Mv),
+        (ops.E, E),
+        (ops.G, Mv @ E),
+        (fem.assemble_ddx_p2(ops.p2, direction),
+         oracles.assemble_dense(oracles.p2_ddx_blocks(X, q4, direction), pd, pd, (n, n))),
+        (fem.assemble_coriolis(ops.v, 1.7),
+         oracles.assemble_dense(oracles.coriolis_blocks(X, 1.7, q5), vd, vd, (nv, nv))),
+        (fem.assemble_coriolis(ops.v, profile),
+         oracles.assemble_dense(oracles.coriolis_blocks(X, profile, q5), vd, vd, (nv, nv))),
+    ]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_reference_tensors_are_built_once_per_rule():
+    quad = fem.quadrature_rule(4)
+    fem.p2_element_matrices(SKEWED, quad)
+    misses = fem._ref_tensors.cache_info().misses
+    for _ in range(3):
+        fem.p2_element_matrices(SKEWED, quad)
+        fem.p2_element_ddx(SKEWED, (1.0, 0.0), quad)
+        fem.p2_element_ddx(SKEWED, (0.0, 1.0))
+    assert fem._ref_tensors.cache_info().misses == misses
+
+
 def test_p1dg_vector_mass_block():
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     ops = fem.operators(m)
@@ -135,7 +228,7 @@ def test_global_identities(mesh):
 def test_gradient_embedding_matches_finite_differences():
     mesh = build_right_triangle_torus(3, 3, 1.0, 1.0)
     ops = fem.operators(mesh)
-    h = fem.random_field(ops.p2, seed=9).coeffs
+    h = random_field(ops.p2, seed=9).coeffs
     g = (ops.E @ h).reshape(mesh.n_f, 3, 2)
     cc = mesh.corner_coords()
     step = 1e-6
@@ -339,8 +432,8 @@ def test_write_matrix_text_roundtrip():
 def test_random_field_deterministic():
     mesh = build_equilateral_torus(2, 2, 1.0)
     ops = fem.operators(mesh)
-    a = fem.random_field(ops.p2, seed=42).coeffs
-    b = fem.random_field(ops.p2, seed=42).coeffs
-    c = fem.random_field(ops.p2, seed=43).coeffs
+    a = random_field(ops.p2, seed=42).coeffs
+    b = random_field(ops.p2, seed=42).coeffs
+    c = random_field(ops.p2, seed=43).coeffs
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)

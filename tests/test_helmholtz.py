@@ -4,14 +4,14 @@ import pytest
 from swelab import fem, helmholtz, linalg
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
-from .oracles import spurious_dimension
+from .oracles import random_field, recompose, spurious_dimension
 
 MESHES = [build_equilateral_torus(4, 4, 0.5), build_right_triangle_torus(3, 4, 1.0, 1.0)]
 
 
 def _random_velocity(mesh, seed):
     ops = fem.operators(mesh)
-    return fem.random_field(ops.v, seed=seed)
+    return random_field(ops.v, seed=seed)
 
 
 @pytest.mark.parametrize("mesh", MESHES)
@@ -19,7 +19,7 @@ def test_roundtrip_and_orthogonality(mesh):
     ops = fem.operators(mesh)
     u = _random_velocity(mesh, 3)
     parts = helmholtz.decompose(u)
-    back = helmholtz.recompose(parts, mesh)
+    back = recompose(parts, mesh)
     assert np.abs(back.coeffs - u.coeffs).max() < 1e-10
 
     Mv, E, P = ops.Mv, ops.E, ops.P
@@ -49,7 +49,7 @@ def test_decompose_reuses_one_prepared_solver(monkeypatch):
     first = helmholtz.decompose(u1)
     for u in (u2, u1):
         parts = helmholtz.decompose(u)
-        assert np.abs(helmholtz.recompose(parts, mesh).coeffs - u.coeffs).max() < 1e-10
+        assert np.abs(recompose(parts, mesh).coeffs - u.coeffs).max() < 1e-10
     assert built == [] and fem.operators(mesh).L_solver is solver
     assert np.array_equal(parts.phi.coeffs, first.phi.coeffs)
     assert np.array_equal(parts.psi.coeffs, first.psi.coeffs)
@@ -58,7 +58,7 @@ def test_decompose_reuses_one_prepared_solver(monkeypatch):
 @pytest.mark.parametrize("mesh", MESHES)
 def test_gradient_recovers_potential(mesh):
     ops = fem.operators(mesh)
-    alpha = fem.random_field(ops.p2, seed=8).coeffs
+    alpha = random_field(ops.p2, seed=8).coeffs
     u = fem.Field(ops.v, ops.E @ alpha)
     parts = helmholtz.decompose(u)
     mean = ops.p2_mean(alpha)
@@ -71,7 +71,7 @@ def test_gradient_recovers_potential(mesh):
 def test_rotated_gradient_recovers_stream():
     mesh = MESHES[0]
     ops = fem.operators(mesh)
-    beta = fem.random_field(ops.p2, seed=12).coeffs
+    beta = random_field(ops.p2, seed=12).coeffs
     u = fem.Field(ops.v, ops.P @ (ops.E @ beta))
     parts = helmholtz.decompose(u)
     mean = ops.p2_mean(beta)
@@ -83,7 +83,7 @@ def test_shift_by_gradient_changes_only_phi():
     mesh = MESHES[1]
     ops = fem.operators(mesh)
     u = _random_velocity(mesh, 21)
-    alpha = fem.random_field(ops.p2, seed=22).coeffs
+    alpha = random_field(ops.p2, seed=22).coeffs
     shifted = fem.Field(ops.v, u.coeffs + ops.E @ alpha)
     a = helmholtz.decompose(u)
     b = helmholtz.decompose(shifted)
@@ -105,7 +105,7 @@ def test_project_hp2_idempotent_and_kills_residual(mesh):
     assert np.linalg.norm(parts.residual.coeffs) < 1e-9
 
     # resolved directions pass through untouched
-    alpha = fem.random_field(ops.p2, seed=6).coeffs
+    alpha = random_field(ops.p2, seed=6).coeffs
     g = fem.Field(ops.v, ops.E @ alpha)
     assert np.abs(helmholtz.project_hp2(g).coeffs - g.coeffs).max() < 1e-9
 
@@ -161,7 +161,7 @@ def test_component_energies_sum(mesh):
 def test_component_energies_pure_components():
     mesh = MESHES[0]
     ops = fem.operators(mesh)
-    beta = fem.random_field(ops.p2, seed=2).coeffs
+    beta = random_field(ops.p2, seed=2).coeffs
     u = fem.Field(ops.v, ops.P @ (ops.E @ beta))
     e = helmholtz.component_energies(u)
     assert e["rotational"] > 0

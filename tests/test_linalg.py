@@ -58,6 +58,16 @@ def test_solver_splits_asymmetric():
         strong.solve(np.ones(2))
 
 
+def test_solver_stops_when_splitting_overflows():
+    # each sweep multiplies the iterate by 1e10; once its norm overflows the
+    # solver raises at once instead of taking inf <= tol * inf for convergence
+    huge = Solver(sparse.csr_matrix(np.array([[1.0, 1e10], [-1e10, 1.0]])))
+    with pytest.raises(SolverError, match="overflowed") as info:
+        huge.solve(np.ones(2))
+    assert "last update" in str(info.value) and "|x| =" in str(info.value)
+    assert info.value.iterations < 40
+
+
 def test_solver_rejects_non_square():
     with pytest.raises(ValueError, match="not square"):
         Solver(sparse.csr_matrix(np.ones((2, 3))))
