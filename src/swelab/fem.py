@@ -24,7 +24,6 @@ from .mesh import Mesh
 __all__ = [
     "QuadratureRule",
     "quadrature_rule",
-    "ref_p2_basis",
     "P2Space",
     "P1dgVecSpace",
     "Field",
@@ -111,15 +110,6 @@ def quadrature_rule(degree):
     raise ValueError(f"no quadrature rule of degree {degree} (max {max(_RULES)})")
 
 
-def _check_bary(lam):
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3,):
-        raise ValueError("barycentric point must have 3 components")
-    if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
-        raise ValueError(f"invalid barycentric coordinates {lam}")
-    return lam
-
-
 def _p2_values(lam):
     """P2 basis values at barycentric points, shape (nq, 6)."""
     lam = np.atleast_2d(lam)
@@ -143,12 +133,6 @@ def _p2_ref_grads(lam):
             lam[:, a][:, None] * _GRAD_LAMBDA[b] + lam[:, b][:, None] * _GRAD_LAMBDA[a]
         )
     return out
-
-
-def ref_p2_basis(point):
-    """Values and reference gradients of the 6 P2 basis functions at one point."""
-    lam = _check_bary(point)
-    return _p2_values(lam)[0], _p2_ref_grads(lam)[0]
 
 
 @dataclass(eq=False)
@@ -242,6 +226,15 @@ def _geometry(X):
     return Jinv, 0.5 * det
 
 
+def _face_geometry(mesh):
+    """Corner coordinates, inverse Jacobians and areas of the faces, built once per mesh."""
+    geometry = mesh.cache.get("geometry")
+    if geometry is None:
+        X = mesh.corner_coords()
+        geometry = mesh.cache["geometry"] = (X, *_geometry(X))
+    return geometry
+
+
 def _symmetrize(blocks):
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2))
 
@@ -323,12 +316,12 @@ def p2_element_ddx(corners, direction, quad=None):
 
 
 def assemble_mass_p2(space, quad=None):
-    _, area = _geometry(space.mesh.corner_coords())
+    _, _, area = _face_geometry(space.mesh)
     return _scatter(_p2_mass_blocks(area, quad or _RULES[4]), space)
 
 
 def assemble_stiffness_p2(space, quad=None):
-    Jinv, area = _geometry(space.mesh.corner_coords())
+    _, Jinv, area = _face_geometry(space.mesh)
     return _scatter(_p2_stiffness_blocks(Jinv, area, quad or _RULES[4]), space)
 
 
@@ -338,15 +331,16 @@ def _p1_mass_ref(quad):
     return 0.5 * (Mref + Mref.T)
 
 
+def _p1dg_mass_blocks(area, quad):
+    return 2.0 * area[:, None, None] * np.kron(_p1_mass_ref(quad), np.eye(2))
+
+
 def assemble_mass_p1dg(space, quad=None):
-    _, area = _geometry(space.mesh.corner_coords())
-    block = np.kron(_p1_mass_ref(quad or _RULES[4]), np.eye(2))
-    return _scatter(2.0 * area[:, None, None] * block, space)
+    _, _, area = _face_geometry(space.mesh)
+    return _scatter(_p1dg_mass_blocks(area, quad or _RULES[4]), space)
 
 
-def _coriolis_blocks(mesh, f, quad):
-    X = mesh.corner_coords()
-    _, area = _geometry(X)
+def _coriolis_blocks(X, area, f, quad):
     lam = np.atleast_2d(quad.points)
     if callable(f):
         fvals = _evaluate(f, np.einsum("qk,fkc->fqc", lam, X))
@@ -397,7 +391,8 @@ def assemble_coriolis(space, f, quad=None):
     """C with (C u)_w = <f w, perp(u)>; f a constant or an affine profile."""
     if callable(f):
         _check_affine(f, space.mesh)
-    return _scatter(_coriolis_blocks(space.mesh, f, quad or _RULES[5]), space)
+    X, _, area = _face_geometry(space.mesh)
+    return _scatter(_coriolis_blocks(X, area, f, quad or _RULES[5]), space)
 
 
 # E_ref[dc, iej] = Gc[i, j, d] [c == e] with Gc[i, j, d] the reference
@@ -412,13 +407,13 @@ def _gradient_blocks(Jinv):
 
 def gradient_embedding(p2, v):
     """Sparse E mapping P2 coefficients to the P1DG coefficients of the exact gradient."""
-    Jinv, _ = _geometry(p2.mesh.corner_coords())
+    _, Jinv, _ = _face_geometry(p2.mesh)
     return _scatter(_gradient_blocks(Jinv), v, p2)
 
 
 def assemble_ddx_p2(space, direction, quad=None):
     """D with (D psi)_alpha = <alpha, direction . grad psi>; skew on a torus."""
-    Jinv, area = _geometry(space.mesh.corner_coords())
+    _, Jinv, area = _face_geometry(space.mesh)
     blocks = _p2_ddx_blocks(Jinv, area, quad or _RULES[4], np.asarray(direction, dtype=float))
     return _scatter(blocks, space)
 
@@ -526,7 +521,7 @@ def operators(mesh):
         v = P1dgVecSpace(mesh)
         Mv = assemble_mass_p1dg(v)
         E = gradient_embedding(p2, v)
-        _, area = _geometry(mesh.corner_coords())
+        _, _, area = _face_geometry(mesh)
         ops = OperatorSet(
             p2=p2,
             v=v,

@@ -1,10 +1,10 @@
 """Independent reference computations for the test suite.
 
-Apart from the ``*_blocks`` kernels below, everything here avoids the
-package's own quadrature tables, basis evaluations and assembly loops:
-triangle integrals go through a Duffy-collapsed tensor Gauss-Legendre rule,
-and element matrices come from sympy closed-form integration of
-symbolically constructed basis functions.  Agreement between these and the
+Apart from ``ref_p2_basis`` and the ``*_blocks`` kernels below, everything
+here avoids the package's own quadrature tables, basis evaluations and
+assembly loops: triangle integrals go through a Duffy-collapsed tensor
+Gauss-Legendre rule, and element matrices come from sympy closed-form
+integration of symbolically constructed basis functions.  Agreement between these and the
 package is a genuine dual-route check.  The brute-force counts
 (``spurious_dimension``, ``rank_by_svd``) and the dict-and-loop edge
 topology (``edge_topology``) are slow on purpose: they are what the
@@ -12,8 +12,10 @@ package's closed forms and array code must agree with.  The ``*_blocks``
 element kernels share the package's basis and quadrature rules but sum over
 the quadrature points face by face, the route the package took before it
 contracted reference tensors with geometry; ``assemble_dense`` adds their
-blocks into a dense matrix one face at a time.  ``random_field``,
-``recompose`` and ``symbolic_reference`` are helpers that only the tests use.
+blocks into a dense matrix one face at a time.  ``ref_p2_basis`` evaluates
+the package's basis at one checked barycentric point, the form in which the
+tests compare it with the symbolic basis.  ``random_field``, ``recompose``
+and ``symbolic_reference`` are helpers that only the tests use.
 """
 
 import functools
@@ -23,6 +25,16 @@ import scipy.linalg
 import sympy as sp
 
 from swelab import bloch, fem, helmholtz
+
+
+def ref_p2_basis(point):
+    """Values and reference gradients of the 6 P2 basis functions at one barycentric point."""
+    lam = np.asarray(point, dtype=float)
+    if lam.shape != (3,):
+        raise ValueError("barycentric point must have 3 components")
+    if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-12:
+        raise ValueError(f"invalid barycentric coordinates {lam}")
+    return fem._p2_values(lam)[0], fem._p2_ref_grads(lam)[0]
 
 
 def random_field(space, seed=0):

@@ -31,6 +31,14 @@ def run(argv, capsys):
         ["converge", "--levels", "8,x,32"],
         ["rossby", "--fhat", "0,0"],
         ["converge", "--tol", "1e-8"],
+        ["simulate", "--dt", "nan"],
+        ["simulate", "--c2", "nan"],
+        ["simulate", "--beta", "nan"],
+        ["simulate", "--f0", "inf"],
+        ["simulate", "--tol", "nan"],
+        ["dispersion", "--dx", "nan"],
+        ["dispersion", "--f0", "nan"],
+        ["rossby", "--fhat", "nan,1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -39,25 +47,24 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage error" in err or "usage" in err
 
 
-def test_beta_plane_splitting_failure_exits_1(capsys):
+@pytest.mark.parametrize("dt", ["6e4", "3e5", "1e6"])
+def test_beta_plane_large_dt_conserves_energy(dt, capsys):
+    # beta dt large enough that the skew part of the step matrix dominates
     code, out, err = run(
         ["simulate", "--mesh-kind", "equilateral", "--n1", "8", "--n2", "16", "--dx", "1e5",
-         "--f0", "1e-4", "--c2", "1e5", "--beta", "1e-10", "--dt", "6e4", "--steps", "1"],
+         "--f0", "1e-4", "--c2", "1e5", "--beta", "1e-10", "--dt", dt, "--steps", "1"],
         capsys)
-    assert code == 1
-    assert "skew-symmetric part" in err and "reduce dt" in err
+    assert code == 0, err
+    assert "CHECK energy conserved <= 1e-10: PASS" in out
 
 
-def test_beta_plane_splitting_overflow_exits_1(capsys):
-    # the iterate grows until its norm overflows; that must not pass the
-    # convergence test (inf <= tol * inf) and reach the energy table
+def test_overflowing_dt_exits_1(capsys):
+    # gamma = f0 dt / 2 squares to inf: a solver error, not an OverflowError
     code, out, err = run(
-        ["simulate", "--mesh-kind", "equilateral", "--n1", "8", "--n2", "16", "--dx", "1e5",
-         "--f0", "1e-4", "--c2", "1e5", "--beta", "1e-10", "--dt", "3e5", "--steps", "1"],
-        capsys)
+        ["simulate", "--n1", "4", "--n2", "4", "--dt", "1e170", "--steps", "1"], capsys)
     assert code == 1
-    assert "splitting iteration overflowed" in err and "last update" in err and "|x| =" in err
-    assert "CHECK" not in out and "e+29" not in out
+    assert err.startswith("error:") and "not finite" in err
+    assert "CHECK" not in out
 
 
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
