@@ -52,20 +52,10 @@ _S3 = math.sqrt(3.0)
 # unit-cell basis of the equilateral lattice (rows)
 _CELL = np.array([[1.0, 0.0], [0.5, 0.5 * _S3]])
 
-# residue of a node position in fractional cell coordinates -> local class:
-# 0 vertex, 1 x-edge midpoints, 2 and 3 the two oblique midpoint orientations
-_RESIDUE_CLASS = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-
-# the closed-form 4x4 blocks order the classes (x-edge, oblique, anti-oblique,
-# vertex); fixed once by matching the assembled reduction against the closed
-# forms over random wave vectors, then frozen
-_REDUCED_TO_LOCAL = (1, 2, 3, 0)
-_LOCAL_TO_REDUCED = (3, 0, 1, 2)
-
-# sign conventions of the derivative reductions relative to the closed-form
-# sine tables, frozen by the same calibration
-_D1_SIGN = 1.0
-_D2_SIGN = 1.0
+# residue of a node position in fractional cell coordinates -> class, in the
+# order of the closed-form 4x4 blocks: 0 x-edge midpoints, 1 oblique and
+# 2 anti-oblique midpoints, 3 vertices
+_RESIDUE_CLASS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (0, 0): 3}
 
 # zone points per batched evaluation; bounds the temporaries of a sweep
 _BLOCK = 64
@@ -75,7 +65,7 @@ _BLOCK = 64
 class ReferenceHexagon:
     nodes: np.ndarray      # (19, 2)
     triangles: np.ndarray  # (6, 6) local P2 dof lists
-    classes: np.ndarray    # (19,) local class index
+    classes: np.ndarray    # (19,) class index
 
 
 def _classify(points):
@@ -156,12 +146,11 @@ def _reductions(kdx, quad_degree=4):
     """(Mr, Lr, D1r, D2r) = S^H X S, each (..., 4, 4) for kdx of shape (..., 2)."""
     S = bloch_matrix_S(kdx)[..., None, :, :]
     R = S.conj().swapaxes(-1, -2) @ _patch_matrices(quad_degree) @ S
-    p = np.asarray(_REDUCED_TO_LOCAL)
-    return tuple(np.moveaxis(R[..., p, :][..., p], -3, 0))
+    return tuple(np.moveaxis(R, -3, 0))
 
 
 def reduced_matrices(kdx, quad_degree=4):
-    """Assembled 4x4 reductions S^H X S in the closed-form class ordering."""
+    """Assembled 4x4 reductions S^H X S."""
     return BlochMatrices((float(kdx[0]), float(kdx[1])), *_reductions(kdx, quad_degree))
 
 
@@ -246,8 +235,8 @@ def _closed_forms(kdx):
     return (
         _mr_closed(k, l).astype(complex),
         _lr_closed(k, l).astype(complex),
-        1j * _D1_SIGN * _x1_closed(k, l),
-        1j * _D2_SIGN * _x2_closed(k, l),
+        1j * _x1_closed(k, l),
+        1j * _x2_closed(k, l),
     )
 
 
@@ -460,11 +449,9 @@ def _mesh_dx(mesh):
 
 
 def lattice_dof_classes(mesh, dx=None):
-    """Translation class (closed-form ordering) of every P2 dof on the torus."""
+    """Translation class of every P2 dof on the torus."""
     dx = dx or _mesh_dx(mesh)
-    pts = fem.operators(mesh).p2.dof_points()
-    local = _classify(pts / dx)
-    return np.asarray(_LOCAL_TO_REDUCED)[local]
+    return _classify(fem.operators(mesh).p2.dof_points() / dx)
 
 
 def lattice_gravity_mode(mesh, m1, m2, params, branch=0):

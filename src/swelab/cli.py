@@ -2,9 +2,11 @@
 
 Each subcommand writes CSV (or plain-text) output and prints one CHECK line
 per declared acceptance property.  Exit status is 0 only when every declared
-check passes; 2 flags a usage/configuration problem; 1 flags a numerical or
-solver failure.  A config file of `key = value` lines supplies defaults that
-explicit command-line flags override, and SWE_SEED sets the default seed.
+check passes; 2 flags a usage/configuration problem, including a file that
+cannot be read or written; 1 flags a numerical or solver failure or a
+malformed checkpoint or mesh file.  A config file of `key = value` lines
+supplies defaults that explicit command-line flags override, and SWE_SEED
+sets the default seed.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _finite_float(text):
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type for --tol: a relative tolerance strictly between 0 and 1."""
+    value = _finite_float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance in (0, 1), got {text!r}")
     return value
 
 
@@ -257,6 +267,10 @@ def cmd_dispersion(args, kind=None):
 def cmd_oracle(args):
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    try:
+        fem.quadrature_rule(args.quad_degree)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = bloch.oracle_report(args.samples, seed=args.seed, quad_degree=args.quad_degree)
     lines = []
     worst_name, (worst_val, worst_kdx) = max(report.items(), key=lambda kv: kv[1][0])
@@ -462,7 +476,7 @@ def cmd_dump_matrices(args):
         "L": lambda: ops.L,
         "Mv": lambda: ops.Mv,
         "E": lambda: ops.E,
-        "G": lambda: ops.G,
+        "G": lambda: ops.Mv @ ops.E,
         "P": lambda: ops.P,
         "C": lambda: fem.assemble_coriolis(ops.v, args.f0),
     }
@@ -527,7 +541,7 @@ def _build_parser():
 
     p = sub.add_parser("helmholtz", help="component energies of a velocity field")
     common(p)
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_mesh_flags(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--c2", type=_finite_float, default=1.0)
@@ -537,7 +551,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="implicit-midpoint time integration")
     common(p)
     p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-    p.add_argument("--tol", type=_finite_float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_mesh_flags(p)
     p.add_argument("--init",
                    choices=("geostrophic", "physical", "spurious", "random", "wave"),
@@ -576,7 +590,7 @@ def main(argv=None):
                 argv = [argv[0]] + injected + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except linalg.SolverError as exc:

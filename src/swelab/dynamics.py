@@ -17,6 +17,7 @@ part, which ``linalg.Solver`` handles for any beta dt.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 
 from . import fem, linalg
 from .fem import Field
-from .mesh import build_right_triangle_torus
+from .mesh import MeshFormatError, build_right_triangle_torus, read_mesh
 
 __all__ = [
     "SweParams",
@@ -139,7 +140,8 @@ class _Stepper:
                 (np.linalg.inv(a_blocks), np.arange(mesh.n_f), np.arange(mesh.n_f + 1)),
                 shape=(6 * mesh.n_f, 6 * mesh.n_f),
             )
-            K = (ops.G.T @ (self.Ainv @ ops.G)).tocsr()
+            self.G = G = ops.Mv @ ops.E   # weak gradient <w, grad eta>
+            K = (G.T @ (self.Ainv @ G)).tocsr()
             self.solver = linalg.Solver(ops.M + (params.c2 * dt * dt / 4.0) * K)
 
     def half_rotate(self, v):
@@ -161,7 +163,7 @@ class _Stepper:
         if self.Ainv is None:
             u_m = self.half_rotate(u_n - 0.5 * c2 * dt * (ops.E @ eta_m))
         else:
-            u_m = self.Ainv @ (ops.Mv @ u_n - 0.5 * c2 * dt * (ops.G @ eta_m))
+            u_m = self.Ainv @ (ops.Mv @ u_n - 0.5 * c2 * dt * (self.G @ eta_m))
 
         u_next = 2.0 * u_m - u_n
         eta_next = 2.0 * eta_m - eta_n
@@ -454,10 +456,6 @@ def _read_block(lines, i, name, count):
 
 def read_checkpoint(path):
     """Inverse of write_checkpoint; returns (mesh, State)."""
-    import os
-
-    from .mesh import read_mesh
-
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("mesh "):
@@ -465,7 +463,10 @@ def read_checkpoint(path):
     mesh_path = lines[0][5:].strip()
     if not os.path.isabs(mesh_path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
-    mesh = read_mesh(mesh_path)
+    try:
+        mesh = read_mesh(mesh_path)
+    except MeshFormatError as exc:
+        raise CheckpointFormatError(1, f"mesh file {mesh_path}: {exc}") from None
     if len(lines) < 2 or not lines[1].startswith("time "):
         raise CheckpointFormatError(2, "expected 'time <t>'")
     try:

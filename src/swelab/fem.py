@@ -27,14 +27,8 @@ __all__ = [
     "P2Space",
     "P1dgVecSpace",
     "Field",
-    "assemble_mass_p2",
-    "assemble_stiffness_p2",
-    "assemble_mass_p1dg",
     "assemble_coriolis",
     "assemble_ddx_p2",
-    "gradient_embedding",
-    "perp",
-    "perp_matrix",
     "collocate",
     "project_p2vec_to_p1dg",
     "p2_element_matrices",
@@ -45,6 +39,9 @@ __all__ = [
 
 # reference-coordinate gradients of the barycentric coordinates
 _GRAD_LAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+# pointwise perp (u1, u2) -> (-u2, u1) of one vector
+_PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +166,6 @@ class P1dgVecSpace:
         base = 6 * np.arange(self.mesh.n_f, dtype=np.intp)
         return base[:, None] + np.arange(6, dtype=np.intp)
 
-    def node_coords(self):
-        """(n_f, 3, 2) unrolled corner coordinates (the P1 nodes)."""
-        return self.mesh.corner_coords()
-
 
 @dataclass
 class Field:
@@ -265,13 +258,14 @@ def _scatter(blocks, space, col_space=None):
 # 2|T| Jinv direction, Jinv and f(x_q) in the same way.
 
 
-_RefTensors = collections.namedtuple("_RefTensors", "mass stiffness ddx coriolis")
+_RefTensors = collections.namedtuple("_RefTensors", "mass stiffness ddx coriolis p1_mass")
 
 
 @functools.lru_cache(maxsize=None)
 def _ref_tensors(quad):
-    """Mass (6, 6), stiffness (4, 36) by rows ab, ddx (2, 36) by rows d and
-    coriolis (nq, 9) by rows q: w_q lam_qi lam_qj, for one quadrature rule."""
+    """Mass (6, 6), stiffness (4, 36) by rows ab, ddx (2, 36) by rows d,
+    coriolis (nq, 9) by rows q: w_q lam_qi lam_qj, and the P1 mass (3, 3),
+    for one quadrature rule."""
     V, G, w = _p2_values(quad.points), _p2_ref_grads(quad.points), quad.weights
     lam = np.atleast_2d(quad.points)
     K = np.einsum("q,qia,qjb->abij", w, G, G)
@@ -280,6 +274,7 @@ def _ref_tensors(quad):
         (0.5 * (K + K.transpose(1, 0, 3, 2))).reshape(4, 36),
         np.einsum("q,qi,qjd->dij", w, V, G).reshape(2, 36),
         (w[:, None, None] * lam[:, :, None] * lam[:, None, :]).reshape(-1, 9),
+        _symmetrize(np.einsum("q,qi,qj->ij", w, lam, lam)),
     )
 
 
@@ -311,46 +306,18 @@ def p2_element_ddx(corners, direction, quad=None):
     return _p2_ddx_blocks(Jinv, area, quad, np.asarray(direction, dtype=float))[0]
 
 
-# --------------------------------------------------------------------------
-# global assembly
-
-
-def assemble_mass_p2(space, quad=None):
-    _, _, area = _face_geometry(space.mesh)
-    return _scatter(_p2_mass_blocks(area, quad or _RULES[4]), space)
-
-
-def assemble_stiffness_p2(space, quad=None):
-    _, Jinv, area = _face_geometry(space.mesh)
-    return _scatter(_p2_stiffness_blocks(Jinv, area, quad or _RULES[4]), space)
-
-
-def _p1_mass_ref(quad):
-    V = np.atleast_2d(quad.points)
-    Mref = np.einsum("q,qi,qj->ij", quad.weights, V, V)
-    return 0.5 * (Mref + Mref.T)
-
-
 def _p1dg_mass_blocks(area, quad):
-    return 2.0 * area[:, None, None] * np.kron(_p1_mass_ref(quad), np.eye(2))
-
-
-def assemble_mass_p1dg(space, quad=None):
-    _, _, area = _face_geometry(space.mesh)
-    return _scatter(_p1dg_mass_blocks(area, quad or _RULES[4]), space)
+    return 2.0 * area[:, None, None] * np.kron(_ref_tensors(quad).p1_mass, np.eye(2))
 
 
 def _coriolis_blocks(X, area, f, quad):
     lam = np.atleast_2d(quad.points)
     if callable(f):
         fvals = _evaluate(f, np.einsum("qk,fkc->fqc", lam, X))
-        Wf = (fvals @ _ref_tensors(quad).coriolis).reshape(-1, 3, 3)
     else:
-        W = np.einsum("q,qi,qj->ij", quad.weights, lam, lam)
-        Wf = float(f) * W[None, :, :]
-    Wf = _symmetrize(Wf) * 2.0 * area[:, None, None]
-    R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(Wf, R)
+        fvals = np.full((len(X), len(lam)), float(f))
+    Wf = (fvals @ _ref_tensors(quad).coriolis).reshape(-1, 3, 3)
+    return np.kron(_symmetrize(Wf) * 2.0 * area[:, None, None], _PERP)
 
 
 def _evaluate(fn, x, value_shape=()):
@@ -387,14 +354,6 @@ def _check_affine(f, mesh):
         raise ValueError("Coriolis parameter must be an affine function of position")
 
 
-def assemble_coriolis(space, f, quad=None):
-    """C with (C u)_w = <f w, perp(u)>; f a constant or an affine profile."""
-    if callable(f):
-        _check_affine(f, space.mesh)
-    X, _, area = _face_geometry(space.mesh)
-    return _scatter(_coriolis_blocks(X, area, f, quad or _RULES[5]), space)
-
-
 # E_ref[dc, iej] = Gc[i, j, d] [c == e] with Gc[i, j, d] the reference
 # gradient of N_j at corner i
 _EMBED_REF = np.einsum("ijd,ce->dciej", _p2_ref_grads(np.eye(3)), np.eye(2)).reshape(4, 36)
@@ -405,32 +364,24 @@ def _gradient_blocks(Jinv):
     return (Jinv.reshape(-1, 4) @ _EMBED_REF).reshape(-1, 6, 6)
 
 
-def gradient_embedding(p2, v):
-    """Sparse E mapping P2 coefficients to the P1DG coefficients of the exact gradient."""
-    _, Jinv, _ = _face_geometry(p2.mesh)
-    return _scatter(_gradient_blocks(Jinv), v, p2)
+# --------------------------------------------------------------------------
+# global assembly of the operators that depend on a parameter; the fixed
+# ones are built by operators() below
 
 
-def assemble_ddx_p2(space, direction, quad=None):
+def assemble_coriolis(space, f):
+    """C with (C u)_w = <f w, perp(u)>; f a constant or an affine profile."""
+    if callable(f):
+        _check_affine(f, space.mesh)
+    X, _, area = _face_geometry(space.mesh)
+    return _scatter(_coriolis_blocks(X, area, f, _RULES[5]), space)
+
+
+def assemble_ddx_p2(space, direction):
     """D with (D psi)_alpha = <alpha, direction . grad psi>; skew on a torus."""
     _, Jinv, area = _face_geometry(space.mesh)
-    blocks = _p2_ddx_blocks(Jinv, area, quad or _RULES[4], np.asarray(direction, dtype=float))
+    blocks = _p2_ddx_blocks(Jinv, area, _RULES[4], np.asarray(direction, dtype=float))
     return _scatter(blocks, space)
-
-
-def perp(u):
-    """Pointwise rotation by 90 degrees: (u1, u2) -> (-u2, u1)."""
-    c = u.coeffs.reshape(-1, 2)
-    return Field(u.space, np.column_stack([-c[:, 1], c[:, 0]]).ravel())
-
-
-def perp_matrix(space):
-    n = space.n_dofs
-    idx = np.arange(0, n, 2)
-    rows = np.concatenate([idx, idx + 1])
-    cols = np.concatenate([idx + 1, idx])
-    vals = np.concatenate([-np.ones(n // 2), np.ones(n // 2)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def collocate(space, fn):
@@ -439,7 +390,7 @@ def collocate(space, fn):
         pts = space.dof_points()
         return Field(space, _evaluate(fn, pts))
     if isinstance(space, P1dgVecSpace):
-        return Field(space, _evaluate(fn, space.node_coords(), (2,)).ravel())
+        return Field(space, _evaluate(fn, space.mesh.corner_coords(), (2,)).ravel())
     raise TypeError(f"cannot collocate onto {type(space).__name__}")
 
 
@@ -448,9 +399,8 @@ def _projection_stencil():
     # independent on affine triangles: both Gram matrices scale with area
     quad = _RULES[4]
     lam = np.atleast_2d(quad.points)
-    M1 = np.einsum("q,qi,qj->ij", quad.weights, lam, lam)
     B = np.einsum("q,qi,qj->ij", quad.weights, lam, _p2_values(quad.points))
-    return np.linalg.solve(M1, B)  # (3, 6)
+    return np.linalg.solve(_ref_tensors(quad).p1_mass, B)  # (3, 6)
 
 
 _PROJ = _projection_stencil()
@@ -486,7 +436,6 @@ class OperatorSet:
     L: sp.csr_matrix    # P2 stiffness
     Mv: sp.csr_matrix   # P1DG vector mass
     E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG
-    G: sp.csr_matrix    # Mv @ E
     P: sp.csr_matrix    # pointwise perp
     area: float
     el_area: np.ndarray
@@ -517,24 +466,20 @@ def operators(mesh):
     """Assemble (once per mesh) the operator bundle shared across modules."""
     ops = mesh.cache.get("operators")
     if ops is None:
-        p2 = P2Space(mesh)
-        v = P1dgVecSpace(mesh)
-        Mv = assemble_mass_p1dg(v)
-        E = gradient_embedding(p2, v)
-        _, _, area = _face_geometry(mesh)
-        ops = OperatorSet(
+        p2, v = P2Space(mesh), P1dgVecSpace(mesh)
+        _, Jinv, area = _face_geometry(mesh)
+        quad = _RULES[4]
+        ops = mesh.cache["operators"] = OperatorSet(
             p2=p2,
             v=v,
-            M=assemble_mass_p2(p2),
-            L=assemble_stiffness_p2(p2),
-            Mv=Mv,
-            E=E,
-            G=(Mv @ E).tocsr(),
-            P=perp_matrix(v),
+            M=_scatter(_p2_mass_blocks(area, quad), p2),
+            L=_scatter(_p2_stiffness_blocks(Jinv, area, quad), p2),
+            Mv=_scatter(_p1dg_mass_blocks(area, quad), v),
+            E=_scatter(_gradient_blocks(Jinv), v, p2),
+            P=sp.kron(sp.identity(3 * mesh.n_f), _PERP, format="csr"),
             area=float(area.sum()),
             el_area=area,
         )
-        mesh.cache["operators"] = ops
     return ops
 
 

@@ -62,6 +62,8 @@ class Solver:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"shape mismatch: A is {(self.n, self.n)}, b is {b.shape}")
+        if not np.isfinite(b).all():
+            raise SolverError("right-hand side is not finite", iterations=0)
         b = self._project(b)
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:

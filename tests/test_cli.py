@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from swelab import bloch, cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -39,6 +43,13 @@ def run(argv, capsys):
         ["dispersion", "--dx", "nan"],
         ["dispersion", "--f0", "nan"],
         ["rossby", "--fhat", "nan,1"],
+        ["helmholtz", "--checkpoint", "/nonexistent"],
+        ["simulate", "--n1", "4", "--n2", "4", "--steps", "1", "--out", "/nonexist/dir/x.csv"],
+        ["simulate", "--config", "/nonexistent"],
+        ["oracle", "--quad-degree", "9"],
+        ["simulate", "--tol", "0"],
+        ["simulate", "--tol", "-1"],
+        ["helmholtz", "--tol", "2"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -195,6 +206,19 @@ def test_helmholtz_rejects_bad_checkpoint(tmp_path, capsys):
     assert "bad.chk" in err or "line" in err
 
 
+def test_helmholtz_rejects_checkpoint_with_bad_mesh(tmp_path, capsys):
+    chk = tmp_path / "final.chk"
+    code, _, _ = run(
+        ["simulate", "--n1", "3", "--n2", "3", "--steps", "1", "--checkpoint-out", str(chk),
+         "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+    (tmp_path / "final.chk.mesh").write_text("3 1\n0 0\n")
+    code, out, err = run(["helmholtz", "--checkpoint", str(chk)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "final.chk.mesh" in err
+    assert out == ""
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for f in (a, b):
@@ -277,3 +301,57 @@ def test_converge_small(tmp_path, capsys):
     assert text.splitlines()[0] == "dx,err_collocated,err_projected"
     assert "slope_collocated" in text
     assert (tmp_path / "conv.csv.gp").exists()
+
+
+# commands whose outputs under tests/data were recorded from an earlier
+# version; a refactoring must reproduce them.  {tmp} is the output directory.
+MATRICES = ("M", "L", "Mv", "E", "G", "P", "C")
+RECORDED = {
+    "dump-matrices": (
+        ["dump-matrices", "--mesh-kind", "equilateral", "--n1", "3", "--n2", "2",
+         "--which", ",".join(MATRICES), "--out-prefix", "{tmp}/dump_"],
+        [f"dump_{name}.txt" for name in MATRICES]),
+    "dispersion": (["dispersion", "--ngrid", "8", "--compare-exact"], ["dispersion.csv"]),
+    "rossby": (["rossby", "--ngrid", "8"], ["rossby.csv"]),
+    "simulate": (["simulate", "--n1", "4", "--n2", "4", "--steps", "3"], ["simulate.csv"]),
+    "simulate-beta": (
+        ["simulate", "--n1", "4", "--n2", "4", "--steps", "3", "--mesh-kind", "equilateral",
+         "--beta", "0.05"], ["simulate_beta.csv"]),
+    "helmholtz": (["helmholtz", "--n1", "4", "--n2", "4", "--filter-hp2"], ["helmholtz.csv"]),
+}
+
+
+def _assert_csv_close(got, want):
+    """Same header, labels and shape; numbers within 1e-9 of their column's max |value|."""
+    got, want = ([line.split(",") for line in p.read_text().splitlines()] for p in (got, want))
+    assert got[0] == want[0]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for g, w in zip(zip(*got[1:]), zip(*want[1:])):
+        try:
+            w = np.array(w, dtype=float)
+        except ValueError:  # a label column
+            assert g == w
+            continue
+        assert np.abs(np.array(g, dtype=float) - w).max() <= 1e-9 * np.abs(w).max()
+
+
+def _assert_matrix_close(got, want):
+    """Same header and pattern; values within 1e-14 of max |A|."""
+    assert got.read_text().splitlines()[0] == want.read_text().splitlines()[0]
+    g, w = (np.loadtxt(p, skiprows=1, ndmin=2) for p in (got, want))
+    assert np.array_equal(g[:, :2], w[:, :2])
+    assert np.abs(g[:, 2] - w[:, 2]).max() <= 1e-14 * np.abs(w[:, 2]).max()
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_outputs_match_recording(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SWE_SEED", raising=False)
+    argv, files = RECORDED[command]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if command != "dump-matrices":
+        argv += ["--out", str(tmp_path / files[0])]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    for name in files:
+        check = _assert_matrix_close if name.endswith(".txt") else _assert_csv_close
+        check(tmp_path / name, DATA / name)

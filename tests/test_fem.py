@@ -161,7 +161,6 @@ def test_assembled_operators_match_quadrature_oracle(mesh):
         (ops.L, oracles.assemble_dense(oracles.p2_stiffness_blocks(X, q4), pd, pd, (n, n))),
         (ops.Mv, Mv),
         (ops.E, E),
-        (ops.G, Mv @ E),
         (fem.assemble_ddx_p2(ops.p2, direction),
          oracles.assemble_dense(oracles.p2_ddx_blocks(X, q4, direction), pd, pd, (n, n))),
         (fem.assemble_coriolis(ops.v, 1.7),
@@ -215,8 +214,6 @@ def test_global_identities(mesh):
     assert np.abs(A).max() < 1e-12
     B = (E.T @ Mv @ P @ E).toarray()
     assert np.abs(B).max() < 1e-13
-    G = (ops.G - Mv @ E).toarray()
-    assert np.abs(G).max() == 0.0
 
     Pd = P.toarray()
     assert np.allclose(Pd @ Pd, -np.eye(ops.v.n_dofs), atol=1e-15)
@@ -299,7 +296,7 @@ def test_collocate_falls_back_only_for_pointwise_callbacks():
     assert np.array_equal(h.coeffs, [scalar(p) for p in ops.p2.dof_points()])
     vector = lambda p: (math.sin(p[0]), p[0] * p[1])
     u = fem.collocate(ops.v, vector)
-    nodes = ops.v.node_coords().reshape(-1, 2)
+    nodes = mesh.corner_coords().reshape(-1, 2)
     assert np.array_equal(u.coeffs, np.ravel([vector(p) for p in nodes]))
 
     # any other error of a vectorized callback is a bug in it: no retry
@@ -375,11 +372,9 @@ def test_perp_rotates_nodewise():
     ops = fem.operators(mesh)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(ops.v.n_dofs)
-    v = fem.perp(fem.Field(ops.v, u)).coeffs
-    uu, vv = u.reshape(-1, 2), v.reshape(-1, 2)
-    assert np.allclose(vv[:, 0], -uu[:, 1])
-    assert np.allclose(vv[:, 1], uu[:, 0])
-    assert np.allclose(ops.P @ u, v)
+    uu, vv = u.reshape(-1, 2), (ops.P @ u).reshape(-1, 2)
+    assert np.array_equal(vv[:, 0], -uu[:, 1])
+    assert np.array_equal(vv[:, 1], uu[:, 0])
 
 
 def test_operators_are_cached():
