@@ -369,6 +369,11 @@ def cmd_simulate(args):
         raise UsageError("--dt must be positive")
     mesh = _build_mesh(args)
     params = _params(dynamics.SweParams, f0=args.f0, beta=args.beta, c2=args.c2)
+    # an unwritable output path fails before the run, not after it
+    chk = args.checkpoint_out
+    for path in (args.out, chk, chk and chk + ".mesh"):
+        if path not in (None, "-"):
+            open(path, "a").close()
     try:
         state, exact = _simulate_initial(args, mesh, params)
     except ValueError as exc:

@@ -1,17 +1,22 @@
 """Linear rotating shallow-water dynamics for the mixed pair.
 
-Semi-discrete system:
+Semi-discrete system, with the Coriolis parameter f = f0 + beta y in C:
 
-    M_v du/dt = -C u - c2 G eta
-    M  deta/dt = +G^T u
+    M_v du/dt = -C u - c2 M_v E eta
+    M  deta/dt = +E^T M_v u
 
 integrated with the implicit midpoint rule.  The velocity block of the
-midpoint system is eliminated exactly (it is block diagonal per element),
-leaving one solve with the Schur complement S for the midpoint elevation.
-On the f-plane S reduces in closed form to the symmetric positive definite
-M + kappa L, because rotated gradients of quadratics are mass-orthogonal
-to gradients of quadratics.  On the beta-plane S also has a skew-symmetric
-part, which ``linalg.Solver`` handles for any beta dt.
+midpoint system, A = M_v + (dt/2) C, is block diagonal per element, so the
+midpoint velocity is eliminated exactly by the rotation W = A^{-1} M_v.
+That leaves one solve for the midpoint elevation with the Schur complement
+
+    S = M + (c2 dt^2/4) E^T M_v W E.
+
+On the f-plane W = (I - gamma P)/(1 + gamma^2) with gamma = f0 dt/2, and S
+reduces in closed form to the symmetric positive definite M + kappa L,
+because rotated gradients of quadratics are mass-orthogonal to gradients of
+quadratics.  On the beta-plane W and S are built face by face, and S also
+has a skew-symmetric part, which ``linalg.Solver`` handles for any beta dt.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import scipy.sparse as sp
 
 from . import fem, linalg
 from .fem import Field
-from .mesh import MeshFormatError, build_right_triangle_torus, read_mesh
+from .mesh import build_right_triangle_torus, read_mesh
 
 __all__ = [
     "SweParams",
@@ -89,9 +94,6 @@ class State:
         if self.u.space.mesh is not self.eta.space.mesh:
             raise ValueError("u and eta must live on the same mesh")
 
-    def copy(self):
-        return State(self.u.copy(), self.eta.copy(), self.time)
-
 
 @dataclass(frozen=True)
 class PlaneWaveSpec:
@@ -116,60 +118,47 @@ def energy(state, params):
 
 
 class _Stepper:
-    """Prepared operators for one (mesh, dt, params) combination."""
+    """The rotation W and the Schur complement solver for one (mesh, dt, params).
+
+    One step solves S eta_m = M eta_n + (dt/2) E^T M_v W u_n, sets
+    u_m = W (u_n - (c2 dt/2) E eta_m) and extrapolates both fields to
+    2 x_m - x_n.  Only the set-up tells the f-plane from the beta-plane.
+    """
 
     def __init__(self, mesh, dt, params):
         self.ops = ops = fem.operators(mesh)
-        self.dt = dt
-        self.params = params
-        self.gamma = 0.5 * params.f0 * dt
-        # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
-        # so a huge dt reaches the solver's finiteness check
-        self.kappa = params.c2 * dt * dt / (4.0 * (1.0 + self.gamma * self.gamma))
+        self.dt, self.c2 = dt, params.c2
+        c2dt2 = params.c2 * dt * dt
         if params.beta == 0.0:
-            # exact f-plane Schur complement
-            self.Ainv = None
-            self.solver = linalg.Solver(ops.M + self.kappa * ops.L)
+            gamma = 0.5 * params.f0 * dt
+            # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
+            # so a huge dt reaches the solver's finiteness check
+            scale = 1.0 + gamma * gamma
+            self.rotate = lambda v: (v - gamma * (ops.P @ v)) / scale
+            S = ops.M + (c2dt2 / (4.0 * scale)) * ops.L
         else:
+            # W_f = A_f^{-1} Mv_f by one batched solve; S adds up the
+            # element blocks g_f^T Mv_f W_f g_f, g_f the blocks of E
             quad = fem.quadrature_rule(5)
-            X, _, area = fem._face_geometry(mesh)
-            fprofile = lambda x: params.f0 + params.beta * x[..., 1]
-            a_blocks = (fem._p1dg_mass_blocks(area, quad)
-                        + 0.5 * dt * fem._coriolis_blocks(X, area, fprofile, quad))
-            self.Ainv = sp.bsr_matrix(
-                (np.linalg.inv(a_blocks), np.arange(mesh.n_f), np.arange(mesh.n_f + 1)),
-                shape=(6 * mesh.n_f, 6 * mesh.n_f),
-            )
-            self.G = G = ops.Mv @ ops.E   # weak gradient <w, grad eta>
-            K = (G.T @ (self.Ainv @ G)).tocsr()
-            self.solver = linalg.Solver(ops.M + (params.c2 * dt * dt / 4.0) * K)
-
-    def half_rotate(self, v):
-        """Apply (I - gamma P)/(1 + gamma^2), the f-plane action of A^{-1} M_v."""
-        g = self.gamma
-        return (v - g * (self.ops.P @ v)) / (1.0 + g * g)
+            X, Jinv, area = fem._face_geometry(mesh)
+            mv = fem._p1dg_mass_blocks(area, quad)
+            coriolis = fem._coriolis_blocks(X, area, params.f0, params.beta, quad)
+            W = np.linalg.solve(mv + 0.5 * dt * coriolis, mv)
+            g = fem._gradient_blocks(Jinv)
+            faces = np.arange(mesh.n_f + 1)
+            self.rotate = sp.bsr_matrix((W, faces[:-1], faces), shape=(ops.v.n_dofs,) * 2).dot
+            S = ops.M + (c2dt2 / 4.0) * fem._scatter(np.swapaxes(g, 1, 2) @ (mv @ W) @ g, ops.p2)
+        self.solver = linalg.Solver(S)
 
     def step(self, state, tol):
-        ops, dt, c2 = self.ops, self.dt, self.params.c2
+        ops, dt = self.ops, self.dt
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
-
-        if self.Ainv is None:
-            z = self.half_rotate(u_n)
-        else:
-            z = self.Ainv @ (ops.Mv @ u_n)
-        rhs = ops.M @ eta_n + 0.5 * dt * (ops.E.T @ (ops.Mv @ z))
+        rhs = ops.M @ eta_n + 0.5 * dt * (ops.E.T @ (ops.Mv @ self.rotate(u_n)))
         eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
-
-        if self.Ainv is None:
-            u_m = self.half_rotate(u_n - 0.5 * c2 * dt * (ops.E @ eta_m))
-        else:
-            u_m = self.Ainv @ (ops.Mv @ u_n - 0.5 * c2 * dt * (self.G @ eta_m))
-
-        u_next = 2.0 * u_m - u_n
-        eta_next = 2.0 * eta_m - eta_n
+        u_m = self.rotate(u_n - 0.5 * self.c2 * dt * (ops.E @ eta_m))
         return State(
-            Field(state.u.space, u_next),
-            Field(state.eta.space, eta_next),
+            Field(state.u.space, 2.0 * u_m - u_n),
+            Field(state.eta.space, 2.0 * eta_m - eta_n),
             state.time + dt,
         )
 
@@ -309,13 +298,6 @@ class ConvergenceResult:
     def order(self):
         return float(np.polyfit(np.log(self.dxs), np.log(self.errors), 1)[0])
 
-    def __str__(self):
-        lines = [f"ic_mode = {self.ic_mode}"]
-        for n, dx, ns, e in zip(self.levels, self.dxs, self.n_steps, self.errors):
-            lines.append(f"  n = {n:4d}  dx = {dx:.6g}  steps = {ns:5d}  eta L2 error = {e:.6e}")
-        lines.append(f"  fitted order = {self.order:.3f}")
-        return "\n".join(lines)
-
 
 def run_convergence(levels, ic_mode, params=None, spec=None, steps_factor=1.0):
     """Propagate one wave across the unit torus per level; tabulate eta errors.
@@ -366,9 +348,6 @@ class RossbyTrajectory:
     psis: np.ndarray       # (n_steps + 1, n_dofs)
     invariant: np.ndarray  # psi^T (L + M/L_R^2) psi per snapshot
     space: object
-
-    def field(self, i):
-        return Field(self.space, self.psis[i])
 
 
 def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
@@ -465,7 +444,9 @@ def read_checkpoint(path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
     try:
         mesh = read_mesh(mesh_path)
-    except MeshFormatError as exc:
+        # a mesh that parses can still be unusable, e.g. by a clockwise face
+        ops = fem.operators(mesh)
+    except ValueError as exc:
         raise CheckpointFormatError(1, f"mesh file {mesh_path}: {exc}") from None
     if len(lines) < 2 or not lines[1].startswith("time "):
         raise CheckpointFormatError(2, "expected 'time <t>'")
@@ -474,7 +455,6 @@ def read_checkpoint(path):
     except ValueError:
         raise CheckpointFormatError(2, f"bad time value {lines[1][5:]!r}")
 
-    ops = fem.operators(mesh)
     i = 2
     fields = {}
     for name, space in (("u", ops.v), ("eta", ops.p2)):

@@ -188,17 +188,6 @@ class Field:
     def copy(self):
         return Field(self.space, self.coeffs.copy())
 
-    def __add__(self, other):
-        return Field(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Field(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, a):
-        return Field(self.space, self.coeffs * float(a))
-
-    __rmul__ = __mul__
-
 
 # --------------------------------------------------------------------------
 # geometry
@@ -254,8 +243,8 @@ def _scatter(blocks, space, col_space=None):
 #     K_ref^ab_ij = sum_q w_q dN_i/dr_a dN_j/dr_b,
 #
 # one (n_f, 4) @ (4, 36) product for all faces.  The d/dx blocks, the
-# gradient embedding and the affine Coriolis blocks take the geometry
-# 2|T| Jinv direction, Jinv and f(x_q) in the same way.
+# gradient embedding and the Coriolis blocks take the geometry
+# 2|T| Jinv direction, Jinv and f(x_q) = f0 + beta y_q in the same way.
 
 
 _RefTensors = collections.namedtuple("_RefTensors", "mass stiffness ddx coriolis p1_mass")
@@ -310,12 +299,8 @@ def _p1dg_mass_blocks(area, quad):
     return 2.0 * area[:, None, None] * np.kron(_ref_tensors(quad).p1_mass, np.eye(2))
 
 
-def _coriolis_blocks(X, area, f, quad):
-    lam = np.atleast_2d(quad.points)
-    if callable(f):
-        fvals = _evaluate(f, np.einsum("qk,fkc->fqc", lam, X))
-    else:
-        fvals = np.full((len(X), len(lam)), float(f))
+def _coriolis_blocks(X, area, f0, beta, quad):
+    fvals = f0 + beta * (X[..., 1] @ np.atleast_2d(quad.points).T)  # (n_f, nq)
     Wf = (fvals @ _ref_tensors(quad).coriolis).reshape(-1, 3, 3)
     return np.kron(_symmetrize(Wf) * 2.0 * area[:, None, None], _PERP)
 
@@ -323,35 +308,17 @@ def _coriolis_blocks(X, area, f, quad):
 def _evaluate(fn, x, value_shape=()):
     """Values of a callback on points of shape (..., 2), shaped (..., *value_shape).
 
-    fn is first called once on all points as an (n, 2) array.  If it raises
-    the TypeError or ValueError of a point-wise function given an array, or
-    returns the wrong shape, it is called point by point instead.
+    fn is called once, on all points as an (n, 2) array, and must return
+    an (n, *value_shape) array.
     """
     flat = x.reshape(-1, 2)
-    shape = (*x.shape[:-1], *value_shape)
-    try:
-        vals = np.asarray(fn(flat), dtype=float)
-        if vals.shape == (len(flat), *value_shape):
-            return vals.reshape(shape)
-    except (TypeError, ValueError):
-        pass
-    return np.array([np.asarray(fn(p), dtype=float) for p in flat]).reshape(shape)
-
-
-def _check_affine(f, mesh):
-    """Reject Coriolis profiles beyond degree 1; the quadrature is only sized for those."""
-    rng = np.random.default_rng(12345)
-    lo = mesh.vertices.min(axis=0)
-    hi = lo + np.abs(mesh.lattice).sum(axis=0)
-    span = np.maximum(hi - lo, 1.0)
-    pts_a = lo + rng.random((4, 2)) * span
-    pts_b = lo + rng.random((4, 2)) * span
-    fa = _evaluate(f, pts_a)
-    fb = _evaluate(f, pts_b)
-    fm = _evaluate(f, 0.5 * (pts_a + pts_b))
-    scale = max(1.0, np.abs(fa).max(), np.abs(fb).max())
-    if np.abs(fm - 0.5 * (fa + fb)).max() > 1e-9 * scale:
-        raise ValueError("Coriolis parameter must be an affine function of position")
+    vals = np.asarray(fn(flat), dtype=float)
+    if vals.shape != (len(flat), *value_shape):
+        raise ValueError(
+            f"callback returned shape {vals.shape} for {len(flat)} points, "
+            f"expected {(len(flat), *value_shape)}"
+        )
+    return vals.reshape(*x.shape[:-1], *value_shape)
 
 
 # E_ref[dc, iej] = Gc[i, j, d] [c == e] with Gc[i, j, d] the reference
@@ -369,12 +336,10 @@ def _gradient_blocks(Jinv):
 # ones are built by operators() below
 
 
-def assemble_coriolis(space, f):
-    """C with (C u)_w = <f w, perp(u)>; f a constant or an affine profile."""
-    if callable(f):
-        _check_affine(f, space.mesh)
+def assemble_coriolis(space, f0, beta=0.0):
+    """C with (C u)_w = <f w, perp(u)> for the Coriolis parameter f = f0 + beta y."""
     X, _, area = _face_geometry(space.mesh)
-    return _scatter(_coriolis_blocks(X, area, f, _RULES[5]), space)
+    return _scatter(_coriolis_blocks(X, area, f0, beta, _RULES[5]), space)
 
 
 def assemble_ddx_p2(space, direction):

@@ -118,7 +118,7 @@ class Mesh:
         return 0.5 * (va + vb)
 
     def _build_edges(self):
-        keys = _side_keys(self.triangles, self.shifts)[0].reshape(-1, 4)
+        keys = _side_keys(self.triangles, self.shifts).reshape(-1, 4)
         # one int64 per key, in the same lexicographic order, so that unique
         # sorts plain integers instead of (n, 4) rows
         lo = keys.min(axis=0, initial=0)
@@ -144,7 +144,7 @@ class Mesh:
 
 
 def _side_keys(triangles, shifts):
-    """Canonical key (va, vb, d0, d1) of each face side, (n_f, 3, 4), and where it was flipped.
+    """Canonical key (va, vb, d0, d1) of each face side, (n_f, 3, 4).
 
     Side e of a face runs from local corner e+1 to e+2 (mod 3), so it lies
     opposite corner e.
@@ -157,7 +157,7 @@ def _side_keys(triangles, shifts):
     )
     keys = np.concatenate([va[..., None], vb[..., None], d], axis=-1)
     flipped = np.concatenate([vb[..., None], va[..., None], -d], axis=-1)
-    return np.where(flip[..., None], flipped, keys), flip
+    return np.where(flip[..., None], flipped, keys)
 
 
 def _cell_torus(n1, n2, steps, lengths, axes, split):
@@ -278,33 +278,6 @@ def validate(mesh):
             "" if mesh.n_v + mesh.n_e == 2 * mesh.n_f else f"n_v + n_e = {mesh.n_v + mesh.n_e} != 2*n_f = {2 * mesh.n_f}",
         )
     )
-
-    # Periodic wrap consistency: both face-side copies of an edge, oriented
-    # by its canonical key, must be the same segment up to one integer
-    # lattice translation, the same for both endpoints.  This is what makes
-    # crossing the seam and coming back exact.
-    corners = mesh.corner_coords()
-    _, flip = _side_keys(mesh.triangles, mesh.shifts)
-    lat_inv = np.linalg.inv(mesh.lattice)
-    scale = max(1.0, float(np.abs(mesh.lattice).max()))
-    paired = np.nonzero(mesh.edge_degree >= 2)[0]  # the rest fail edge-adjacency already
-    f = mesh.edge_tris[paired]  # (m, 2): the two copies
-    loc = np.argmax(mesh.tri_edges[f] == paired[:, None, None], axis=2)
-    flipped = flip[f, loc]
-    start = corners[f, np.where(flipped, loc + 2, loc + 1) % 3]
-    end = corners[f, np.where(flipped, loc + 1, loc + 2) % 3]
-    t0 = (start[:, 1] - start[:, 0]) @ lat_inv
-    t1 = (end[:, 1] - end[:, 0]) @ lat_inv
-    delta = start[:, 1] - np.round(t0) @ mesh.lattice - start[:, 0]
-    wrong = (
-        (np.abs(t0 - np.round(t0)).max(axis=1) > 1e-9)
-        | (np.abs(t1 - np.round(t1)).max(axis=1) > 1e-9)
-        | (np.abs(t0 - t1).max(axis=1) > 1e-9)
-        | (np.abs(delta).max(axis=1) > 1e-9 * scale)
-    )
-    bad_wrap = paired[wrong]
-    detail = "; ".join(f"inconsistent periodic shift at edge {i}" for i in bad_wrap[:8])
-    checks.append(CheckResult("periodic-consistency", len(bad_wrap) == 0, detail))
 
     return MeshReport(checks)
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swelab import bloch, cli
+from swelab import bloch, cli, dynamics
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,12 +70,28 @@ def test_beta_plane_large_dt_conserves_energy(dt, capsys):
 
 
 def test_overflowing_dt_exits_1(capsys):
-    # gamma = f0 dt / 2 squares to inf: a solver error, not an OverflowError
-    code, out, err = run(
-        ["simulate", "--n1", "4", "--n2", "4", "--dt", "1e170", "--steps", "1"], capsys)
-    assert code == 1
-    assert err.startswith("error:") and "not finite" in err
-    assert "CHECK" not in out
+    # dt^2 overflows to inf (on the f-plane through gamma = f0 dt / 2):
+    # a solver error, not an OverflowError
+    for beta in ("0", "0.05"):
+        code, out, err = run(
+            ["simulate", "--n1", "4", "--n2", "4", "--dt", "1e170", "--steps", "1",
+             "--beta", beta], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "not finite" in err
+        assert "CHECK" not in out
+
+
+def test_unwritable_output_fails_before_the_run(monkeypatch, tmp_path, capsys):
+    def step(*args, **kwargs):
+        raise AssertionError("stepped before the outputs were checked")
+
+    monkeypatch.setattr(dynamics, "step_midpoint", step)
+    for flag in ("--out", "--checkpoint-out"):
+        code, out, err = run(
+            ["simulate", "--n1", "4", "--n2", "4", "--steps", "100", flag,
+             str(tmp_path / "missing" / "x.csv")], capsys)
+        assert code == 2
+        assert err.startswith("usage error:")
 
 
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):

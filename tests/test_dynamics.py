@@ -286,6 +286,18 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(CheckpointFormatError):
         dynamics.read_checkpoint(tmp_path / "bad4.txt")
 
+    # a mesh file that parses but has a clockwise face: corners (and their
+    # shifts) 1 and 2 of the first face swapped
+    mesh_lines = (tmp_path / "grid.txt").read_text().splitlines()
+    row = 2 + mesh.n_v  # after the comment, the header and the vertices
+    face = mesh_lines[row].split()
+    mesh_lines[row] = " ".join(face[:1] + face[2:0:-1] + face[3:5] + face[7:9] + face[5:7])
+    (tmp_path / "cw.txt").write_text("\n".join(mesh_lines) + "\n")
+    (tmp_path / "bad5.txt").write_text("\n".join(["mesh cw.txt"] + lines[1:]) + "\n")
+    with pytest.raises(CheckpointFormatError, match="counter-clockwise") as exc:
+        dynamics.read_checkpoint(tmp_path / "bad5.txt")
+    assert exc.value.lineno == 1
+
 
 def test_step_midpoint_is_linear():
     mesh = build_right_triangle_torus(2, 3, 1.0, 1.0)

@@ -83,16 +83,33 @@ def test_validate_catches_clockwise_triangle():
     assert any("positive-areas" == c.name and not c.passed for c in report.checks)
 
 
-def test_validate_catches_dangling_edge():
+def _shift_corner(m):
+    shifts = m.shifts.copy()
+    shifts[0, 1, 0] += 1
+    return m.triangles, shifts
+
+
+@pytest.mark.parametrize(
+    "corrupt,odd_degrees",
+    [
+        # both sides at the shifted corner become new one-face edges, and
+        # the two edges they belonged to keep one face each
+        (_shift_corner, [1, 1, 1, 1]),
+        # the three sides of the dropped face are left with one face each
+        (lambda m: (m.triangles[:-1], m.shifts[:-1]), [1, 1, 1]),
+        (lambda m: (np.vstack([m.triangles, m.triangles[:1]]),
+                    np.concatenate([m.shifts, m.shifts[:1]])), [3, 3, 3]),
+    ],
+    ids=["shifted-corner", "dropped-face", "duplicated-face"],
+)
+def test_validate_catches_dangling_edge(corrupt, odd_degrees):
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
-    bad = Mesh(m.vertices.copy(), m.triangles[:-1].copy(), m.shifts[:-1].copy(),
-               m.lattice.copy())
+    bad = Mesh(m.vertices, *corrupt(m), m.lattice)
     report = validate(bad)
     assert not report.ok
     assert any(c.name == "edge-adjacency" and not c.passed for c in report.checks)
-    # the three sides of the dropped face are left with one face each
-    assert np.sort(bad.edge_degree)[:4].tolist() == [1, 1, 1, 2]
-    assert np.count_nonzero(bad.edge_tris[:, 1] == -1) == 3
+    assert sorted(bad.edge_degree[bad.edge_degree != 2].tolist()) == odd_degrees
+    assert np.count_nonzero(bad.edge_tris[:, 1] == -1) == odd_degrees.count(1)
     assert_topology_matches_reference(bad)
 
 
