@@ -369,11 +369,15 @@ def cmd_simulate(args):
         raise UsageError("--dt must be positive")
     mesh = _build_mesh(args)
     params = _params(dynamics.SweParams, f0=args.f0, beta=args.beta, c2=args.c2)
-    # an unwritable output path fails before the run, not after it
+    # an unwritable output path fails before the run, not after it; a file
+    # the check creates is removed again, so a failed run leaves none
     chk = args.checkpoint_out
     for path in (args.out, chk, chk and chk + ".mesh"):
         if path not in (None, "-"):
+            existed = os.path.lexists(path)
             open(path, "a").close()
+            if not existed:
+                os.remove(path)
     try:
         state, exact = _simulate_initial(args, mesh, params)
     except ValueError as exc:

@@ -347,7 +347,6 @@ class RossbyTrajectory:
     times: np.ndarray
     psis: np.ndarray       # (n_steps + 1, n_dofs)
     invariant: np.ndarray  # psi^T (L + M/L_R^2) psi per snapshot
-    space: object
 
 
 def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
@@ -394,7 +393,7 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
         invariant[s + 1] = float(psi @ (K @ psi))
 
     times = dt * np.arange(n_steps + 1)
-    return RossbyTrajectory(times, psis, invariant, psi0.space)
+    return RossbyTrajectory(times, psis, invariant)
 
 
 # --------------------------------------------------------------------------

@@ -407,8 +407,19 @@ class OperatorSet:
 
     @functools.cached_property
     def L_solver(self):
-        """Solver for L on the mean-free subspace, prepared on first use."""
-        return linalg.Solver(self.L, nullspace=True)
+        """Solver for L on the mean-free subspace, prepared on first use.
+
+        Its multigrid preconditioner coarsens first to P1 by the P2 -> P1
+        interpolation R: identity on the vertex dofs, and 1/2, 1/2 from the
+        two end vertices on each edge dof.
+        """
+        mesh = self.p2.mesh
+        n_v, n_e = mesh.n_v, mesh.n_e
+        rows = np.concatenate([np.arange(n_v), np.repeat(n_v + np.arange(n_e), 2)])
+        vals = np.concatenate([np.ones(n_v), np.full(2 * n_e, 0.5)])
+        R = sp.csr_matrix((vals, (rows, np.concatenate([np.arange(n_v), mesh.edges.ravel()]))),
+                          shape=(n_v + n_e, n_v))
+        return linalg.Solver(self.L, nullspace=True, coarse=R)
 
     def constant_field(self, vec):
         """P1DG coefficients of a constant vector field."""

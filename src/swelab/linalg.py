@@ -12,16 +12,39 @@ three-term recurrence
 with w_1 = 1 and w_{k+1} = 1 / (1 + rho_k / (rho_{k-1} w_k)), rho_k = z_k . r_k
 (P. Concus & G. H. Golub 1976; O. Widlund, SIAM J. Numer. Anal. 15, 1978).
 It converges for a skew part of any size.  The inner solves with Sym are
-Jacobi-preconditioned conjugate gradients; when A is symmetric, Sym is A
-and the first step solves the system.
+preconditioned conjugate gradients; when A is symmetric, Sym is A and the
+first step solves the system.
+
+Two preconditioners serve the two kinds of matrix.  The mass-dominated ones
+(M + kappa L, the beta-plane Schur complement, the Rossby operator) are
+well conditioned, and Jacobi-CG solves them in tens of iterations.  The P2
+stiffness matrix L is not: Jacobi-CG needs iterations in proportion to 1/h.
+For it the caller passes ``coarse``, the P2 -> P1 interpolation, and the
+preconditioner is one symmetric multigrid V(1,1)-cycle, whose iteration
+count does not grow with the mesh.  Level 0 is A, level 1 the Galerkin
+product R^T A R; below that, smoothed aggregation (P. Vanek, J. Mandel &
+M. Brezina, Computing 56, 1996) coarsens to at most ``_COARSEST`` unknowns,
+which a dense pseudo-inverse solves.  Every level smooths by damped Jacobi.
+The set-up takes no random vectors, so it is deterministic.
+
+Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
+only products with A, and each of those imports costs several megabytes of
+resident memory, as would the fill-in of a sparse LU factor of L.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["SolverError", "Solver"]
+
+# largest multigrid level solved by a dense pseudo-inverse
+_COARSEST = 300
+# strength-of-connection threshold of the aggregation
+_STRENGTH = 0.08
 
 
 class SolverError(RuntimeError):
@@ -37,9 +60,13 @@ class SolverError(RuntimeError):
 class Solver:
     """A x = b for one sparse A whose symmetric part is positive definite,
     or semi-definite with constant nullspace when ``nullspace=True``; then
-    iterates are kept mean-free and solutions have zero coefficient mean."""
+    iterates are kept mean-free and solutions have zero coefficient mean.
 
-    def __init__(self, A, nullspace=False):
+    ``coarse``, a sparse prolongation from a coarser space that maps
+    constants to constants, selects the multigrid preconditioner.
+    """
+
+    def __init__(self, A, nullspace=False, coarse=None):
         A = sp.csr_matrix(A)
         n = A.shape[0]
         if A.shape[1] != n:
@@ -53,9 +80,10 @@ class Solver:
             self.sym = (0.5 * (A + A.T)).tocsr()
         else:
             self.sym = A
-        diag = self.sym.diagonal()
-        ok = diag > 0
-        self.inv_diag = np.where(ok, 1.0 / np.where(ok, diag, 1.0), 1.0)
+        if coarse is None:
+            self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
+        else:
+            self._precondition = _VCycle(self.sym, coarse, nullspace)
 
     def solve(self, b, tol=1e-12, x0=None):
         """x with |b - A x| <= tol |b|; x0 is an optional initial guess."""
@@ -81,7 +109,7 @@ class Solver:
                 return x
             # inner target 0.1 tol |b|, below the outer one so that one step
             # finishes a symmetric solve; relative to |r| clipped to [tol, 0.1]
-            z =self._cg(r, min(max(0.1 * target / rnorm, tol), 0.1))
+            z = self._cg(r, min(max(0.1 * target / rnorm, tol), 0.1))
             rho = z @ r
             omega = 1.0 if k == 0 else 1.0 / (1.0 + rho / (rho_prev * omega))
             x, x_prev = x_prev + omega * (z + x - x_prev), x
@@ -92,18 +120,20 @@ class Solver:
             residual=rnorm / bnorm, iterations=self.max_iter)
 
     def _cg(self, r, tol):
-        """z with |r - Sym z| <= tol |r| by Jacobi-preconditioned conjugate gradients."""
-        A, inv_diag, project = self.sym, self.inv_diag, self._project
+        """z with |r - Sym z| <= tol |r| by preconditioned conjugate gradients:
+        Jacobi, or the multigrid V-cycle when the solver was given ``coarse``."""
+        A, precondition, project = self.sym, self._precondition, self._project
         z = np.zeros(self.n)
         r = r.copy()
-        s = project(inv_diag * r)
-        p = s.copy()
-        rs = r @ s
         r0 = np.linalg.norm(r)
         for k in range(self.max_iter):
             rel = np.linalg.norm(r) / r0
             if rel <= tol:
                 return project(z)
+            s = project(precondition(r))
+            rs_new = r @ s
+            p = s if k == 0 else s + (rs_new / rs) * p
+            rs = rs_new
             Ap = project(A @ p)
             pAp = p @ Ap
             if pAp <= 0.0:
@@ -113,12 +143,98 @@ class Solver:
             alpha = rs / pAp
             z += alpha * p
             r -= alpha * Ap
-            s = project(inv_diag * r)
-            rs_new = r @ s
-            p = s + (rs_new / rs) * p
-            rs = rs_new
         rel = np.linalg.norm(r) / r0
         raise SolverError(
             f"conjugate gradients on the symmetric part failed to converge in {self.max_iter} "
             f"iterations (relative residual {rel:.3e}, tol {tol:.1e})",
             residual=rel, iterations=self.max_iter)
+
+
+def _inv_diag(A):
+    """1 / diag(A), with 1 where the diagonal is not positive."""
+    diag = A.diagonal()
+    ok = diag > 0
+    return np.where(ok, 1.0 / np.where(ok, diag, 1.0), 1.0)
+
+
+def _damped_inv_diag(A):
+    """omega D^-1 with omega = 4 / (3 rho), rho the Gershgorin bound of D^-1 A.
+
+    rho bounds the spectrum of D^-1 A from above, so omega D^-1 is a
+    convergent smoother and a stable prolongator smoothing."""
+    inv_diag = _inv_diag(A)
+    rho = (abs(A) @ np.ones(A.shape[0]) * inv_diag).max()
+    return (4.0 / (3.0 * rho)) * inv_diag
+
+
+def _aggregate(A):
+    """Tentative prolongation of smoothed aggregation: one column of ones per aggregate.
+
+    Unknowns i and j are strongly connected when |a_ij| >= _STRENGTH
+    sqrt(a_ii a_jj).  In index order, an unknown whose strong neighbours are
+    all free founds an aggregate with them; every unknown still free then
+    joins the first aggregate among its strong neighbours.  Each free
+    unknown has one, or it would have founded its own.
+    """
+    n = A.shape[0]
+    C = A.tocoo()
+    d = np.sqrt(np.abs(A.diagonal()))
+    keep = (C.row != C.col) & (np.abs(C.data) >= _STRENGTH * d[C.row] * d[C.col])
+    S = sp.csr_matrix((np.ones(keep.sum()), (C.row[keep], C.col[keep])), shape=(n, n))
+    indptr, indices = S.indptr.tolist(), S.indices.tolist()
+    agg = [-1] * n
+    count = 0
+    for i in range(n):
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        if agg[i] < 0 and all(agg[j] < 0 for j in nbrs):
+            agg[i] = count
+            for j in nbrs:
+                agg[j] = count
+            count += 1
+    founded = agg.copy()
+    for i in range(n):
+        if agg[i] < 0:
+            agg[i] = next(founded[j] for j in indices[indptr[i]:indptr[i + 1]] if founded[j] >= 0)
+    return sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, count))
+
+
+def _center(M):
+    """Pi M Pi for the projection Pi = I - 1 1^T / n onto mean-free vectors."""
+    M = M - M.mean(axis=0)
+    return M - M.mean(axis=1)[:, None]
+
+
+class _VCycle:
+    """One symmetric V(1,1)-cycle of multigrid for the symmetric matrix A.
+
+    The first prolongation is ``coarse``; each further one is the aggregation
+    prolongator T smoothed to (I - omega D^-1 A) T.  Coarse matrices are the
+    Galerkin products P^T A P.  With ``nullspace`` the coarsest pseudo-inverse
+    acts on mean-free vectors, since every prolongation maps constants to
+    constants and so keeps the nullspace of each level the constants.
+    """
+
+    def __init__(self, A, coarse, nullspace):
+        self.levels = []
+        P = coarse
+        while A.shape[0] > _COARSEST:
+            smoother = _damped_inv_diag(A)
+            if P is None:
+                T = _aggregate(A)
+                P = (T - sp.diags(smoother) @ (A @ T)).tocsr()
+            R = P.T.tocsr()
+            self.levels.append((A, smoother, P, R))
+            A, P = (R @ (A @ P)).tocsr(), None
+        center = _center if nullspace else (lambda M: M)
+        # the cut-off drops the nullspace, whose eigenvalue rounding leaves at
+        # up to 3e-15 of the largest, above the default cut-off of 1e-15
+        self.coarsest = center(np.linalg.pinv(center(A.toarray()), rcond=1e-10, hermitian=True))
+
+    def __call__(self, r, level=0):
+        if level == len(self.levels):
+            return self.coarsest @ r
+        A, smoother, P, R = self.levels[level]
+        x = smoother * r
+        x += P @ self(R @ (r - A @ x), level + 1)
+        x += smoother * (r - A @ x)
+        return x

@@ -14,8 +14,9 @@ the quadrature points face by face, the route the package took before it
 contracted reference tensors with geometry; ``assemble_dense`` adds their
 blocks into a dense matrix one face at a time.  ``ref_p2_basis`` evaluates
 the package's basis at one checked barycentric point, the form in which the
-tests compare it with the symbolic basis.  ``random_field``, ``recompose``
-and ``symbolic_reference`` are helpers that only the tests use.
+tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
+``jittered_torus`` and ``symbolic_reference`` are helpers that only the
+tests use.
 """
 
 import functools
@@ -25,6 +26,7 @@ import scipy.linalg
 import sympy as sp
 
 from swelab import bloch, fem, helmholtz
+from swelab.mesh import Mesh, build_right_triangle_torus
 
 
 def ref_p2_basis(point):
@@ -40,6 +42,14 @@ def ref_p2_basis(point):
 def random_field(space, seed=0):
     rng = np.random.default_rng(seed)
     return fem.Field(space, rng.standard_normal(space.n_dofs))
+
+
+def jittered_torus(n, seed=0, amount=0.2):
+    """Unit right-triangle n x n torus with each vertex coordinate moved by up
+    to amount / n: the same topology on a mesh that is not a lattice."""
+    base = build_right_triangle_torus(n, n, 1.0, 1.0)
+    moved = base.vertices + np.random.default_rng(seed).uniform(-amount, amount, (base.n_v, 2)) / n
+    return Mesh(moved, base.triangles, base.shifts, base.lattice)
 
 
 def recompose(parts, mesh):

@@ -94,6 +94,20 @@ def test_unwritable_output_fails_before_the_run(monkeypatch, tmp_path, capsys):
         assert err.startswith("usage error:")
 
 
+def test_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
+    # the early writability check creates no file, and truncates none
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    for out in ("x.csv", "kept.csv"):
+        code, _, err = run(
+            ["simulate", "--n1", "4", "--n2", "4", "--dt", "1e170", "--steps", "1",
+             "--out", str(tmp_path / out), "--checkpoint-out", str(tmp_path / "c.chk")],
+            capsys)
+        assert code == 1 and "not finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_text() == "kept\n"
+
+
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
     # a negated patch mass makes every reduced Mr negative definite, so the
     # batched Cholesky factorization fails

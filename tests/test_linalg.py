@@ -1,10 +1,20 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swelab import fem
 from swelab.linalg import Solver, SolverError
+from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
+
+from .oracles import jittered_torus
 
 
 def _random_spd(n, rng, density=0.4):
@@ -111,3 +121,117 @@ def test_solve_spd_property(n, seed):
     x = Solver(A).solve(b, tol=1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
 
+
+
+# --------------------------------------------------------------------------
+# the multigrid-preconditioned stiffness solver (fem.OperatorSet.L_solver)
+
+TORI = {
+    "right": lambda n: build_right_triangle_torus(n, n, 1.0, 1.0),
+    "equilateral": lambda n: build_equilateral_torus(n, n, 1.0 / n),
+    "jittered": lambda n: jittered_torus(n, seed=n),
+    "aspect-16": lambda n: build_right_triangle_torus(n, n, 16.0, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _operators(kind, n):
+    return fem.operators(TORI[kind](n))
+
+
+def _mean_free(rng, n):
+    b = rng.standard_normal(n)
+    return b - b.mean()
+
+
+def _count_iterations(solver):
+    """Wrap the solver's preconditioner; the list grows by one per CG iteration."""
+    calls = []
+    precondition = solver._precondition
+    solver._precondition = lambda r: calls.append(1) or precondition(r)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("right", 16), ("right", 24), ("equilateral", 16), ("jittered", 16)]),
+       st.integers(min_value=0, max_value=10_000))
+def test_vcycle_is_symmetric_positive_definite(mesh, seed):
+    B = _operators(*mesh).L_solver._precondition
+    rng = np.random.default_rng(seed)
+    n = _operators(*mesh).p2.n_dofs
+    x, y = _mean_free(rng, n), _mean_free(rng, n)
+    Bx, By = B(x), B(y)
+    scale = max(np.linalg.norm(x) * np.linalg.norm(By), np.linalg.norm(y) * np.linalg.norm(Bx))
+    assert abs(x @ By - y @ Bx) <= 1e-12 * scale
+    assert x @ Bx > 0.0
+
+
+# On the aspect-16 torus rounding alone bounds the true residual by about
+# 2e-13 |b| (eps |L| |x| / |b|; the dense pseudo-inverse solution leaves
+# 1.2e-12), so no solver reaches 1e-14 there.
+@pytest.mark.parametrize(
+    "kind,tol",
+    [(kind, tol) for kind in TORI for tol in (1e-12, 1e-14) if (kind, tol) != ("aspect-16", 1e-14)],
+)
+def test_multigrid_meets_the_true_residual(kind, tol):
+    ops = _operators(kind, 24)
+    b = _mean_free(np.random.default_rng(5), ops.p2.n_dofs)
+    x = ops.L_solver.solve(b, tol=tol)
+    assert np.linalg.norm(b - ops.L @ x) <= tol * np.linalg.norm(b)
+    assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("kind", list(TORI))
+def test_multigrid_agrees_with_jacobi(kind):
+    ops = _operators(kind, 24)
+    b = _mean_free(np.random.default_rng(6), ops.p2.n_dofs)
+    x = ops.L_solver.solve(b, tol=1e-12)
+    ref = Solver(ops.L, nullspace=True).solve(b, tol=1e-12)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("kind", ["right", "equilateral"])
+def test_multigrid_iterations_do_not_grow(kind, n):
+    # Jacobi-CG needs 88, 181 and 363 iterations on the right torus
+    ops = fem.operators(TORI[kind](n))
+    calls = _count_iterations(ops.L_solver)
+    b = _mean_free(np.random.default_rng(7), ops.p2.n_dofs)
+    ops.L_solver.solve(b, tol=1e-12)
+    assert 0 < len(calls) <= 60
+
+
+def test_small_mesh_is_solved_in_one_step():
+    ops = fem.operators(TORI["right"](8))
+    assert ops.p2.n_dofs <= 300
+    calls = _count_iterations(ops.L_solver)
+    b = _mean_free(np.random.default_rng(8), ops.p2.n_dofs)
+    x = ops.L_solver.solve(b, tol=1e-12)
+    assert len(calls) == 1
+    assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_multigrid_without_nullspace():
+    # M + L is definite: the coarsest level is a plain inverse
+    ops = _operators("jittered", 24)
+    A = ops.M + ops.L
+    b = np.random.default_rng(9).standard_normal(ops.p2.n_dofs)
+    R = ops.L_solver._precondition.levels[0][2]
+    x = Solver(A, coarse=R).solve(b, tol=1e-13)
+    assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_no_module_imports_dense_or_sparse_linalg():
+    # CG needs only products with the matrix; these imports add resident memory
+    code = (
+        "import pkgutil, importlib, sys, swelab\n"
+        "for m in pkgutil.iter_modules(swelab.__path__):\n"
+        "    importlib.import_module('swelab.' + m.name)\n"
+        "bad = sorted({'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules))\n"
+        "print(len(list(pkgutil.iter_modules(swelab.__path__))), bad)\n"
+    )
+    src = str(Path(fem.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    count, bad = out.split(" ", 1)
+    assert int(count) >= 7 and bad.strip() == "[]"
