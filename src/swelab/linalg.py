@@ -63,7 +63,8 @@ class Solver:
     iterates are kept mean-free and solutions have zero coefficient mean.
 
     ``coarse``, a sparse prolongation from a coarser space that maps
-    constants to constants, selects the multigrid preconditioner.
+    constants to constants, selects the multigrid preconditioner.  It is for
+    the constant-nullspace case only and requires ``nullspace=True``.
     """
 
     def __init__(self, A, nullspace=False, coarse=None):
@@ -82,8 +83,10 @@ class Solver:
             self.sym = A
         if coarse is None:
             self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
+        elif nullspace:
+            self._precondition = _VCycle(self.sym, coarse)
         else:
-            self._precondition = _VCycle(self.sym, coarse, nullspace)
+            raise ValueError("a coarse space requires nullspace=True")
 
     def solve(self, b, tol=1e-12, x0=None):
         """x with |b - A x| <= tol |b|; x0 is an optional initial guess."""
@@ -209,12 +212,13 @@ class _VCycle:
 
     The first prolongation is ``coarse``; each further one is the aggregation
     prolongator T smoothed to (I - omega D^-1 A) T.  Coarse matrices are the
-    Galerkin products P^T A P.  With ``nullspace`` the coarsest pseudo-inverse
-    acts on mean-free vectors, since every prolongation maps constants to
-    constants and so keeps the nullspace of each level the constants.
+    Galerkin products P^T A P.  A is semi-definite with the constants as
+    nullspace; every prolongation maps constants to constants and so keeps
+    the nullspace of each level the constants, and the coarsest
+    pseudo-inverse acts on mean-free vectors.
     """
 
-    def __init__(self, A, coarse, nullspace):
+    def __init__(self, A, coarse):
         self.levels = []
         P = coarse
         while A.shape[0] > _COARSEST:
@@ -225,10 +229,9 @@ class _VCycle:
             R = P.T.tocsr()
             self.levels.append((A, smoother, P, R))
             A, P = (R @ (A @ P)).tocsr(), None
-        center = _center if nullspace else (lambda M: M)
         # the cut-off drops the nullspace, whose eigenvalue rounding leaves at
         # up to 3e-15 of the largest, above the default cut-off of 1e-15
-        self.coarsest = center(np.linalg.pinv(center(A.toarray()), rcond=1e-10, hermitian=True))
+        self.coarsest = _center(np.linalg.pinv(_center(A.toarray()), rcond=1e-10, hermitian=True))
 
     def __call__(self, r, level=0):
         if level == len(self.levels):

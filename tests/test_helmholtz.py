@@ -72,8 +72,9 @@ def test_gradient_recovers_potential(mesh):
     mean = ops.p2_mean(alpha)
     assert np.abs(parts.phi.coeffs - (alpha - mean)).max() < 1e-9
     assert np.linalg.norm(parts.psi.coeffs) < 1e-9 * max(np.linalg.norm(alpha), 1)
-    # |u| = |E alpha| grows like 1/h and the solves stop at a relative tol
-    assert np.linalg.norm(parts.residual.coeffs) < 1e-11 * np.linalg.norm(u.coeffs)
+    # |u| = |E alpha| grows like 1/h and the solves stop at a relative tol;
+    # on the first two meshes (|u| = 163, 256) this is tighter than 1e-9
+    assert np.linalg.norm(parts.residual.coeffs) < 3e-12 * np.linalg.norm(u.coeffs)
     assert np.linalg.norm(parts.mean) < 1e-10
 
 

@@ -211,14 +211,11 @@ def test_small_mesh_is_solved_in_one_step():
     assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_multigrid_without_nullspace():
-    # M + L is definite: the coarsest level is a plain inverse
-    ops = _operators("jittered", 24)
-    A = ops.M + ops.L
-    b = np.random.default_rng(9).standard_normal(ops.p2.n_dofs)
+def test_coarse_space_requires_nullspace():
+    ops = _operators("right", 16)
     R = ops.L_solver._precondition.levels[0][2]
-    x = Solver(A, coarse=R).solve(b, tol=1e-13)
-    assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
+    with pytest.raises(ValueError, match="nullspace"):
+        Solver(ops.M + ops.L, coarse=R)
 
 
 def test_no_module_imports_dense_or_sparse_linalg():
