@@ -113,6 +113,11 @@ def _check(name, ok, detail=""):
     return bool(ok)
 
 
+def _measured(name, detail):
+    """A value reported without a verdict, where no claim bounds it."""
+    print(f"MEASURED {name}: {detail}")
+
+
 # --------------------------------------------------------------------------
 # mesh construction shared by several subcommands
 
@@ -439,6 +444,9 @@ def cmd_simulate(args):
             ],
         )
 
+    # steadiness and the decoupling of the residual space are f-plane claims;
+    # on the beta-plane they are measured, and every init checks energy
+    fplane = params.beta == 0.0
     ok = True
     if args.init == "geostrophic":
         du = np.max(np.abs(st.u.coeffs - first.u.coeffs)) / max(
@@ -447,29 +455,35 @@ def cmd_simulate(args):
         de = np.max(np.abs(st.eta.coeffs - first.eta.coeffs)) / max(
             np.max(np.abs(first.eta.coeffs)), 1e-300
         )
-        ok &= _check("geostrophic drift <= 1e-10", max(du, de) <= 1e-10,
-                     f"u drift {du:.2e}, eta drift {de:.2e}")
+        detail = f"u drift {du:.2e}, eta drift {de:.2e}"
+        if fplane:
+            ok &= _check("geostrophic drift <= 1e-10", max(du, de) <= 1e-10, detail)
+        else:
+            _measured("geostrophic drift", detail)
     elif args.init == "spurious":
         spur0 = e0["residual"]
         drift = abs(ef["residual"] - spur0) / spur0
         leak = (ef["mean"] + ef["divergent"] + ef["rotational"]) / spur0
         pot = 0.5 * params.c2 * float(st.eta.coeffs @ (ops.M @ st.eta.coeffs))
-        ok &= _check("spurious norm conserved <= 1e-10", drift <= 1e-10, f"drift {drift:.2e}")
-        ok &= _check(
-            "no leakage into resolved modes <= 1e-10",
-            max(leak, pot / spur0) <= 1e-10,
-            f"component leak {leak:.2e}, eta energy ratio {pot / spur0:.2e}",
-        )
-    else:
+        leak_detail = f"component leak {leak:.2e}, eta energy ratio {pot / spur0:.2e}"
+        if fplane:
+            ok &= _check("spurious norm conserved <= 1e-10", drift <= 1e-10,
+                         f"drift {drift:.2e}")
+            ok &= _check("no leakage into resolved modes <= 1e-10",
+                         max(leak, pot / spur0) <= 1e-10, leak_detail)
+        else:
+            _measured("residual energy", f"{ef['residual']:.6e}, drift {drift:.2e}, {leak_detail}")
+    if not fplane or args.init not in ("geostrophic", "spurious"):
         drift = abs(dynamics.energy(st, params) - energy0) / max(abs(energy0), 1e-300)
         ok &= _check("energy conserved <= 1e-10", drift <= 1e-10, f"drift {drift:.2e}")
     if args.filter_hp2:
         total = sum(ef.values())
-        ok &= _check(
-            "filtered run stays spurious-free",
-            ef["residual"] <= 1e-16 * max(total, 1e-300),
-            f"spurious/total = {ef['residual'] / max(total, 1e-300):.3e}",
-        )
+        detail = f"spurious/total = {ef['residual'] / max(total, 1e-300):.3e}"
+        if fplane:
+            ok &= _check("filtered run stays spurious-free",
+                         ef["residual"] <= 1e-16 * max(total, 1e-300), detail)
+        else:
+            _measured("filtered run spurious energy", detail)
     return 0 if ok else 1
 
 

@@ -406,6 +406,11 @@ class OperatorSet:
     el_area: np.ndarray
 
     @functools.cached_property
+    def Et(self):
+        """E^T as a CSC view that shares E's arrays, built once per mesh."""
+        return self.E.T
+
+    @functools.cached_property
     def L_solver(self):
         """Solver for L on the mean-free subspace, prepared on first use.
 

@@ -40,9 +40,10 @@ def decompose(u, tol=1e-12):
     mean = ops.v_mean(u.coeffs)
 
     # both potential solves share the singular stiffness operator: testing
-    # grad(phi) (resp. perp grad(psi)) against u reduces to L by exactness
-    rhs_phi = ops.E.T @ mvu
-    rhs_psi = ops.E.T @ (ops.P.T @ mvu)
+    # grad(phi) (resp. perp grad(psi)) against u reduces to L by exactness;
+    # P^T = -P, so (P E)^T Mv u = -E^T P Mv u
+    rhs_phi = ops.Et @ mvu
+    rhs_psi = -(ops.Et @ (ops.P @ mvu))
     phi = ops.L_solver.solve(rhs_phi, tol=tol)
     psi = ops.L_solver.solve(rhs_psi, tol=tol)
 

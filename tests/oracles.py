@@ -16,7 +16,10 @@ blocks into a dense matrix one face at a time.  ``ref_p2_basis`` evaluates
 the package's basis at one checked barycentric point, the form in which the
 tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
 ``jittered_torus`` and ``symbolic_reference`` are helpers that only the
-tests use.
+tests use.  ``midpoint_step_dense`` is a time step written from the
+``dynamics`` module docstring with dense solves on those blocks, and
+``p2_point_value`` evaluates a quadratic at a physical point by a
+barycentric solve, apart from the package's basis tables.
 """
 
 import functools
@@ -328,3 +331,40 @@ def assemble_dense(blocks, rows, cols, shape):
     for block, r, c in zip(blocks, rows, cols):
         A[np.ix_(r, c)] += block
     return A
+
+
+def midpoint_step_dense(mesh, u, eta, dt, f0, beta, c2):
+    """One implicit-midpoint step of the dense system in the dynamics module docstring.
+
+    With the rotation W = (Mv + (dt/2) C)^-1 Mv it solves
+    S eta_m = M eta + (dt/2) E^T Mv W u for S = M + (c2 dt^2 / 4) E^T Mv W E,
+    sets u_m = W (u - (c2 dt/2) E eta_m) and returns (2 u_m - u, 2 eta_m - eta).
+    M, Mv, E and C (for f = f0 + beta y) are added face by face from the
+    blocks above.
+    """
+    X = mesh.corner_coords()
+    quad = fem.quadrature_rule(5)
+    p2, v = fem.P2Space(mesh).cell_dofs(), fem.P1dgVecSpace(mesh).cell_dofs()
+    n_p2, n_v = mesh.n_v + mesh.n_e, 6 * mesh.n_f
+    M = assemble_dense(p2_mass_blocks(X, quad), p2, p2, (n_p2, n_p2))
+    Mv = assemble_dense(p1dg_mass_blocks(X, quad), v, v, (n_v, n_v))
+    E = assemble_dense(gradient_blocks(X), v, p2, (n_v, n_p2))
+    C = assemble_dense(coriolis_blocks(X, lambda x: f0 + beta * x[..., 1], quad), v, v, (n_v, n_v))
+    W = np.linalg.solve(Mv + 0.5 * dt * C, Mv)
+    EtMvW = E.T @ Mv @ W
+    S = M + 0.25 * c2 * dt * dt * (EtMvW @ E)
+    eta_m = np.linalg.solve(S, M @ eta + 0.5 * dt * (EtMvW @ u))
+    u_m = W @ (u - 0.5 * c2 * dt * (E @ eta_m))
+    return 2.0 * u_m - u, 2.0 * eta_m - eta
+
+
+def p2_point_value(corners, local_coeffs, x, y):
+    """Value at the physical point (x, y) of the quadratic with the given 6 local
+    coefficients on a triangle: barycentric coordinates by a 3x3 solve, then
+    the vertex functions lam (2 lam - 1) and the edge functions 4 lam_a lam_b."""
+    corners = np.asarray(corners, dtype=float)
+    T = np.vstack([corners.T, np.ones(3)])
+    l1, l2, l3 = np.linalg.solve(T, [x, y, 1.0])
+    basis = [l1 * (2 * l1 - 1), l2 * (2 * l2 - 1), l3 * (2 * l3 - 1),
+             4 * l2 * l3, 4 * l3 * l1, 4 * l1 * l2]
+    return float(np.dot(basis, local_coeffs))

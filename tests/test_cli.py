@@ -202,6 +202,27 @@ def test_simulate_spurious_check(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("flags,measured", [
+    pytest.param(["--init", "geostrophic"], "geostrophic drift", id="geostrophic"),
+    pytest.param(["--init", "physical"], None, id="physical"),
+    pytest.param(["--init", "spurious"], "residual energy", id="spurious"),
+    pytest.param(["--init", "random"], None, id="random"),
+    pytest.param(["--init", "wave"], None, id="wave"),
+    pytest.param(["--filter-hp2"], "filtered run spurious energy", id="filter-hp2"),
+])
+def test_simulate_beta_plane_checks_energy(flags, measured, capsys):
+    # steadiness and residual decoupling hold on the f-plane only: on the
+    # beta-plane a sound run checks energy and reports the rest as measured
+    code, out, err = run(
+        ["simulate", *flags, "--n1", "6", "--n2", "6", "--beta", "0.05",
+         "--steps", "8", "--dt", "0.05", "--out", "-"], capsys)
+    assert code == 0, err
+    assert out.count("CHECK") == 1
+    assert "CHECK energy conserved <= 1e-10: PASS" in out
+    if measured:
+        assert f"MEASURED {measured}: " in out
+
+
 def test_simulate_wave_tracks_exact(tmp_path, capsys):
     code, out, err = run(
         ["simulate", "--init", "wave", "--wave-m", "1,0", "--n1", "6", "--n2", "6",

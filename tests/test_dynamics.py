@@ -18,7 +18,13 @@ from swelab.fem import Field
 from swelab.linalg import SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus, write_mesh
 
-from .oracles import random_field
+from .oracles import (
+    duffy_integrate,
+    jittered_torus,
+    midpoint_step_dense,
+    p2_point_value,
+    random_field,
+)
 
 
 def _random_state(mesh, seed=0):
@@ -173,6 +179,22 @@ def test_l2_error_vanishes_on_projected_exact():
     assert exact_zero == 0.0
 
 
+def test_l2_error_matches_duffy_oracle():
+    # (eta_h - f)^2 has degree 4 for a quadratic f, so the degree-5 rule and
+    # the Duffy rule both integrate it exactly
+    mesh = jittered_torus(4, seed=3)
+    ops = fem.operators(mesh)
+    eta = random_field(ops.p2, seed=12)
+    f = lambda x, y: 1.0 + x - 2.0 * x * y + 0.5 * y * y
+    got = dynamics.l2_error_p2(eta, lambda p: f(p[..., 0], p[..., 1]))
+    err2 = 0.0
+    for corners, dofs in zip(mesh.corner_coords(), ops.p2.cell_dofs()):
+        local = eta.coeffs[dofs]
+        err2 += duffy_integrate(
+            lambda x, y: (p2_point_value(corners, local, x, y) - f(x, y)) ** 2, corners)
+    assert abs(got - math.sqrt(err2)) <= 1e-12 * math.sqrt(err2)
+
+
 def test_run_convergence_validation():
     with pytest.raises(ValueError):
         dynamics.run_convergence([8], "collocated")
@@ -318,11 +340,36 @@ def test_step_midpoint_is_linear():
     assert np.abs(rc.eta.coeffs - a * r1.eta.coeffs - b * r2.eta.coeffs).max() < 1e-10
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+@pytest.mark.parametrize("kind", ["right", "equilateral", "jittered"])
+def test_step_matches_dense_oracle(kind, beta):
+    mesh = {
+        "right": lambda: build_right_triangle_torus(4, 3, 1.0, 0.75),
+        "equilateral": lambda: build_equilateral_torus(4, 4, 0.25),
+        "jittered": lambda: jittered_torus(4, seed=7),
+    }[kind]()
+    params = SweParams(f0=1.3, beta=beta, c2=1.5)
+    dt = 0.1
+    state = _random_state(mesh, seed=40)
+    u, eta = state.u.coeffs, state.eta.coeffs
+    worst = 0.0
+    for _ in range(20):
+        state = dynamics.step_midpoint(state, dt, params, tol=1e-14)
+        u, eta = midpoint_step_dense(mesh, u, eta, dt, params.f0, params.beta, params.c2)
+        worst = max(worst,
+                    np.linalg.norm(state.u.coeffs - u) / np.linalg.norm(u),
+                    np.linalg.norm(state.eta.coeffs - eta) / np.linalg.norm(eta))
+    assert worst <= 1e-12
+
+
 def test_stepped_mesh_is_freed():
-    # the cached operators and steppers live on the mesh, so they must not
-    # keep it alive once the caller drops it
+    # the cached operators, steppers and error tables live on the mesh, so
+    # they must not keep it alive once the caller drops it
     mesh = build_right_triangle_torus(3, 3, 1.0, 1.0)
-    dynamics.step_midpoint(_random_state(mesh), 0.1, SweParams(f0=1.0, beta=0.5, c2=1.0))
+    state = dynamics.step_midpoint(_random_state(mesh), 0.1, SweParams(f0=1.0, beta=0.5, c2=1.0))
+    dynamics.l2_error_p2(state.eta, lambda x: x[..., 0])
+    assert "l2_tables" in mesh.cache
+    del state
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()

@@ -10,7 +10,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab import fem
+from swelab import fem, helmholtz
 from swelab.linalg import Solver, SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
@@ -209,6 +209,19 @@ def test_small_mesh_is_solved_in_one_step():
     x = ops.L_solver.solve(b, tol=1e-12)
     assert len(calls) == 1
     assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_stalled_solve_fails_fast():
+    # as `swelab helmholtz --n1 16 --n2 16 --tol 1e-16`: the true residual
+    # sits at its rounding floor near 3e-16 |b| from the fifth iteration on,
+    # far below the cap of 10240 outer iterations
+    ops = fem.operators(build_equilateral_torus(16, 16, 1.0))
+    u = fem.Field(ops.v, np.random.default_rng(0).standard_normal(ops.v.n_dofs))
+    with pytest.raises(SolverError, match=r"stalled at \d\.\d{3}e-1[56] ") as info:
+        helmholtz.decompose(u, tol=1e-16)
+    assert ops.L_solver.max_iter == 10240
+    assert info.value.iterations <= 60
+    assert 1e-16 < info.value.residual < 1e-14
 
 
 def test_coarse_space_requires_nullspace():
