@@ -372,6 +372,10 @@ def cmd_simulate(args):
         raise UsageError("--steps must be positive")
     if args.dt <= 0:
         raise UsageError("--dt must be positive")
+    if args.init == "spurious" and args.filter_hp2:
+        # the filter removes the whole spurious field, and the spurious
+        # checks would divide by its rounding-level remainder
+        raise UsageError("--filter-hp2 removes all of --init spurious; use one or the other")
     mesh = _build_mesh(args)
     params = _params(dynamics.SweParams, f0=args.f0, beta=args.beta, c2=args.c2)
     # an unwritable output path fails before the run, not after it; a file

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, linalg
+from . import fem, helmholtz, linalg
 from .fem import Field
 from .mesh import build_right_triangle_torus, read_mesh
 
@@ -125,6 +125,11 @@ class _Stepper:
     because W is linear, and extrapolates both fields to 2 x_m - x_n.  So
     W u_n is formed once per step, and E^T is the mesh's cached ``ops.Et``.
     Only the set-up tells the f-plane from the beta-plane.
+
+    On the f-plane W acts on the Helmholtz potentials in closed form, so a
+    step from the u_n held in the mesh's potentials slot (see ``helmholtz``)
+    also advances the slot to u_{n+1}: ``helmholtz.decompose`` of the new
+    state then starts its two solves from the predicted potentials.
     """
 
     def __init__(self, mesh, dt, params):
@@ -136,9 +141,11 @@ class _Stepper:
             # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
             # so a huge dt reaches the solver's finiteness check
             scale = 1.0 + gamma * gamma
+            self.gamma, self.scale = gamma, scale
             self.rotate = lambda v: (v - gamma * (ops.P @ v)) / scale
             S = ops.M + (c2dt2 / (4.0 * scale)) * ops.L
         else:
+            self.gamma = None
             # W_f = A_f^{-1} Mv_f by one batched solve; S adds up the
             # element blocks g_f^T Mv_f W_f g_f, g_f the blocks of E
             quad = fem.quadrature_rule(5)
@@ -159,11 +166,35 @@ class _Stepper:
         rhs = ops.M @ eta_n + 0.5 * dt * (ops.Et @ (ops.Mv @ wu))
         eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
         u_m = wu - 0.5 * self.c2 * dt * self.rotate(ops.E @ eta_m)
+        u_next = 2.0 * u_m - u_n
+        if self.gamma is not None:
+            self._predict_potentials(u_n, eta_m, u_next)
         return State(
-            Field(state.u.space, 2.0 * u_m - u_n),
+            Field(state.u.space, u_next),
             Field(state.eta.space, 2.0 * eta_m - eta_n),
             state.time + dt,
         )
+
+    def _predict_potentials(self, u_n, eta_m, u_next):
+        """Advance the potentials slot from u_n to u_next, if it holds u_n.
+
+        W (E phi + P E psi) = E (phi + gamma psi) / s + P E (psi - gamma phi) / s
+        with s = 1 + gamma^2, since P P = -I.  With phi' = phi_n - (c2 dt/2) eta_m,
+        u_m then has the potentials ((phi' + gamma psi_n)/s, (psi_n - gamma phi')/s)
+        and u_next = 2 u_m - u_n twice those minus (phi_n, psi_n).
+        """
+        mesh = self.ops.p2.mesh
+        hint = helmholtz._slot_potentials(mesh, u_n)
+        if hint is None:
+            return
+        phi, psi = hint
+        gamma, scale = self.gamma, self.scale
+        phi_p = phi - 0.5 * self.c2 * self.dt * eta_m
+        phi_next = 2.0 * (phi_p + gamma * psi) / scale - phi
+        psi_next = 2.0 * (psi - gamma * phi_p) / scale - psi
+        # an overflowed prediction would fail the solver's finiteness check
+        if np.isfinite(phi_next).all() and np.isfinite(psi_next).all():
+            helmholtz._store_potentials(mesh, u_next, phi_next, psi_next)
 
 
 def _stepper(mesh, dt, params):
@@ -198,8 +229,6 @@ def geostrophic_init(eta0, params):
 
 def inertial_init(mesh, mode, seed=0):
     """Oscillation initial data: eta = 0 and u either uniform or pure residual."""
-    from . import helmholtz
-
     ops = fem.operators(mesh)
     rng = np.random.default_rng(seed)
     if mode == "physical":

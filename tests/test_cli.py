@@ -108,6 +108,18 @@ def test_failed_run_leaves_outputs_as_they_were(tmp_path, capsys):
         assert kept.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("beta", ["0", "0.05"])
+def test_simulate_rejects_filtered_spurious_init(beta, tmp_path, capsys):
+    # the filter would remove the whole spurious field, leaving the spurious
+    # checks to divide by a rounding-level residual energy
+    code, out, err = run(
+        ["simulate", "--init", "spurious", "--filter-hp2", "--beta", beta, "--n1", "8",
+         "--n2", "8", "--steps", "20", "--dt", "0.05", "--out", str(tmp_path / "x.csv"),
+         "--checkpoint-out", str(tmp_path / "c.chk")], capsys)
+    assert code == 2 and "--filter-hp2" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
     # a negated patch mass makes every reduced Mr negative definite, so the
     # batched Cholesky factorization fails
