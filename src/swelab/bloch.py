@@ -9,6 +9,15 @@ stiffness reductions, Rossby branches from the directional-derivative
 reductions.  Closed-form expressions for all reduced matrices are built
 in as an independent oracle for the assembled ones.
 
+Entry (a, b) of a reduction S^H X S sums X[n, m] exp(i kdx . (xi_m - xi_n))
+over the node pairs with n in class a and m in class b, so it depends on
+the patch only through the displacements xi_m - xi_n.  The pairs that share
+a triangle have 19 distinct displacements d; one real table C, built once
+per quadrature degree, holds for each of them the patch entries summed per
+(matrix, class pair), and the reductions at a stack of wave vectors are
+cos(kdx . d^T) @ C + i sin(kdx . d^T) @ C (Le Roux, Rostand & Pouliot,
+SIAM J. Sci. Comput. 29, 2007, reduce the patch the same way).
+
 Both branch families are generalized Hermitian eigenproblems, Lr v = lam Mr v
 (gravity) and (i T) v = omega K v (Rossby) with Mr and K positive definite.
 Reductions, closed forms and eigensolves take stacks of wave vectors; a sweep
@@ -57,7 +66,11 @@ _CELL = np.array([[1.0, 0.0], [0.5, 0.5 * _S3]])
 # 2 anti-oblique midpoints, 3 vertices
 _RESIDUE_CLASS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (0, 0): 3}
 
-# zone points per batched evaluation; bounds the temporaries of a sweep
+# zone points per batched evaluation; bounds the temporaries of a sweep.  On
+# the dispersion benchmark (2-core Xeon, one BLAS thread), blocks of 64 peak
+# at 61.3-61.5 MB.  One block of all 672 points of the ngrid-32 sweeps peaked
+# at 63.6-63.8 MB and blocks of 256 at 62.4-62.5 MB; either saved about
+# 4.5 ms of the 28 ms pair of sweeps.
 _BLOCK = 64
 
 
@@ -142,10 +155,36 @@ class BlochMatrices:
     D2r: np.ndarray
 
 
+@lru_cache(maxsize=4)
+def _displacement_table(quad_degree=4):
+    """(d, C): node displacements d (19, 2) and the real table C (19, 64).
+
+    Row j of C, read as (4, 4, 4), holds in column (x, class_n, class_m) the
+    sum of the patch entries X[x][n, m] whose displacement xi_m - xi_n is
+    d[j].  Pairs are grouped by their integer half-lattice coordinates, and
+    d[j] is the exact displacement of one pair of the group, not a rounded
+    key.  Of the 61 displacements on the patch only the 19 within a triangle
+    carry a nonzero row; the others are dropped.
+    """
+    hexa = build_reference_hexagon()
+    disp = (hexa.nodes[None, :, :] - hexa.nodes[:, None, :]).reshape(-1, 2)
+    keys = np.rint(2.0 * disp @ np.linalg.inv(_CELL)).astype(int)
+    _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    cls_n, cls_m = np.meshgrid(hexa.classes, hexa.classes, indexing="ij")
+    C = np.zeros((len(first), 4, 4, 4))
+    for x, X in enumerate(_patch_matrices(quad_degree)):
+        np.add.at(C, (row.ravel(), x, cls_n.ravel(), cls_m.ravel()), X.ravel())
+    C = C.reshape(len(first), 64)
+    keep = C.any(axis=1)
+    return disp[first[keep]], C[keep]
+
+
 def _reductions(kdx, quad_degree=4):
-    """(Mr, Lr, D1r, D2r) = S^H X S, each (..., 4, 4) for kdx of shape (..., 2)."""
-    S = bloch_matrix_S(kdx)[..., None, :, :]
-    R = S.conj().swapaxes(-1, -2) @ _patch_matrices(quad_degree) @ S
+    """(Mr, Lr, D1r, D2r) = S^H X S, each (..., 4, 4) for kdx of shape (..., 2),
+    summed over the displacement table."""
+    d, C = _displacement_table(quad_degree)
+    phase = np.asarray(kdx, dtype=float) @ d.T
+    R = (np.cos(phase) @ C + 1j * (np.sin(phase) @ C)).reshape(phase.shape[:-1] + (4, 4, 4))
     return tuple(np.moveaxis(R, -3, 0))
 
 

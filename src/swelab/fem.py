@@ -431,16 +431,19 @@ class OperatorSet:
         c = np.tile(np.asarray(vec, dtype=float), 3 * self.v.mesh.n_f)
         return c
 
+    @functools.cached_property
+    def p2_weights(self):
+        """Integrals of the P2 basis functions, M 1, built once per mesh."""
+        return self.M @ np.ones(self.p2.n_dofs)
+
     def p2_mean(self, coeffs):
         """Integral mean <h, 1> / |domain|."""
-        return float(np.ones(self.p2.n_dofs) @ (self.M @ coeffs)) / self.area
+        return float(self.p2_weights @ coeffs) / self.area
 
     def v_mean(self, coeffs):
-        """Mean velocity vector of a P1DG field."""
-        mvu = self.Mv @ coeffs
-        ex = self.constant_field((1.0, 0.0))
-        ey = self.constant_field((0.0, 1.0))
-        return np.array([ex @ mvu, ey @ mvu]) / self.area
+        """Mean velocity vector of a P1DG field: the x and y entries of Mv u,
+        summed, are its tests against the constant unit fields."""
+        return (self.Mv @ coeffs).reshape(-1, 2).sum(axis=0) / self.area
 
 
 def operators(mesh):

@@ -52,19 +52,15 @@ def _store_potentials(mesh, coeffs, phi, psi):
     mesh.cache["potentials"] = (coeffs.copy(), phi, psi)
 
 
-def decompose(u, tol=1e-12):
-    """Split a velocity field u into mean + grad(phi) + perp(grad(psi)) + residual.
-
-    When the mesh's potentials slot holds exactly u, its potentials are the
-    initial guesses of the two solves; each solve still meets tol on its true
-    residual, so a stale or inaccurate slot costs iterations only.  The slot
-    then holds u and the potentials returned.
-    """
+def _split(u, tol):
+    """(mean, phi, psi, E phi, P E psi, residual) coefficients of u; the
+    potentials have integral mean zero.  See ``decompose``."""
     mesh = u.space.mesh
     ops = fem.operators(mesh)
     mvu = ops.Mv @ u.coeffs
 
-    mean = ops.v_mean(u.coeffs)
+    # testing the constant unit fields against u sums the x and y entries of Mv u
+    mean = mvu.reshape(-1, 2).sum(axis=0) / ops.area
 
     # both potential solves share the singular stiffness operator: testing
     # grad(phi) (resp. perp grad(psi)) against u reduces to L by exactness;
@@ -80,13 +76,22 @@ def decompose(u, tol=1e-12):
     psi -= ops.p2_mean(psi)
     _store_potentials(mesh, u.coeffs, phi, psi)
 
-    resid = (
-        u.coeffs
-        - ops.constant_field(mean)
-        - ops.E @ phi
-        - ops.P @ (ops.E @ psi)
-    )
-    p2 = ops.p2
+    grad_phi = ops.E @ phi
+    perp_psi = ops.P @ (ops.E @ psi)
+    resid = ((u.coeffs - grad_phi - perp_psi).reshape(-1, 2) - mean).reshape(-1)
+    return mean, phi, psi, grad_phi, perp_psi, resid
+
+
+def decompose(u, tol=1e-12):
+    """Split a velocity field u into mean + grad(phi) + perp(grad(psi)) + residual.
+
+    When the mesh's potentials slot holds exactly u, its potentials are the
+    initial guesses of the two solves; each solve still meets tol on its true
+    residual, so a stale or inaccurate slot costs iterations only.  The slot
+    then holds u and the potentials returned.
+    """
+    mean, phi, psi, _, _, resid = _split(u, tol)
+    p2 = fem.operators(u.space.mesh).p2
     return HelmholtzComponents(
         mean=mean,
         phi=Field(p2, phi),
@@ -97,27 +102,21 @@ def decompose(u, tol=1e-12):
 
 def project_hp2(u, tol=1e-12):
     """Mass projection of u onto mean + gradients + rotated gradients."""
-    parts = decompose(u, tol=tol)
-    ops = fem.operators(u.space.mesh)
-    coeffs = (
-        ops.constant_field(parts.mean)
-        + ops.E @ parts.phi.coeffs
-        + ops.P @ (ops.E @ parts.psi.coeffs)
-    )
-    return Field(u.space, coeffs)
+    mean, _, _, grad_phi, perp_psi, _ = _split(u, tol)
+    return Field(u.space, ((grad_phi + perp_psi).reshape(-1, 2) + mean).reshape(-1))
 
 
 def component_energies(u, c2=1.0, tol=1e-12):
-    """Kinetic energy of each component; they sum to the total by orthogonality."""
-    ops = fem.operators(u.space.mesh)
-    parts = decompose(u, tol=tol)
-    pieces = {
-        "mean": Field(u.space, ops.constant_field(parts.mean)),
-        "divergent": Field(u.space, ops.E @ parts.phi.coeffs),
-        "rotational": Field(u.space, ops.P @ (ops.E @ parts.psi.coeffs)),
-        "residual": parts.residual,
-    }
-    return {
-        name: 0.5 * float(f.coeffs @ (ops.Mv @ f.coeffs)) for name, f in pieces.items()
-    }
+    """Kinetic energy of each component; they sum to the total by orthogonality.
 
+    E^T Mv E = L and P^T Mv P = Mv, so the potentials' energies are
+    1/2 phi^T L phi and 1/2 psi^T L psi.
+    """
+    ops = fem.operators(u.space.mesh)
+    mean, phi, psi, _, _, resid = _split(u, tol)
+    return {
+        "mean": 0.5 * ops.area * float(mean @ mean),
+        "divergent": 0.5 * float(phi @ (ops.L @ phi)),
+        "rotational": 0.5 * float(psi @ (ops.L @ psi)),
+        "residual": 0.5 * float(resid @ (ops.Mv @ resid)),
+    }

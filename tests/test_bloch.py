@@ -57,6 +57,26 @@ def test_reduced_matrices_match_closed_forms():
             assert np.abs(a - b).max() < 1e-12, (name, kdx)
 
 
+@pytest.mark.parametrize("quad_degree", [2, 4, 5])
+def test_displacement_table_matches_definitional_reduction(quad_degree):
+    # S^H X S from the phase matrix and the patch, one point at a time,
+    # against the table at kdx = 0 and 60 zone points, given as one (N, 2)
+    # stack, as a (3, 20, 2) stack and point by point as (2,) vectors
+    X = bloch._patch_matrices(quad_degree)
+    pts = np.vstack([np.zeros((1, 2)), bloch.random_zone_points(60, seed=11)])
+    want = np.array([[bloch.bloch_matrix_S(k).conj().T @ Xb @ bloch.bloch_matrix_S(k) for k in pts]
+                     for Xb in X])
+    stacked = np.array(bloch._reductions(pts, quad_degree))
+    shaped = np.array(bloch._reductions(pts[1:].reshape(3, 20, 2), quad_degree))
+    single = np.array([bloch._reductions(k, quad_degree) for k in pts]).swapaxes(0, 1)
+    assert stacked.shape == single.shape == want.shape == (4, 61, 4, 4)
+    assert shaped.shape == (4, 3, 20, 4, 4)
+    scale = np.abs(want).max(axis=(1, 2, 3))
+    for got, ref in ((stacked, want), (single, want), (shaped.reshape(4, 60, 4, 4), want[:, 1:])):
+        err = np.abs(got - ref).max(axis=(1, 2, 3))
+        assert np.all(err <= 1e-13 * scale), (err / scale)
+
+
 def test_reduced_matrices_structure():
     for kdx in [(0.3, -0.8), (1.5, 0.2), (0.0, 0.0)]:
         red = bloch.reduced_matrices(kdx)

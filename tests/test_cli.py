@@ -121,10 +121,10 @@ def test_simulate_rejects_filtered_spurious_init(beta, tmp_path, capsys):
 
 
 def test_dispersion_eigensolver_failure_exits_1(monkeypatch, capsys):
-    # a negated patch mass makes every reduced Mr negative definite, so the
-    # batched Cholesky factorization fails
-    patch = bloch._patch_matrices()
-    monkeypatch.setattr(bloch, "_patch_matrices", lambda quad_degree=4: -patch)
+    # a negated displacement table negates every reduced Mr, making it
+    # negative definite, so the batched Cholesky factorization fails
+    d, C = bloch._displacement_table()
+    monkeypatch.setattr(bloch, "_displacement_table", lambda quad_degree=4: (d, -C))
     code, out, err = run(["dispersion", "--ngrid", "8"], capsys)
     assert code == 1
     assert "not positive definite" in err

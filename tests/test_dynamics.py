@@ -60,6 +60,38 @@ def test_geostrophic_state_is_steady():
     assert np.abs(state.eta.coeffs - e0).max() < 1e-12 * scale
 
 
+# the paper's mesh-generic claims, on tori that are not lattices
+JITTER_SEEDS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("beta, steps", [(0.0, 100), (0.4, 20)])
+@pytest.mark.parametrize("seed", JITTER_SEEDS)
+def test_energy_conserved_on_jittered_torus(seed, beta, steps):
+    mesh = jittered_torus(12, seed=seed)
+    params = SweParams(f0=1.3, beta=beta, c2=1.5)
+    state = _random_state(mesh, seed=seed)
+    e0 = dynamics.energy(state, params)
+    for _ in range(steps):
+        state = dynamics.step_midpoint(state, 0.1, params)
+    assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+
+
+@pytest.mark.parametrize("seed", JITTER_SEEDS)
+def test_geostrophic_state_is_steady_on_jittered_torus(seed):
+    mesh = jittered_torus(12, seed=seed)
+    ops = fem.operators(mesh)
+    params = SweParams(f0=2.0, c2=1.5)
+    eta0 = random_field(ops.p2, seed=seed)
+    eta0.coeffs -= ops.p2_mean(eta0.coeffs)
+    state = dynamics.geostrophic_init(eta0, params)
+    u0, e0 = state.u.coeffs.copy(), state.eta.coeffs.copy()
+    for _ in range(20):
+        state = dynamics.step_midpoint(state, 0.05, params)
+    scale = max(np.abs(u0).max(), np.abs(e0).max())
+    assert np.abs(state.u.coeffs - u0).max() <= 1e-12 * scale
+    assert np.abs(state.eta.coeffs - e0).max() <= 1e-12 * scale
+
+
 def test_geostrophic_requires_rotation():
     mesh = build_equilateral_torus(2, 2, 1.0)
     ops = fem.operators(mesh)
