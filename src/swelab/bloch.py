@@ -41,7 +41,6 @@ __all__ = [
     "BlochMatrices",
     "DispersionResult",
     "build_reference_hexagon",
-    "bloch_matrix_S",
     "reduced_matrices",
     "gravity_branches",
     "rossby_branches",
@@ -132,18 +131,6 @@ def _patch_matrices(quad_degree=4):
         for X, xe in zip(out, (me, le, d1e, d2e)):
             X[ix] += xe
     return out
-
-
-def bloch_matrix_S(kdx):
-    """19x4 phase matrix: row n carries exp(i kdx . xi_n) in its class column.
-
-    For an (N, 2) array of wave vectors the result is the (N, 19, 4) stack.
-    """
-    hexa = build_reference_hexagon()
-    kdx = np.asarray(kdx, dtype=float)
-    S = np.zeros(kdx.shape[:-1] + (19, 4), dtype=complex)
-    S[..., np.arange(19), hexa.classes] = np.exp(1j * (kdx @ hexa.nodes.T))
-    return S
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ reduces in closed form to the symmetric positive definite M + kappa L,
 because rotated gradients of quadratics are mass-orthogonal to gradients of
 quadratics.  On the beta-plane W and S are built face by face, and S also
 has a skew-symmetric part, which ``linalg.Solver`` handles for any beta dt.
+
+S is mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h
+is below about one, and stiffness-dominated past it.  On either plane the
+stepper reads which from the diagonal of S and preconditions the solve by
+Jacobi or, past ``_MULTIGRID_ABOVE``, by the multigrid V-cycle.
 """
 
 from __future__ import annotations
@@ -117,6 +122,13 @@ def energy(state, params):
 # implicit midpoint stepper
 
 
+# Schur complements whose stiffness part exceeds this many times their mass
+# part, on the average diagonal entry, are solved with the multigrid V-cycle
+# instead of Jacobi.  Per step the two cost the same at about 16 on a 32 x 64
+# equilateral torus and 16 to 24 on a 48 x 48 right one (CHANGES.md)
+_MULTIGRID_ABOVE = 18.0
+
+
 class _Stepper:
     """The rotation W and the Schur complement solver for one (mesh, dt, params).
 
@@ -157,7 +169,13 @@ class _Stepper:
             faces = np.arange(mesh.n_f + 1)
             self.rotate = sp.bsr_matrix((W, faces[:-1], faces), shape=(ops.v.n_dofs,) * 2).dot
             S = ops.M + (c2dt2 / 4.0) * fem._scatter(np.swapaxes(g, 1, 2) @ (mv @ W) @ g, ops.p2)
-        self.solver = linalg.Solver(S)
+        # the mean of (S_ii - M_ii) / M_ii.  S_ii >= M_ii > 0, but an overflowed
+        # S has entries of both signs on its diagonal, whose abs keeps the sum
+        # from inf - inf; the inf or nan that remains keeps Jacobi, and the
+        # solver's finiteness check reports the overflow
+        stiffness = np.mean(abs(S.diagonal()) / ops.M.diagonal()) - 1.0
+        coarse = ops.p1_prolongation if _MULTIGRID_ABOVE < stiffness < np.inf else None
+        self.solver = linalg.Solver(S, coarse=coarse)
 
     def step(self, state, tol):
         ops, dt = self.ops, self.dt

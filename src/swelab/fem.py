@@ -224,7 +224,9 @@ def _symmetrize(blocks):
 def _scatter(blocks, space, col_space=None):
     """Sum elementwise blocks into a CSR matrix from col_space (default: space) to space."""
     col_space = col_space or space
-    rows, cols = space.cell_dofs(), col_space.cell_dofs()
+    # index arrays of the dtype the CSR matrix stores, which scipy then need not copy
+    idx = np.int32 if max(space.n_dofs, col_space.n_dofs) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = space.cell_dofs().astype(idx), col_space.cell_dofs().astype(idx)
     r = np.repeat(rows[:, :, None], cols.shape[1], axis=2).ravel()
     c = np.repeat(cols[:, None, :], rows.shape[1], axis=1).ravel()
     A = sp.coo_matrix((blocks.ravel(), (r, c)), shape=(space.n_dofs, col_space.n_dofs))
@@ -411,20 +413,23 @@ class OperatorSet:
         return self.E.T
 
     @functools.cached_property
-    def L_solver(self):
-        """Solver for L on the mean-free subspace, prepared on first use.
-
-        Its multigrid preconditioner coarsens first to P1 by the P2 -> P1
-        interpolation R: identity on the vertex dofs, and 1/2, 1/2 from the
-        two end vertices on each edge dof.
-        """
+    def p1_prolongation(self):
+        """The P2 -> P1 interpolation R, built once per mesh: P1 coefficients to
+        the P2 coefficients of the same piecewise-linear field, identity on the
+        vertex dofs and 1/2, 1/2 from the two end vertices on each edge dof.
+        Multigrid coarsens P2 matrices to P1 by it."""
         mesh = self.p2.mesh
         n_v, n_e = mesh.n_v, mesh.n_e
         rows = np.concatenate([np.arange(n_v), np.repeat(n_v + np.arange(n_e), 2)])
         vals = np.concatenate([np.ones(n_v), np.full(2 * n_e, 0.5)])
-        R = sp.csr_matrix((vals, (rows, np.concatenate([np.arange(n_v), mesh.edges.ravel()]))),
-                          shape=(n_v + n_e, n_v))
-        return linalg.Solver(self.L, nullspace=True, coarse=R)
+        return sp.csr_matrix((vals, (rows, np.concatenate([np.arange(n_v), mesh.edges.ravel()]))),
+                             shape=(n_v + n_e, n_v))
+
+    @functools.cached_property
+    def L_solver(self):
+        """Solver for L on the mean-free subspace, prepared on first use, with
+        the multigrid preconditioner on ``p1_prolongation``."""
+        return linalg.Solver(self.L, nullspace=True, coarse=self.p1_prolongation)
 
     def constant_field(self, vec):
         """P1DG coefficients of a constant vector field."""
@@ -439,11 +444,6 @@ class OperatorSet:
     def p2_mean(self, coeffs):
         """Integral mean <h, 1> / |domain|."""
         return float(self.p2_weights @ coeffs) / self.area
-
-    def v_mean(self, coeffs):
-        """Mean velocity vector of a P1DG field: the x and y entries of Mv u,
-        summed, are its tests against the constant unit fields."""
-        return (self.Mv @ coeffs).reshape(-1, 2).sum(axis=0) / self.area
 
 
 def operators(mesh):

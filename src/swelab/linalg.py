@@ -15,17 +15,22 @@ It converges for a skew part of any size.  The inner solves with Sym are
 preconditioned conjugate gradients; when A is symmetric, Sym is A and the
 first step solves the system.
 
-Two preconditioners serve the two kinds of matrix.  The mass-dominated ones
-(M + kappa L, the beta-plane Schur complement, the Rossby operator) are
-well conditioned, and Jacobi-CG solves them in tens of iterations.  The P2
-stiffness matrix L is not: Jacobi-CG needs iterations in proportion to 1/h.
-For it the caller passes ``coarse``, the P2 -> P1 interpolation, and the
-preconditioner is one symmetric multigrid V(1,1)-cycle, whose iteration
-count does not grow with the mesh.  Level 0 is A, level 1 the Galerkin
-product R^T A R; below that, smoothed aggregation (P. Vanek, J. Mandel &
-M. Brezina, Computing 56, 1996) coarsens to at most ``_COARSEST`` unknowns,
-which a dense pseudo-inverse solves.  Every level smooths by damped Jacobi.
-The set-up takes no random vectors, so it is deterministic.
+Two preconditioners serve two kinds of matrix.  Mass-dominated ones
+(M + kappa L at the usual steps, the midpoint Schur complement below the
+gravity-wave Courant limit, the Rossby operator) are well conditioned, and
+Jacobi-CG solves them in tens of iterations.  Stiffness-dominated ones are
+not: for the P2 stiffness matrix L, and for a Schur complement at a step
+past the Courant limit, Jacobi-CG needs iterations in proportion to 1/h.
+For these the caller passes ``coarse``, the P2 -> P1 interpolation, and the
+preconditioner is one symmetric multigrid V(1,1)-cycle on the symmetric
+part, whose iteration count does not grow with the mesh.  Level 0 is Sym,
+level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
+(P. Vanek, J. Mandel & M. Brezina, Computing 56, 1996) coarsens to at most
+``_COARSEST`` unknowns, which a dense inverse solves, or a dense
+pseudo-inverse on the mean-free subspace when the nullspace is the
+constants, unless aggregation stalls first (see ``_VCycle``).  Every level
+smooths by damped Jacobi.  The set-up takes no random vectors, so it is
+deterministic.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -41,7 +46,7 @@ import scipy.sparse as sp
 
 __all__ = ["SolverError", "Solver"]
 
-# largest multigrid level solved by a dense pseudo-inverse
+# largest multigrid level solved by a dense (pseudo-)inverse
 _COARSEST = 300
 # strength-of-connection threshold of the aggregation
 _STRENGTH = 0.08
@@ -68,8 +73,8 @@ class Solver:
     iterates are kept mean-free and solutions have zero coefficient mean.
 
     ``coarse``, a sparse prolongation from a coarser space that maps
-    constants to constants, selects the multigrid preconditioner.  It is for
-    the constant-nullspace case only and requires ``nullspace=True``.
+    constants to constants, selects the multigrid preconditioner on the
+    symmetric part in place of Jacobi.
     """
 
     def __init__(self, A, nullspace=False, coarse=None):
@@ -81,17 +86,11 @@ class Solver:
         self.n = n
         self.max_iter = max(50, 10 * n)
         self._project = (lambda v: v - v.mean()) if nullspace else (lambda v: v)
-        skew = np.abs((A - A.T).data).max(initial=0.0)
-        if skew > 1e-12 * max(np.abs(A.data).max(initial=0.0), 1e-300):
-            self.sym = (0.5 * (A + A.T)).tocsr()
-        else:
-            self.sym = A
+        self.sym = _symmetric_part(A)
         if coarse is None:
             self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
-        elif nullspace:
-            self._precondition = _VCycle(self.sym, coarse)
         else:
-            raise ValueError("a coarse space requires nullspace=True")
+            self._precondition = _VCycle(self.sym, coarse, nullspace)
 
     def solve(self, b, tol=1e-12, x0=None):
         """x with |b - A x| <= tol |b|; x0 is an optional initial guess.
@@ -171,6 +170,29 @@ class Solver:
             residual=rel, iterations=self.max_iter)
 
 
+def _symmetric_part(A):
+    """(A + A^T) / 2, or A itself when its skew part is below 1e-12 max|A|.
+
+    A finite-element matrix has a symmetric sparsity pattern; then A^T has
+    A's index arrays once sorted, the parts are sums of the two data arrays,
+    and the symmetric part shares A's index arrays.  An A with entries that
+    are not finite, from an overflowed time step, is returned as it is, and
+    its solves report a residual that is not finite.
+    """
+    if not np.isfinite(A.data).all():
+        return A
+    At = A.T.tocsr()
+    At.sort_indices()
+    same = (A.has_sorted_indices and np.array_equal(A.indptr, At.indptr)
+            and np.array_equal(A.indices, At.indices))
+    skew = np.abs(A.data - At.data if same else (A - At).data).max(initial=0.0)
+    if skew <= 1e-12 * max(np.abs(A.data).max(initial=0.0), 1e-300):
+        return A
+    if same:
+        return sp.csr_matrix((0.5 * (A.data + At.data), A.indices, A.indptr), shape=A.shape)
+    return (0.5 * (A + At)).tocsr()
+
+
 def _inv_diag(A):
     """1 / diag(A), with 1 where the diagonal is not positive."""
     diag = A.diagonal()
@@ -184,7 +206,9 @@ def _damped_inv_diag(A):
     rho bounds the spectrum of D^-1 A from above, so omega D^-1 is a
     convergent smoother and a stable prolongator smoothing."""
     inv_diag = _inv_diag(A)
-    rho = (abs(A) @ np.ones(A.shape[0]) * inv_diag).max()
+    # |A| shares A's index arrays, so only |a_ij| is a new array
+    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    rho = (abs_A @ np.ones(A.shape[0]) * inv_diag).max()
     return (4.0 / (3.0 * rho)) * inv_diag
 
 
@@ -230,30 +254,46 @@ class _VCycle:
 
     The first prolongation is ``coarse``; each further one is the aggregation
     prolongator T smoothed to (I - omega D^-1 A) T.  Coarse matrices are the
-    Galerkin products P^T A P.  A is semi-definite with the constants as
-    nullspace; every prolongation maps constants to constants and so keeps
-    the nullspace of each level the constants, and the coarsest
-    pseudo-inverse acts on mean-free vectors.
+    Galerkin products P^T A P.  A definite A has a definite coarsest level,
+    which a dense inverse solves.  With ``nullspace`` A is semi-definite with
+    the constants as nullspace; every prolongation maps constants to
+    constants and so keeps the nullspace of each level the constants, and
+    the coarsest pseudo-inverse acts on mean-free vectors.
+
+    Aggregation stalls, keeping more than half of a level's unknowns, where
+    most of them have no strong neighbour, as on the mass-dominated coarse
+    levels of a Schur complement (on the 48 x 48 right torus at Courant
+    number 1.9, 384 unknowns gave 384 aggregates).  Such a level is nearly
+    diagonal; it ends the hierarchy, and its damped Jacobi smoother stands in
+    for the coarsest solve.
     """
 
-    def __init__(self, A, coarse):
+    def __init__(self, A, coarse, nullspace):
         self.levels = []
         P = coarse
         while A.shape[0] > _COARSEST:
             smoother = _damped_inv_diag(A)
             if P is None:
                 T = _aggregate(A)
+                if 2 * T.shape[1] > A.shape[0]:
+                    break
                 P = (T - sp.diags(smoother) @ (A @ T)).tocsr()
             R = P.T.tocsr()
             self.levels.append((A, smoother, P, R))
             A, P = (R @ (A @ P)).tocsr(), None
-        # the cut-off drops the nullspace, whose eigenvalue rounding leaves at
-        # up to 3e-15 of the largest, above the default cut-off of 1e-15
-        self.coarsest = _center(np.linalg.pinv(_center(A.toarray()), rcond=1e-10, hermitian=True))
+        if A.shape[0] > _COARSEST:
+            self.coarsest = functools.partial(np.multiply, smoother)
+        elif nullspace:
+            # the cut-off drops the nullspace, whose eigenvalue rounding leaves
+            # at up to 3e-15 of the largest, above the default cut-off of 1e-15
+            pinv = np.linalg.pinv(_center(A.toarray()), rcond=1e-10, hermitian=True)
+            self.coarsest = functools.partial(np.dot, _center(pinv))
+        else:
+            self.coarsest = functools.partial(np.dot, np.linalg.inv(A.toarray()))
 
     def __call__(self, r, level=0):
         if level == len(self.levels):
-            return self.coarsest @ r
+            return self.coarsest(r)
         A, smoother, P, R = self.levels[level]
         x = smoother * r
         x += P @ self(R @ (r - A @ x), level + 1)

@@ -15,11 +15,12 @@ contracted reference tensors with geometry; ``assemble_dense`` adds their
 blocks into a dense matrix one face at a time.  ``ref_p2_basis`` evaluates
 the package's basis at one checked barycentric point, the form in which the
 tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
-``jittered_torus`` and ``symbolic_reference`` are helpers that only the
-tests use.  ``midpoint_step_dense`` is a time step written from the
-``dynamics`` module docstring with dense solves on those blocks, and
-``p2_point_value`` evaluates a quadratic at a physical point by a
-barycentric solve, apart from the package's basis tables.
+``jittered_torus``, ``symbolic_reference``, ``bloch_matrix_S`` and
+``v_mean`` are helpers that only the tests use.  ``midpoint_step_dense`` is
+a time step written from the ``dynamics`` module docstring with dense
+solves on those blocks, and ``p2_point_value`` evaluates a quadratic at a
+physical point by a barycentric solve, apart from the package's basis
+tables.
 """
 
 import functools
@@ -81,6 +82,24 @@ def recompose(parts, mesh):
         + parts.residual.coeffs
     )
     return fem.Field(ops.v, coeffs)
+
+
+def bloch_matrix_S(kdx):
+    """19x4 Bloch phase matrix: row n carries exp(i kdx . xi_n) in the column
+    of node n's class.  For an (N, 2) array of wave vectors the result is the
+    (N, 19, 4) stack; S^H X S is the definition of the reductions that
+    ``bloch._reductions`` builds from its displacement table."""
+    hexa = bloch.build_reference_hexagon()
+    kdx = np.asarray(kdx, dtype=float)
+    S = np.zeros(kdx.shape[:-1] + (19, 4), dtype=complex)
+    S[..., np.arange(19), hexa.classes] = np.exp(1j * (kdx @ hexa.nodes.T))
+    return S
+
+
+def v_mean(ops, coeffs):
+    """Mean velocity vector of a P1DG field: the x and y entries of Mv u,
+    summed, are its tests against the constant unit fields."""
+    return (ops.Mv @ coeffs).reshape(-1, 2).sum(axis=0) / ops.area
 
 
 def symbolic_reference(kdx):

@@ -394,6 +394,80 @@ def test_step_matches_dense_oracle(kind, beta):
     assert worst <= 1e-12
 
 
+# --------------------------------------------------------------------------
+# the stepper's preconditioner: Jacobi below the Courant limit, multigrid past it
+
+# the beta-plane workload's ocean: 100 km cells, deformation radius 3162 km
+OCEAN = dict(f0=1e-4, c2=1e5)
+
+
+def _uses_multigrid(mesh, dt, params):
+    solver = dynamics._stepper(mesh, dt, params).solver
+    return isinstance(solver._precondition, linalg._VCycle)
+
+
+def _transit_dt(n):
+    # the dt of ``run_convergence`` at level n of levels starting at 8
+    spec, params = PlaneWaveSpec(k=(2.0 * math.pi, 0.0)), SweParams(f0=math.pi, c2=1.0)
+    return 2.0 * math.pi / abs(spec.omega(params)) / math.ceil(96.0 * (n / 8) ** 1.5)
+
+
+@pytest.mark.parametrize("case", ["fplane-diag", "transit-8", "transit-32", "cli-default"])
+def test_mass_dominated_steps_keep_jacobi(case):
+    mesh, dt, params = {
+        "fplane-diag": lambda: (build_right_triangle_torus(48, 48, 48.0, 48.0), 0.1,
+                                SweParams(f0=1.0, c2=1.0)),
+        "transit-8": lambda: (build_right_triangle_torus(8, 8, 1.0, 1.0), _transit_dt(8),
+                              SweParams(f0=math.pi, c2=1.0)),
+        "transit-32": lambda: (build_right_triangle_torus(32, 32, 1.0, 1.0), _transit_dt(32),
+                               SweParams(f0=math.pi, c2=1.0)),
+        "cli-default": lambda: (build_equilateral_torus(8, 8, 1.0), 0.1, SweParams(f0=1.0, c2=1.0)),
+    }[case]()
+    assert not _uses_multigrid(mesh, dt, params)
+
+
+@pytest.mark.parametrize("beta,dt", [(1e-12, 600.0), (1e-10, 6e3), (0.0, 6e3), (0.0, 6e4)])
+def test_stiffness_dominated_steps_use_multigrid(beta, dt):
+    # beta-plane at the workload's dt = 600 s (Courant number 1.9), and the
+    # f-plane at large dt, where kappa = c2 dt^2 / (4 (1 + gamma^2)) nears c2 / f0^2
+    mesh = build_equilateral_torus(16, 32, 1e5)
+    assert _uses_multigrid(mesh, dt, SweParams(beta=beta, **OCEAN))
+
+
+def test_large_courant_step_matches_dense_oracle():
+    # Courant number sqrt(c2) dt / h = 19; 8 x 16 keeps the dense oracle small
+    mesh = build_equilateral_torus(8, 16, 1e5)
+    params, dt = SweParams(beta=1e-10, **OCEAN), 6e3
+    assert _uses_multigrid(mesh, dt, params)
+    state = _random_state(mesh, seed=42)
+    u, eta = state.u.coeffs, state.eta.coeffs
+    e0 = dynamics.energy(state, params)
+    for _ in range(3):
+        state = dynamics.step_midpoint(state, dt, params, tol=1e-13)
+        u, eta = midpoint_step_dense(mesh, u, eta, dt, params.f0, params.beta, params.c2)
+        assert np.linalg.norm(state.u.coeffs - u) <= 1e-12 * np.linalg.norm(u)
+        assert np.linalg.norm(state.eta.coeffs - eta) <= 1e-12 * np.linalg.norm(eta)
+        assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+
+
+def test_large_courant_multigrid_step_matches_jacobi(monkeypatch):
+    # the same Courant number on 16 x 32, whose hierarchy has an aggregated level
+    mesh = build_equilateral_torus(16, 32, 1e5)
+    params, dt = SweParams(beta=1e-10, **OCEAN), 6e3
+    multigrid = dynamics._Stepper(mesh, dt, params)
+    monkeypatch.setattr(dynamics, "_MULTIGRID_ABOVE", np.inf)
+    jacobi = dynamics._Stepper(mesh, dt, params)
+    assert len(multigrid.solver._precondition.levels) == 2
+    assert not isinstance(jacobi.solver._precondition, linalg._VCycle)
+    state = ref = _random_state(mesh, seed=43)
+    e0 = dynamics.energy(state, params)
+    for _ in range(5):
+        state, ref = multigrid.step(state, 1e-12), jacobi.step(ref, 1e-12)
+        assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+    for a, b in ((state.u, ref.u), (state.eta, ref.eta)):
+        assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-10 * np.linalg.norm(b.coeffs)
+
+
 def test_stepped_mesh_is_freed():
     # the cached operators, steppers and error tables live on the mesh, so
     # they must not keep it alive once the caller drops it

@@ -10,7 +10,8 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab import fem, helmholtz
+from swelab import dynamics, fem, helmholtz
+from swelab.dynamics import SweParams
 from swelab.linalg import Solver, SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
@@ -224,11 +225,102 @@ def test_stalled_solve_fails_fast():
     assert 1e-16 < info.value.residual < 1e-14
 
 
-def test_coarse_space_requires_nullspace():
-    ops = _operators("right", 16)
-    R = ops.L_solver._precondition.levels[0][2]
-    with pytest.raises(ValueError, match="nullspace"):
-        Solver(ops.M + ops.L, coarse=R)
+# --------------------------------------------------------------------------
+# the definite V-cycle on midpoint Schur complements past the Courant limit
+
+
+@functools.lru_cache(maxsize=None)
+def _schur(kind):
+    """The beta-plane midpoint Schur complement S (it has a skew part) of a
+    16 x 16 torus at the gravity-wave Courant number sqrt(c2) dt / h = 4,
+    with the P2 -> P1 interpolation of its mesh."""
+    ops = _operators(kind, 16)
+    h = 1.0 / 16
+    params = SweParams(f0=1.0, beta=0.5, c2=1.0)
+    S = dynamics._Stepper(ops.p2.mesh, 4.0 * h, params).solver.A
+    # more unknowns than the coarsest level takes, so that there is a hierarchy
+    assert S.shape[0] > 300 and abs(S - S.T).max() > 0.0
+    return S, ops.p1_prolongation
+
+
+SCHUR_KINDS = ["right", "equilateral", "jittered"]
+
+
+@pytest.mark.parametrize("kind", SCHUR_KINDS)
+def test_symmetric_part_shares_a_symmetric_pattern(kind):
+    S, _ = _schur(kind)
+    solver = Solver(S)
+    assert np.shares_memory(solver.sym.indices, solver.A.indices)
+    assert np.shares_memory(solver.sym.indptr, solver.A.indptr)
+    assert np.array_equal(solver.sym.toarray(), (0.5 * (S + S.T)).toarray())
+    # a pattern that is not symmetric takes the sparse sum
+    A = sparse.csr_matrix(np.array([[2.0, 0.0, 1.0], [-2.0, 2.0, 0.0], [1.0, 0.0, 3.0]]))
+    assert np.array_equal(Solver(A).sym.toarray(), [[2.0, -1.0, 1.0], [-1.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SCHUR_KINDS), st.integers(min_value=0, max_value=10_000))
+def test_definite_vcycle_is_symmetric_positive_definite(kind, seed):
+    S, R = _schur(kind)
+    B = Solver(S, coarse=R)._precondition
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal(S.shape[0]), rng.standard_normal(S.shape[0])
+    Bx, By = B(x), B(y)
+    scale = max(np.linalg.norm(x) * np.linalg.norm(By), np.linalg.norm(y) * np.linalg.norm(Bx))
+    assert abs(x @ By - y @ Bx) <= 1e-12 * scale
+    # definite, the constants included
+    ones = np.ones(S.shape[0])
+    assert x @ Bx > 0.0 and ones @ B(ones) > 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("kind", SCHUR_KINDS)
+def test_definite_multigrid_meets_the_true_residual(kind, tol):
+    S, R = _schur(kind)
+    b = np.random.default_rng(9).standard_normal(S.shape[0])
+    x = Solver(S, coarse=R).solve(b, tol=tol)
+    assert np.linalg.norm(b - S @ x) <= tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind", SCHUR_KINDS)
+def test_definite_multigrid_agrees_with_jacobi(kind):
+    S, R = _schur(kind)
+    b = np.random.default_rng(10).standard_normal(S.shape[0])
+    solver = Solver(S, coarse=R)
+    assert solver._precondition.levels[0][2] is R
+    x = solver.solve(b, tol=1e-12)
+    ref = Solver(S).solve(b, tol=1e-12)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_small_definite_matrix_is_solved_in_one_step():
+    # at most 300 unknowns: the coarsest level is the matrix, inverted exactly,
+    # here the symmetric f-plane Schur complement M + kappa L past the Courant limit
+    ops = fem.operators(TORI["right"](8))
+    S = dynamics._Stepper(ops.p2.mesh, 0.5, SweParams(f0=1.0, c2=1.0)).solver.A
+    solver = Solver(S, coarse=ops.p1_prolongation)
+    calls = _count_iterations(solver)
+    b = np.random.default_rng(12).standard_normal(ops.p2.n_dofs)
+    x = solver.solve(b, tol=1e-12)
+    assert len(calls) == 1
+    assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_vcycle_ends_where_aggregation_stalls():
+    # at Courant number 1.9 the third level of this Schur complement is
+    # mass-dominated, and aggregation would keep all of its 384 unknowns
+    ops = fem.operators(build_right_triangle_torus(48, 48, 1.0, 1.0))
+    S = dynamics._Stepper(ops.p2.mesh, 1.9 / 48, SweParams(f0=1.0, beta=0.5, c2=1.0)).solver.A
+    solver = Solver(S, coarse=ops.p1_prolongation)
+    B = solver._precondition
+    assert [A.shape[0] for A, *_ in B.levels] == [9216, 2304]
+    assert B.coarsest.func is np.multiply
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(S.shape[0]), rng.standard_normal(S.shape[0])
+    assert abs(x @ B(y) - y @ B(x)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(B(y))
+    assert x @ B(x) > 0.0
+    b = rng.standard_normal(S.shape[0])
+    assert np.linalg.norm(b - S @ solver.solve(b, tol=1e-12)) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_no_module_imports_dense_or_sparse_linalg():
