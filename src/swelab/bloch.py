@@ -11,11 +11,13 @@ in as an independent oracle for the assembled ones.
 
 Entry (a, b) of a reduction S^H X S sums X[n, m] exp(i kdx . (xi_m - xi_n))
 over the node pairs with n in class a and m in class b, so it depends on
-the patch only through the displacements xi_m - xi_n.  The pairs that share
-a triangle have 19 distinct displacements d; one real table C, built once
-per quadrature degree, holds for each of them the patch entries summed per
-(matrix, class pair), and the reductions at a stack of wave vectors are
-cos(kdx . d^T) @ C + i sin(kdx . d^T) @ C (Le Roux, Rostand & Pouliot,
+the patch only through the displacements xi_m - xi_n.  Only pairs that
+share a triangle carry entries, and they have 19 distinct displacements d.
+One real table C, built once per quadrature degree straight from the element
+blocks of the six triangles (the batched kernels that assemble the torus
+operators; no 19x19 patch matrix is formed), holds for each d the entries
+summed per (matrix, class pair).  The reductions at a stack of wave vectors
+are cos(kdx . d^T) @ C + i sin(kdx . d^T) @ C (Le Roux, Rostand & Pouliot,
 SIAM J. Sci. Comput. 29, 2007, reduce the patch the same way).
 
 Both branch families are generalized Hermitian eigenproblems, Lr v = lam Mr v
@@ -115,24 +117,6 @@ def build_reference_hexagon():
     return ReferenceHexagon(nodes, tris, _classify(nodes))
 
 
-@lru_cache(maxsize=4)
-def _patch_matrices(quad_degree=4):
-    """19x19 mass, stiffness and two derivative matrices on the hexagon, stacked."""
-    hexa = build_reference_hexagon()
-    quad = fem.quadrature_rule(quad_degree)
-    n = len(hexa.nodes)
-    out = np.zeros((4, n, n))
-    for dofs in hexa.triangles:
-        corners = hexa.nodes[dofs[:3]]
-        me, le = fem.p2_element_matrices(corners, quad)
-        d1e = fem.p2_element_ddx(corners, (1.0, 0.0), quad)
-        d2e = fem.p2_element_ddx(corners, (0.0, 1.0), quad)
-        ix = np.ix_(dofs, dofs)
-        for X, xe in zip(out, (me, le, d1e, d2e)):
-            X[ix] += xe
-    return out
-
-
 @dataclass(frozen=True)
 class BlochMatrices:
     kdx: tuple
@@ -147,23 +131,28 @@ def _displacement_table(quad_degree=4):
     """(d, C): node displacements d (19, 2) and the real table C (19, 64).
 
     Row j of C, read as (4, 4, 4), holds in column (x, class_n, class_m) the
-    sum of the patch entries X[x][n, m] whose displacement xi_m - xi_n is
-    d[j].  Pairs are grouped by their integer half-lattice coordinates, and
-    d[j] is the exact displacement of one pair of the group, not a rounded
-    key.  Of the 61 displacements on the patch only the 19 within a triangle
-    carry a nonzero row; the others are dropped.
+    sum of the element-block entries X[x][n, m] (mass, stiffness, d/dx, d/dy)
+    of the six faces whose displacement xi_m - xi_n is d[j].  Pairs are
+    grouped by their integer half-lattice coordinates, and d[j] is the exact
+    displacement of one pair of the group, not a rounded key.
     """
     hexa = build_reference_hexagon()
-    disp = (hexa.nodes[None, :, :] - hexa.nodes[:, None, :]).reshape(-1, 2)
+    quad = fem.quadrature_rule(quad_degree)
+    Jinv, area = fem._geometry(hexa.nodes[hexa.triangles[:, :3]])
+    blocks = np.stack([
+        fem._p2_mass_blocks(area, quad),
+        fem._p2_stiffness_blocks(Jinv, area, quad),
+        fem._p2_ddx_blocks(Jinv, area, quad, np.array([1.0, 0.0])),
+        fem._p2_ddx_blocks(Jinv, area, quad, np.array([0.0, 1.0])),
+    ], axis=1)  # (face, x, n, m)
+    n, m = hexa.triangles[:, :, None], hexa.triangles[:, None, :]
+    disp = (hexa.nodes[m] - hexa.nodes[n]).reshape(-1, 2)
     keys = np.rint(2.0 * disp @ np.linalg.inv(_CELL)).astype(int)
     _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    cls_n, cls_m = np.meshgrid(hexa.classes, hexa.classes, indexing="ij")
     C = np.zeros((len(first), 4, 4, 4))
-    for x, X in enumerate(_patch_matrices(quad_degree)):
-        np.add.at(C, (row.ravel(), x, cls_n.ravel(), cls_m.ravel()), X.ravel())
-    C = C.reshape(len(first), 64)
-    keep = C.any(axis=1)
-    return disp[first[keep]], C[keep]
+    np.add.at(C, (row.reshape(6, 1, 6, 6), np.arange(4)[:, None, None],
+                  hexa.classes[n][:, None], hexa.classes[m][:, None]), blocks)
+    return disp[first], C.reshape(len(first), 64)
 
 
 def _reductions(kdx, quad_degree=4):
@@ -394,15 +383,6 @@ def _classify_vectors(omegas, vecs):
     return order[..., -1, :], ambiguous
 
 
-def _east(fhat):
-    """Unit local east: the clockwise quarter-turn of the direction fhat."""
-    fhat = np.asarray(fhat, dtype=float)
-    nf = np.linalg.norm(fhat)
-    if nf == 0:
-        raise ValueError("fhat must be a nonzero direction")
-    return fhat[1] / nf, -fhat[0] / nf
-
-
 def _rossby(kdx, params, east, dx):
     """Frequencies, vectors, template indices and ambiguity flags of
     (i T) v = omega K v, K = Lr/dx^2 + Mr/L_R^2, T = (beta/dx) Dr_east."""
@@ -445,10 +425,10 @@ def rossby_branches(kdx, params, fhat=(0.0, 1.0), dx=1.0):
     """
     _require_zone(kdx)
     pts = np.asarray(kdx, dtype=float).reshape(1, 2)
-    return _results(pts, *_rossby(pts, params, _east(fhat), dx))[0]
+    return _results(pts, *_rossby(pts, params, fem._east(fhat), dx))[0]
 
 
-def sweep_brillouin(n_grid, kind, params, fhat=None, dx=1.0):
+def sweep_brillouin(n_grid, kind, params, fhat=(0.0, 1.0), dx=1.0):
     """Branch frequencies on a cell-centred grid clipped to the first zone."""
     if n_grid < 8:
         raise ValueError("n_grid must be at least 8")
@@ -461,7 +441,7 @@ def sweep_brillouin(n_grid, kind, params, fhat=None, dx=1.0):
     pts = pts[in_brillouin_zone(pts)]
     if kind == "gravity":
         return _results(pts, *_in_blocks(lambda b: _gravity(b, params, dx), pts))
-    east = _east(fhat or (0.0, 1.0))
+    east = fem._east(fhat)
     return _results(pts, *_in_blocks(lambda b: _rossby(b, params, east, dx), pts))
 
 

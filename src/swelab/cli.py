@@ -44,6 +44,16 @@ def _write_lines(path, lines):
             fh.write(text)
 
 
+def _write_plot(args, settings, command, series):
+    """With --gnuplot and an --out file, the gnuplot script <out>.gp: the
+    settings, then one `command` (plot or splot) of the CSV's data rows with
+    one `using ...` clause per series."""
+    if args.gnuplot and args.out not in (None, "-"):
+        curves = ", \\\n     ".join(f"'{args.out}' every ::1 using {s}" for s in series)
+        _write_lines(args.out + ".gp",
+                     ["set datafile separator ','", *settings, f"{command} {curves}"])
+
+
 # --------------------------------------------------------------------------
 # config plumbing
 
@@ -157,7 +167,7 @@ def cmd_converge(args):
         raise UsageError("--levels must be comma-separated integers") from None
     if len(levels) < 3:
         raise UsageError("need at least three refinement levels")
-    if levels != sorted(levels) or levels[0] < 2:
+    if any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 2:
         raise UsageError("--levels must be increasing mesh sizes of at least 2")
     results = {}
     for mode in ("collocated", "projected"):
@@ -174,18 +184,10 @@ def cmd_converge(args):
     )
     _write_lines(args.out, lines)
 
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_lines(
-            args.out + ".gp",
-            [
-                "set datafile separator ','",
-                "set logscale xy",
-                "set xlabel 'dx'",
-                "set ylabel 'free-surface L2 error'",
-                f"plot '{args.out}' every ::1 using 1:2 with linespoints title 'collocated', \\",
-                f"     '{args.out}' every ::1 using 1:3 with linespoints title 'projected'",
-            ],
-        )
+    _write_plot(args, ["set logscale xy", "set xlabel 'dx'",
+                       "set ylabel 'free-surface L2 error'"],
+                "plot", ["1:2 with linespoints title 'collocated'",
+                         "1:3 with linespoints title 'projected'"])
 
     ok = _check(
         "collocated slope in [1.7, 2.4]",
@@ -200,27 +202,23 @@ def cmd_converge(args):
 # dispersion
 
 
-def _dispersion_rows(args, kind):
-    if kind == "gravity":
-        params_g = _params(dynamics.SweParams, f0=args.f0, beta=0.0, c2=args.c2)
-        return bloch.sweep_brillouin(args.ngrid, "gravity", params_g, dx=args.dx)
-    rp = _params(dynamics.RossbyParams, f0=args.f0, beta=args.beta, c2=args.c2)
-    fhat = _parse_pair(args.fhat, "--fhat")
-    if fhat == (0.0, 0.0):
-        raise UsageError("--fhat must be a nonzero direction")
-    return bloch.sweep_brillouin(args.ngrid, "rossby", rp, fhat=fhat, dx=args.dx)
-
-
-def cmd_dispersion(args, kind=None):
-    kind = kind or args.kind
-    if kind not in ("gravity", "rossby"):
-        raise UsageError("--kind must be gravity or rossby")
+def cmd_dispersion(args):
+    kind = args.kind
     if args.ngrid < 8:
         raise UsageError("--ngrid must be at least 8")
     if args.dx <= 0:
         raise UsageError("--dx must be positive")
+    fhat = None
+    if kind == "gravity":
+        params = _params(dynamics.SweParams, f0=args.f0, beta=0.0, c2=args.c2)
+    else:
+        params = _params(dynamics.RossbyParams, f0=args.f0, beta=args.beta, c2=args.c2)
+        fhat = _parse_pair(args.fhat, "--fhat")
+        if fhat == (0.0, 0.0):
+            raise UsageError("--fhat must be a nonzero direction")
+        east = fem._east(fhat)
     try:
-        rows = _dispersion_rows(args, kind)
+        rows = bloch.sweep_brillouin(args.ngrid, kind, params, fhat=fhat, dx=args.dx)
     except linalg.SolverError as exc:
         print(f"error: eigensolver failure: {exc}", file=sys.stderr)
         return 1
@@ -240,27 +238,16 @@ def cmd_dispersion(args, kind=None):
             if kind == "gravity":
                 ex = math.sqrt(args.f0 ** 2 + args.c2 * float(kphys @ kphys))
             else:
-                fhat = np.asarray(_parse_pair(args.fhat, "--fhat"))
-                fhat = fhat / np.linalg.norm(fhat)
-                k_east = float(kphys @ np.array([fhat[1], -fhat[0]]))
+                k_east = float(kphys @ east)
                 denom = float(kphys @ kphys) + args.f0 ** 2 / args.c2
                 ex = -args.beta * k_east / denom if denom > 0 else 0.0
             cells.append(_fmt(ex))
         lines.append(",".join(cells))
     _write_lines(args.out, lines)
 
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_lines(
-            args.out + ".gp",
-            [
-                "set datafile separator ','",
-                "set dgrid3d 48,48",
-                "set contour base",
-                "set xlabel 'k dx'",
-                "set ylabel 'l dx'",
-                f"splot '{args.out}' every ::1 using 1:2:3 with lines title 'lowest branch'",
-            ],
-        )
+    _write_plot(args, ["set dgrid3d 48,48", "set contour base", "set xlabel 'k dx'",
+                       "set ylabel 'l dx'"],
+                "splot", ["1:2:3 with lines title 'lowest branch'"])
     print(f"dispersion sweep: {len(rows)} zone points, kind = {kind}")
     return 0
 
@@ -434,19 +421,9 @@ def cmd_simulate(args):
         dynamics.write_checkpoint(args.checkpoint_out, st, os.path.basename(mesh_path))
         print(f"checkpoint written to {args.checkpoint_out}")
 
-    if args.gnuplot and args.out not in (None, "-"):
-        _write_lines(
-            args.out + ".gp",
-            [
-                "set datafile separator ','",
-                "set xlabel 't'",
-                "set ylabel 'energy'",
-                f"plot '{args.out}' every ::1 using 1:2 with lines title 'total', \\",
-                f"     '{args.out}' every ::1 using 1:4 with lines title 'potential', \\",
-                f"     '{args.out}' every ::1 using 1:5 with lines title 'stream', \\",
-                f"     '{args.out}' every ::1 using 1:6 with lines title 'spurious'",
-            ],
-        )
+    _write_plot(args, ["set xlabel 't'", "set ylabel 'energy'"],
+                "plot", [f"1:{c} with lines title '{t}'"
+                         for c, t in ((2, "total"), (4, "potential"), (5, "stream"), (6, "spurious"))])
 
     # steadiness and the decoupling of the residual space are f-plane claims;
     # on the beta-plane they are measured, and every init checks energy
@@ -542,12 +519,14 @@ def _build_parser():
     p.add_argument("--steps-factor", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_converge)
 
-    for name, kind in (("dispersion", None), ("rossby", "rossby")):
+    for name in ("dispersion", "rossby"):
         p = sub.add_parser(name, help="Brillouin-zone dispersion sweep")
         common(p)
         p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-        p.add_argument("--kind", choices=("gravity", "rossby"),
-                       default="gravity" if kind is None else "rossby")
+        if name == "dispersion":
+            p.add_argument("--kind", choices=("gravity", "rossby"), default="gravity")
+        else:
+            p.set_defaults(kind="rossby")
         p.add_argument("--ngrid", type=int, default=32)
         p.add_argument("--f0", type=_finite_float, default=1e-4)
         p.add_argument("--beta", type=_finite_float, default=1e-12)
@@ -555,10 +534,7 @@ def _build_parser():
         p.add_argument("--dx", type=_finite_float, default=1e5)
         p.add_argument("--fhat", default="0,1")
         p.add_argument("--compare-exact", action="store_true")
-        if kind is None:
-            p.set_defaults(func=cmd_dispersion)
-        else:
-            p.set_defaults(func=lambda a: cmd_dispersion(a, kind="rossby"))
+        p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("oracle", help="closed-form reduction oracle report")
     common(p)

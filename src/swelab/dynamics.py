@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from . import fem, helmholtz, linalg
 from .fem import Field
-from .mesh import build_right_triangle_torus, read_mesh
+from .mesh import build_right_triangle_torus, read_mesh, validate
 
 __all__ = [
     "SweParams",
@@ -372,7 +372,7 @@ def run_convergence(levels, ic_mode, params=None, spec=None, steps_factor=1.0):
     """
     if len(levels) < 2:
         raise ValueError("need at least two refinement levels")
-    if sorted(levels) != list(levels):
+    if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly refining")
     params = params or SweParams(f0=math.pi, beta=0.0, c2=1.0)
     spec = spec or PlaneWaveSpec(k=(2.0 * math.pi, 0.0), amplitude=1.0, sign=1)
@@ -418,13 +418,7 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     The quadratic form psi^T (L + M f0^2/c2) psi is conserved because D is
     antisymmetric on a torus.  Each step solves to relative tol.
     """
-    fhat = np.asarray(fhat, dtype=float)
-    nf = np.linalg.norm(fhat)
-    if nf == 0:
-        raise ValueError("fhat must be a nonzero direction")
-    fhat = fhat / nf
-    east = np.array([fhat[1], -fhat[0]])
-
+    east = fem._east(fhat)
     ops = fem.operators(psi0.space.mesh)
     mean0 = ops.p2_mean(psi0.coeffs)
     scale = np.linalg.norm(psi0.coeffs)
@@ -504,10 +498,14 @@ def read_checkpoint(path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
     try:
         mesh = read_mesh(mesh_path)
-        # a mesh that parses can still be unusable, e.g. by a clockwise face
+        # a mesh that parses can still be unusable: a clockwise face fails
+        # the assembly, and a broken topology the mesh checks
         ops = fem.operators(mesh)
     except ValueError as exc:
         raise CheckpointFormatError(1, f"mesh file {mesh_path}: {exc}") from None
+    failed = [c.name for c in validate(mesh).checks if not c.passed]
+    if failed:
+        raise CheckpointFormatError(1, f"mesh file {mesh_path}: failed checks {', '.join(failed)}")
     if len(lines) < 2 or not lines[1].startswith("time "):
         raise CheckpointFormatError(2, "expected 'time <t>'")
     try:

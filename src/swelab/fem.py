@@ -31,8 +31,6 @@ __all__ = [
     "assemble_ddx_p2",
     "collocate",
     "project_p2vec_to_p1dg",
-    "p2_element_matrices",
-    "p2_element_ddx",
     "operators",
     "write_matrix_text",
 ]
@@ -234,7 +232,7 @@ def _scatter(blocks, space, col_space=None):
 
 
 # --------------------------------------------------------------------------
-# element matrices (also used by the dispersion patch assembly)
+# element matrices, batched over faces (also the blocks of the dispersion patch)
 #
 # On an affine triangle each element matrix is a reference tensor, built once
 # per quadrature rule, contracted with a few geometry numbers of the face
@@ -283,20 +281,6 @@ def _p2_ddx_blocks(Jinv, area, quad, direction):
     return (g @ _ref_tensors(quad).ddx).reshape(-1, 6, 6)
 
 
-def p2_element_matrices(corners, quad=None):
-    """Exact P2 mass and stiffness 6x6 matrices for one triangle."""
-    quad = quad or _RULES[4]
-    Jinv, area = _geometry(np.asarray(corners, dtype=float).reshape(1, 3, 2))
-    return _p2_mass_blocks(area, quad)[0], _p2_stiffness_blocks(Jinv, area, quad)[0]
-
-
-def p2_element_ddx(corners, direction, quad=None):
-    """6x6 matrix of <N_i, direction . grad N_j> on one triangle."""
-    quad = quad or _RULES[4]
-    Jinv, area = _geometry(np.asarray(corners, dtype=float).reshape(1, 3, 2))
-    return _p2_ddx_blocks(Jinv, area, quad, np.asarray(direction, dtype=float))[0]
-
-
 def _p1dg_mass_blocks(area, quad):
     return 2.0 * area[:, None, None] * np.kron(_ref_tensors(quad).p1_mass, np.eye(2))
 
@@ -342,6 +326,16 @@ def assemble_coriolis(space, f0, beta=0.0):
     """C with (C u)_w = <f w, perp(u)> for the Coriolis parameter f = f0 + beta y."""
     X, _, area = _face_geometry(space.mesh)
     return _scatter(_coriolis_blocks(X, area, f0, beta, _RULES[5]), space)
+
+
+def _east(fhat):
+    """Unit local east: the clockwise quarter-turn of the direction fhat of
+    increasing f, the direction of the beta-plane derivative pairings."""
+    fhat = np.asarray(fhat, dtype=float)
+    nf = np.linalg.norm(fhat)
+    if nf == 0:
+        raise ValueError("fhat must be a nonzero direction")
+    return np.array([fhat[1], -fhat[0]]) / nf
 
 
 def assemble_ddx_p2(space, direction):
@@ -405,7 +399,6 @@ class OperatorSet:
     E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG
     P: sp.csr_matrix    # pointwise perp
     area: float
-    el_area: np.ndarray
 
     @functools.cached_property
     def Et(self):
@@ -462,7 +455,6 @@ def operators(mesh):
             E=_scatter(_gradient_blocks(Jinv), v, p2),
             P=sp.kron(sp.identity(3 * mesh.n_f), _PERP, format="csr"),
             area=float(area.sum()),
-            el_area=area,
         )
     return ops
 

@@ -19,7 +19,9 @@ lexicographic order.  The shift difference d keeps parallel edges and
 self-loops on small tori distinct.  Two sides are the same edge exactly when
 their keys agree, edges are numbered in sorted key order (so dof numbering
 does not depend on the order of the triangles), and an edge runs from
-vertex va to vertex vb + d @ lattice.
+vertex va to vertex vb + d @ lattice.  The derived topology is what the
+assembly and ``validate`` read: the edges with their shift deltas, the three
+edges of each face, and the number of face sides that meet each edge.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class Mesh:
     edges: np.ndarray = field(init=False)        # (n_e, 2) canonical vertex pair
     edge_shifts: np.ndarray = field(init=False)  # (n_e, 2) canonical endpoint shift delta
     tri_edges: np.ndarray = field(init=False)    # (n_f, 3), edge opposite local vertex e
-    edge_tris: np.ndarray = field(init=False)    # (n_e, 2), -1 where adjacency is missing
     edge_degree: np.ndarray = field(init=False)  # (n_e,), number of adjacent face sides
     # per-mesh results of other modules (operators, steppers); freed with the mesh
     cache: dict = field(init=False, repr=False, default_factory=dict)
@@ -129,18 +130,10 @@ class Mesh:
                   + keys[:, 2] - lo[2]) * span[3] + keys[:, 3] - lo[3]
         _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
         uniq = keys[first]
-        n_e = len(uniq)
         self.edges = np.ascontiguousarray(uniq[:, :2])
         self.edge_shifts = np.ascontiguousarray(uniq[:, 2:])
         self.tri_edges = inverse.reshape(self.n_f, 3)
-        self.edge_degree = np.bincount(inverse, minlength=n_e)
-        # sides grouped by edge, each group in face order; its first two faces
-        sides = np.argsort(inverse, kind="stable")
-        first = np.cumsum(self.edge_degree) - self.edge_degree
-        self.edge_tris = np.full((n_e, 2), -1, dtype=np.intp)
-        self.edge_tris[:, 0] = sides[first] // 3
-        two = self.edge_degree >= 2
-        self.edge_tris[two, 1] = sides[first[two] + 1] // 3
+        self.edge_degree = np.bincount(inverse, minlength=len(uniq))
 
 
 def _side_keys(triangles, shifts):

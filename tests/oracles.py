@@ -12,15 +12,17 @@ package's closed forms and array code must agree with.  The ``*_blocks``
 element kernels share the package's basis and quadrature rules but sum over
 the quadrature points face by face, the route the package took before it
 contracted reference tensors with geometry; ``assemble_dense`` adds their
-blocks into a dense matrix one face at a time.  ``ref_p2_basis`` evaluates
-the package's basis at one checked barycentric point, the form in which the
-tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
-``jittered_torus``, ``symbolic_reference``, ``bloch_matrix_S`` and
-``v_mean`` are helpers that only the tests use.  ``midpoint_step_dense`` is
-a time step written from the ``dynamics`` module docstring with dense
-solves on those blocks, and ``p2_point_value`` evaluates a quadratic at a
-physical point by a barycentric solve, apart from the package's basis
-tables.
+blocks into a dense matrix one face at a time, and ``hexagon_patch`` adds
+them into the 19x19 patch matrices that the Bloch reductions are defined
+from.  ``ref_p2_basis`` evaluates the package's basis at one checked
+barycentric point, the form in which the tests compare it with the symbolic
+basis.  ``random_field``, ``recompose``, ``jittered_torus`` (and its
+hypothesis strategy ``jittered_tori``), ``symbolic_reference``,
+``bloch_matrix_S`` and ``v_mean`` are helpers that only the tests use.
+``midpoint_step_dense`` is a time step written from the ``dynamics`` module
+docstring with dense solves on those blocks, and ``p2_point_value``
+evaluates a quadratic at a physical point by a barycentric solve, apart
+from the package's basis tables.
 """
 
 import functools
@@ -28,6 +30,8 @@ import functools
 import numpy as np
 import scipy.linalg
 import sympy as sp
+from hypothesis import assume
+from hypothesis import strategies as hst
 
 from swelab import bloch, fem, helmholtz
 from swelab.mesh import Mesh, build_right_triangle_torus
@@ -58,17 +62,33 @@ def min_angle_degrees(mesh):
     return float(np.degrees(np.arctan2(cross, (a * b).sum(-1))).min())
 
 
-def jittered_torus(n, seed=0, amount=0.2, min_angle=15.0):
+# smallest angle, in degrees, of a mesh the tests run on
+MIN_ANGLE = 15.0
+
+
+def jittered_torus(n, seed=0, amount=0.2, min_angle=MIN_ANGLE):
     """Unit right-triangle n x n torus with each vertex coordinate moved by up
     to amount / n: the same topology on a mesh that is not a lattice.  Its
     smallest angle must stay above min_angle degrees, so that no test runs on
     a nearly degenerate triangle (at n = 12 the default amount gives 20.6 to
-    25.2 degrees on seeds 1 to 3)."""
+    25.2 degrees on seeds 1 to 3); min_angle=None leaves the check to the
+    caller."""
     base = build_right_triangle_torus(n, n, 1.0, 1.0)
     moved = base.vertices + np.random.default_rng(seed).uniform(-amount, amount, (base.n_v, 2)) / n
     mesh = Mesh(moved, base.triangles, base.shifts, base.lattice)
-    worst = min_angle_degrees(mesh)
-    assert worst >= min_angle, f"jittered torus has a {worst:.1f} degree angle"
+    if min_angle is not None:
+        worst = min_angle_degrees(mesh)
+        assert worst >= min_angle, f"jittered torus has a {worst:.1f} degree angle"
+    return mesh
+
+
+@hst.composite
+def jittered_tori(draw, min_n, max_n):
+    """Hypothesis strategy: jittered_torus of a drawn size and seed.  A seed
+    whose mesh has an angle below MIN_ANGLE is rejected; the floor stays."""
+    mesh = jittered_torus(draw(hst.integers(min_n, max_n)),
+                          seed=draw(hst.integers(0, 2**32 - 1)), min_angle=None)
+    assume(min_angle_degrees(mesh) >= MIN_ANGLE)
     return mesh
 
 
@@ -94,6 +114,17 @@ def bloch_matrix_S(kdx):
     S = np.zeros(kdx.shape[:-1] + (19, 4), dtype=complex)
     S[..., np.arange(19), hexa.classes] = np.exp(1j * (kdx @ hexa.nodes.T))
     return S
+
+
+def hexagon_patch(quad_degree=4):
+    """19x19 mass, stiffness, d/dx and d/dy matrices on bloch's reference
+    hexagon, stacked: the quadrature-sum blocks below, added face by face."""
+    hexa = bloch.build_reference_hexagon()
+    quad = fem.quadrature_rule(quad_degree)
+    X, dofs = hexa.nodes[hexa.triangles[:, :3]], hexa.triangles
+    blocks = (p2_mass_blocks(X, quad), p2_stiffness_blocks(X, quad),
+              p2_ddx_blocks(X, quad, (1.0, 0.0)), p2_ddx_blocks(X, quad, (0.0, 1.0)))
+    return np.array([assemble_dense(b, dofs, dofs, (19, 19)) for b in blocks])
 
 
 def v_mean(ops, coeffs):
@@ -260,15 +291,14 @@ def spurious_dimension(mesh, tol=1e-12):
 def edge_topology(triangles, shifts):
     """Edge arrays of a periodic triangulation by a dict over canonical side keys.
 
-    Returns (edges, edge_shifts, tri_edges, edge_tris, edge_degree) as the
-    Mesh fields of the same names: side e of face f joins corners e+1 and
-    e+2, keyed (va, vb, shift delta) with va <= vb (for va == vb the delta
-    that is lexicographically no larger than its negation); edges are
-    numbered in sorted key order and edge_tris holds the first two faces
-    that meet an edge, in face order.
+    Returns (edges, edge_shifts, tri_edges, edge_degree) as the Mesh fields
+    of the same names: side e of face f joins corners e+1 and e+2, keyed
+    (va, vb, shift delta) with va <= vb (for va == vb the delta that is
+    lexicographically no larger than its negation); edges are numbered in
+    sorted key order.
     """
     key_index = {}
-    edges, eshifts, degree, etris = [], [], [], []
+    edges, eshifts, degree = [], [], []
     n_f = len(triangles)
     tri_edges = np.empty((n_f, 3), dtype=np.intp)
     for f in range(n_f):
@@ -288,9 +318,6 @@ def edge_topology(triangles, shifts):
                 edges.append((va, vb))
                 eshifts.append(d)
                 degree.append(0)
-                etris.append([-1, -1])
-            if degree[idx] < 2:
-                etris[idx][degree[idx]] = f
             degree[idx] += 1
             tri_edges[f, e] = idx
     n_e = len(edges)
@@ -301,7 +328,6 @@ def edge_topology(triangles, shifts):
         np.array([edges[i] for i in order], dtype=np.intp).reshape(n_e, 2),
         np.array([eshifts[i] for i in order], dtype=np.intp).reshape(n_e, 2),
         rank[tri_edges],
-        np.array([etris[i] for i in order], dtype=np.intp).reshape(n_e, 2),
         np.array([degree[i] for i in order], dtype=np.intp),
     )
 

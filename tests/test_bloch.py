@@ -10,7 +10,13 @@ from swelab import bloch, fem
 from swelab.dynamics import RossbyParams, SweParams
 from swelab.mesh import build_equilateral_torus
 
-from .oracles import bloch_matrix_S, pencil_eigvals, rank_by_svd, symbolic_reference
+from .oracles import (
+    bloch_matrix_S,
+    hexagon_patch,
+    pencil_eigvals,
+    rank_by_svd,
+    symbolic_reference,
+)
 
 ZONE_R = 2.0 * math.pi / math.sqrt(3.0)
 
@@ -59,10 +65,11 @@ def test_reduced_matrices_match_closed_forms():
 
 @pytest.mark.parametrize("quad_degree", [2, 4, 5])
 def test_displacement_table_matches_definitional_reduction(quad_degree):
-    # S^H X S from the phase matrix and the patch, one point at a time,
-    # against the table at kdx = 0 and 60 zone points, given as one (N, 2)
-    # stack, as a (3, 20, 2) stack and point by point as (2,) vectors
-    X = bloch._patch_matrices(quad_degree)
+    # S^H X S from the phase matrix and the patch assembled face by face from
+    # quadrature sums, one point at a time, against the table at kdx = 0 and
+    # 60 zone points, given as one (N, 2) stack, as a (3, 20, 2) stack and
+    # point by point as (2,) vectors
+    X = hexagon_patch(quad_degree)
     pts = np.vstack([np.zeros((1, 2)), bloch.random_zone_points(60, seed=11)])
     want = np.array([[bloch_matrix_S(k).conj().T @ Xb @ bloch_matrix_S(k) for k in pts]
                      for Xb in X])
@@ -110,7 +117,7 @@ def test_patch_permutation_is_the_unique_match():
         worst = 0.0
         for kdx in pts:
             S = bloch_matrix_S(kdx)
-            M19, L19 = bloch._patch_matrices()[:2]
+            M19, L19 = hexagon_patch()[:2]
             Mr = (S.conj().T @ M19 @ S)[np.ix_(perm, perm)]
             Lr = (S.conj().T @ L19 @ S)[np.ix_(perm, perm)]
             ref = symbolic_reference(kdx)
@@ -243,6 +250,10 @@ def test_sweep_brillouin():
     rparams = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
     rrows = bloch.sweep_brillouin(8, "rossby", rparams, dx=1e5)
     assert all(r.labels is not None for r in rrows)
+    # fhat given as an array, as rossby_branches takes it, gives the same rows
+    arows = bloch.sweep_brillouin(8, "rossby", rparams, fhat=np.array([0.0, 1.0]), dx=1e5)
+    assert all(np.array_equal(a.omegas, r.omegas) and a.labels == r.labels
+               for a, r in zip(arows, rrows))
 
     with pytest.raises(ValueError):
         bloch.sweep_brillouin(4, "gravity", params)
@@ -259,7 +270,7 @@ def test_batched_spectra_match_non_hermitian_reference(seed, angle):
     east = (math.sin(angle), -math.cos(angle))  # clockwise quarter-turn of fhat
     pts = bloch.random_zone_points(70, seed=seed)  # more than one block
     grav, _ = bloch._gravity(pts, gparams, dx)
-    ross = bloch._rossby(pts, rparams, bloch._east((math.cos(angle), math.sin(angle))), dx)[0]
+    ross = bloch._rossby(pts, rparams, fem._east((math.cos(angle), math.sin(angle))), dx)[0]
     for kdx, g, r in zip(pts, grav, ross):
         red = bloch.reduced_matrices(kdx)
         lam = pencil_eigvals(red.Lr, red.Mr)

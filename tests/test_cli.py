@@ -50,6 +50,8 @@ def run(argv, capsys):
         ["simulate", "--tol", "0"],
         ["simulate", "--tol", "-1"],
         ["helmholtz", "--tol", "2"],
+        ["converge", "--levels", "4,4,8"],
+        ["rossby", "--kind", "gravity"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -279,6 +281,25 @@ def test_helmholtz_rejects_checkpoint_with_bad_mesh(tmp_path, capsys):
     code, out, err = run(["helmholtz", "--checkpoint", str(chk)], capsys)
     assert code == 1
     assert err.startswith("error:") and "final.chk.mesh" in err
+    assert out == ""
+
+
+def test_helmholtz_rejects_checkpoint_with_invalid_mesh(tmp_path, capsys):
+    # a mesh that parses and assembles, but with face 0 replaced by a copy of
+    # face 1: the mesh checks fail edge-adjacency
+    chk = tmp_path / "final.chk"
+    code, _, _ = run(
+        ["simulate", "--n1", "4", "--n2", "4", "--steps", "1", "--checkpoint-out", str(chk),
+         "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+    mesh_file = tmp_path / "final.chk.mesh"
+    lines = mesh_file.read_text().splitlines()
+    face0 = 2 + 16  # after the comment, the header and the 16 vertices
+    lines[face0] = lines[face0 + 1]
+    mesh_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["helmholtz", "--checkpoint", str(chk)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "final.chk.mesh" in err and "edge-adjacency" in err
     assert out == ""
 
 

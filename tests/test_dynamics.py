@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
 
 from swelab import bloch, dynamics, fem, helmholtz, linalg
 from swelab.dynamics import (
@@ -20,6 +21,7 @@ from swelab.mesh import build_equilateral_torus, build_right_triangle_torus, wri
 
 from .oracles import (
     duffy_integrate,
+    jittered_tori,
     jittered_torus,
     midpoint_step_dense,
     p2_point_value,
@@ -90,6 +92,28 @@ def test_geostrophic_state_is_steady_on_jittered_torus(seed):
     scale = max(np.abs(u0).max(), np.abs(e0).max())
     assert np.abs(state.u.coeffs - u0).max() <= 1e-12 * scale
     assert np.abs(state.eta.coeffs - e0).max() <= 1e-12 * scale
+
+
+@settings(max_examples=8, deadline=None)
+@given(mesh=jittered_tori(3, 12))
+def test_spurious_state_stays_decoupled_on_jittered_torus(mesh):
+    # criterion 08 on a mesh that is not a lattice: over 100 f-plane steps the
+    # resolved components and the free surface stay below 1e-10 of the
+    # residual energy, which keeps its norm to 1e-10
+    ops = fem.operators(mesh)
+    params = SweParams(f0=1.0, c2=1.0)
+    state = dynamics.inertial_init(mesh, "spurious", seed=3)
+    spur0 = float(state.u.coeffs @ (ops.Mv @ state.u.coeffs))
+    worst_leak = worst_norm = 0.0
+    for _ in range(100):
+        state = dynamics.step_midpoint(state, 0.1, params)
+        e = helmholtz.component_energies(state.u, c2=params.c2)
+        eta_e = 0.5 * params.c2 * float(state.eta.coeffs @ (ops.M @ state.eta.coeffs))
+        worst_leak = max(worst_leak,
+                         (e["mean"] + e["divergent"] + e["rotational"] + eta_e) / e["residual"])
+        worst_norm = max(worst_norm, abs(2.0 * e["residual"] - spur0) / spur0)
+    assert worst_leak <= 1e-10
+    assert worst_norm <= 1e-10
 
 
 def test_geostrophic_requires_rotation():
@@ -232,6 +256,8 @@ def test_run_convergence_validation():
         dynamics.run_convergence([8], "collocated")
     with pytest.raises(ValueError):
         dynamics.run_convergence([16, 8], "collocated")
+    with pytest.raises(ValueError, match="strictly refining"):
+        dynamics.run_convergence([4, 4, 8], "collocated")
     with pytest.raises(ValueError):
         dynamics.run_convergence([4, 8], "smoothed")
 

@@ -73,14 +73,24 @@ def test_p2_basis_matches_polynomial_oracle():
             assert np.isclose(phi[dof], p2_value_exact(SKEWED, dof, xy), atol=1e-12)
 
 
+def _one_face(corners, quad=None):
+    """Mass, stiffness, d/dx and d/dy blocks of one triangle from the batched
+    kernels, each 6x6; the degree-4 rule unless quad is given."""
+    quad = quad or fem.quadrature_rule(4)
+    Jinv, area = fem._geometry(np.asarray(corners, dtype=float)[None])
+    return (fem._p2_mass_blocks(area, quad)[0], fem._p2_stiffness_blocks(Jinv, area, quad)[0],
+            fem._p2_ddx_blocks(Jinv, area, quad, np.array([1.0, 0.0]))[0],
+            fem._p2_ddx_blocks(Jinv, area, quad, np.array([0.0, 1.0]))[0])
+
+
 @pytest.mark.parametrize("corners", [REF, SKEWED])
 def test_element_matrices_against_symbolic(corners):
     M, L, D1, D2 = element_matrices_exact(corners)
-    Mh, Lh = fem.p2_element_matrices(corners)
+    Mh, Lh, D1h, D2h = _one_face(corners)
     assert np.allclose(Mh, M, atol=1e-14)
     assert np.allclose(Lh, L, atol=1e-12)
-    assert np.allclose(fem.p2_element_ddx(corners, [1.0, 0.0]), D1, atol=1e-13)
-    assert np.allclose(fem.p2_element_ddx(corners, [0.0, 1.0]), D2, atol=1e-13)
+    assert np.allclose(D1h, D1, atol=1e-13)
+    assert np.allclose(D2h, D2, atol=1e-13)
 
 
 def test_element_mass_against_duffy():
@@ -93,7 +103,7 @@ def test_element_mass_against_duffy():
             return phi[i] * phi[j]
         return f
 
-    Mh, _ = fem.p2_element_matrices(SKEWED)
+    Mh = _one_face(SKEWED)[0]
     for i, j in [(0, 0), (0, 3), (3, 4), (5, 5), (1, 2)]:
         assert np.isclose(Mh[i, j], duffy_integrate(entry(i, j), SKEWED), rtol=1e-10)
 
@@ -171,12 +181,11 @@ def test_assembled_operators_match_quadrature_oracle(mesh):
 
 def test_reference_tensors_are_built_once_per_rule():
     quad = fem.quadrature_rule(4)
-    fem.p2_element_matrices(SKEWED, quad)
+    _one_face(SKEWED, quad)
     misses = fem._ref_tensors.cache_info().misses
     for _ in range(3):
-        fem.p2_element_matrices(SKEWED, quad)
-        fem.p2_element_ddx(SKEWED, (1.0, 0.0), quad)
-        fem.p2_element_ddx(SKEWED, (0.0, 1.0))
+        _one_face(SKEWED, quad)
+        _one_face(SKEWED)
     assert fem._ref_tensors.cache_info().misses == misses
 
 
@@ -379,9 +388,10 @@ def test_means_and_constant_field():
     h = rng.standard_normal(ops.p2.n_dofs)
     q = fem.quadrature_rule(4)
     total = 0.0
+    areas = mesh.areas()
     for f in range(mesh.n_f):
         vals = np.array([ref_p2_basis(lam)[0] for lam in q.points])
-        total += 2.0 * ops.el_area[f] * q.weights @ (vals @ h[ops.p2.cell_dofs()[f]])
+        total += 2.0 * areas[f] * q.weights @ (vals @ h[ops.p2.cell_dofs()[f]])
     assert np.isclose(ops.p2_mean(h), total / ops.area, rtol=1e-12)
 
 

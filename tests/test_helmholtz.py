@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from swelab import fem, helmholtz, linalg
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
-from .oracles import jittered_torus, random_field, recompose, spurious_dimension
+from .oracles import jittered_tori, jittered_torus, random_field, recompose, spurious_dimension
 
 # the first two are below the coarsest multigrid size, so L_solver solves
 # them directly; the last two build a multigrid hierarchy, and the jittered
@@ -131,6 +132,22 @@ def test_residual_is_mass_orthogonal_to_resolved_space():
     assert np.abs(ops.E.T @ (ops.P.T @ MvR)).max() < 1e-11
     assert abs(ops.constant_field((1.0, 0.0)) @ MvR) < 1e-11
     assert abs(ops.constant_field((0.0, 1.0)) @ MvR) < 1e-11
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=jittered_tori(2, 16))
+def test_gradients_orthogonal_to_rotated_gradients_on_jittered_torus(mesh):
+    # E^T Mv P E = 0 holds on any triangulation, not only on lattices
+    ops = fem.operators(mesh)
+    cross = ops.Et @ ops.Mv @ ops.P @ ops.E
+    assert abs(cross).max() <= 1e-13 * abs(ops.L).max()
+
+
+@settings(max_examples=6, deadline=None)
+@given(mesh=jittered_tori(2, 10))
+def test_spurious_dimension_on_jittered_torus(mesh):
+    # n <= 10 keeps the brute-force count within its 200-face limit
+    assert spurious_dimension(mesh) == 2 * mesh.n_f
 
 
 @pytest.mark.parametrize(

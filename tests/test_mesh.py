@@ -16,7 +16,7 @@ from swelab.mesh import (
 
 from .oracles import edge_topology
 
-TOPOLOGY = ("edges", "edge_shifts", "tri_edges", "edge_tris", "edge_degree")
+TOPOLOGY = ("edges", "edge_shifts", "tri_edges", "edge_degree")
 
 
 def assert_topology_matches_reference(mesh):
@@ -109,7 +109,9 @@ def test_validate_catches_dangling_edge(corrupt, odd_degrees):
     assert not report.ok
     assert any(c.name == "edge-adjacency" and not c.passed for c in report.checks)
     assert sorted(bad.edge_degree[bad.edge_degree != 2].tolist()) == odd_degrees
-    assert np.count_nonzero(bad.edge_tris[:, 1] == -1) == odd_degrees.count(1)
+    # the edges met by one face side, counted from the faces' edge lists
+    met_once = np.bincount(bad.tri_edges.ravel(), minlength=bad.n_e) == 1
+    assert np.count_nonzero(met_once) == odd_degrees.count(1)
     assert_topology_matches_reference(bad)
 
 
