@@ -1,24 +1,27 @@
 """Exact dispersion analysis on the equilateral lattice.
 
-A hexagonal patch of six unit-edge equilateral triangles carries 19
-quadratic nodes falling into 4 translation-equivalence classes (vertices
-plus three edge-midpoint orientations).  A Bloch phase matrix S reduces
-the 19x19 patch operators to 4x4 matrices whose eigenvalues give the
-discrete dispersion relation: inertia-gravity branches from the mass and
-stiffness reductions, Rossby branches from the directional-derivative
-reductions.  Closed-form expressions for all reduced matrices are built
-in as an independent oracle for the assembled ones.
+The 1x1 equilateral torus (``mesh._equilateral_cells``) is one periodic
+cell: two unit-edge triangles, one up and one down, and 4 quadratic dofs,
+one vertex and three edge midpoints, which are the 4 translation classes of
+the lattice's nodes.  A Bloch phase reduces the lattice operators to 4x4
+matrices whose eigenvalues give the discrete dispersion relation:
+inertia-gravity branches from the mass and stiffness reductions, Rossby
+branches from the directional-derivative reductions.  Closed-form
+expressions for all reduced matrices are built in as an independent oracle
+for the assembled ones.
 
-Entry (a, b) of a reduction S^H X S sums X[n, m] exp(i kdx . (xi_m - xi_n))
-over the node pairs with n in class a and m in class b, so it depends on
-the patch only through the displacements xi_m - xi_n.  Only pairs that
-share a triangle carry entries, and they have 19 distinct displacements d.
-One real table C, built once per quadrature degree straight from the element
-blocks of the six triangles (the batched kernels that assemble the torus
-operators; no 19x19 patch matrix is formed), holds for each d the entries
-summed per (matrix, class pair).  The reductions at a stack of wave vectors
+Entry (a, b) of a reduction sums X_f[n, m] exp(i kdx . (xi_m - xi_n)) over
+the faces f and their node pairs with n in class a and m in class b, so it
+depends on the faces only through the displacements xi_m - xi_n, which take
+19 distinct values inside a triangle.  The closed forms are normalized as
+S^H X S on the hexagonal patch of six triangles around a vertex, which holds
+three translates of each face of the cell, so the reductions are 3 times the
+sums over the cell.  One real table C, built once per quadrature degree from
+the element blocks of the cell's two faces (the batched kernels that
+assemble the torus operators), holds for each d the entries summed per
+(matrix, class pair), times 3.  The reductions at a stack of wave vectors
 are cos(kdx . d^T) @ C + i sin(kdx . d^T) @ C (Le Roux, Rostand & Pouliot,
-SIAM J. Sci. Comput. 29, 2007, reduce the patch the same way).
+SIAM J. Sci. Comput. 29, 2007, reduce a patch the same way).
 
 Both branch families are generalized Hermitian eigenproblems, Lr v = lam Mr v
 (gravity) and (i T) v = omega K v (Rossby) with Mr and K positive definite.
@@ -36,13 +39,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import fem, linalg
-from .mesh import reciprocal_wavevector
+from .mesh import _equilateral_cells, reciprocal_wavevector
 
 __all__ = [
-    "ReferenceHexagon",
     "BlochMatrices",
     "DispersionResult",
-    "build_reference_hexagon",
     "reduced_matrices",
     "gravity_branches",
     "rossby_branches",
@@ -59,13 +60,10 @@ __all__ = [
 
 _S3 = math.sqrt(3.0)
 
-# unit-cell basis of the equilateral lattice (rows)
-_CELL = np.array([[1.0, 0.0], [0.5, 0.5 * _S3]])
-
-# residue of a node position in fractional cell coordinates -> class, in the
-# order of the closed-form 4x4 blocks: 0 x-edge midpoints, 1 oblique and
-# 2 anti-oblique midpoints, 3 vertices
-_RESIDUE_CLASS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (0, 0): 3}
+# class, in the order of the closed-form 4x4 blocks (0 x-edge midpoints,
+# 1 oblique and 2 anti-oblique midpoints, 3 vertices), of each P2 dof of the
+# one-cell torus: its vertex, then its oblique, anti-oblique and x-edge
+_CELL_CLASS = np.array([3, 1, 2, 0])
 
 # zone points per batched evaluation; bounds the temporaries of a sweep.  On
 # the dispersion benchmark (2-core Xeon, one BLAS thread), blocks of 64 peak
@@ -73,48 +71,6 @@ _RESIDUE_CLASS = {(1, 0): 0, (0, 1): 1, (1, 1): 2, (0, 0): 3}
 # at 63.6-63.8 MB and blocks of 256 at 62.4-62.5 MB; either saved about
 # 4.5 ms of the 28 ms pair of sweeps.
 _BLOCK = 64
-
-
-@dataclass(frozen=True)
-class ReferenceHexagon:
-    nodes: np.ndarray      # (19, 2)
-    triangles: np.ndarray  # (6, 6) local P2 dof lists
-    classes: np.ndarray    # (19,) class index
-
-
-def _classify(points):
-    frac = np.asarray(points, dtype=float) @ np.linalg.inv(_CELL)
-    doubled = np.rint(2.0 * frac).astype(int)
-    if np.max(np.abs(2.0 * frac - doubled)) > 1e-9:
-        raise ValueError("node does not sit on a half-lattice point")
-    res = doubled % 2
-    return np.array([_RESIDUE_CLASS[(p, q)] for p, q in res])
-
-
-@lru_cache(maxsize=1)
-def build_reference_hexagon():
-    """Unit-edge hexagon of 6 triangles with 19 quadratic nodes."""
-    rim = np.array(
-        [
-            [1.0, 0.0],
-            [0.5, 0.5 * _S3],
-            [-0.5, 0.5 * _S3],
-            [-1.0, 0.0],
-            [-0.5, -0.5 * _S3],
-            [0.5, -0.5 * _S3],
-        ]
-    )
-    nodes = np.zeros((19, 2))
-    nodes[1:7] = rim
-    nodes[7:13] = 0.5 * rim                      # spoke midpoints
-    nodes[13:19] = 0.5 * (rim + np.roll(rim, -1, axis=0))  # rim midpoints
-    tris = np.array(
-        [
-            [0, 1 + m, 1 + (m + 1) % 6, 13 + m, 7 + (m + 1) % 6, 7 + m]
-            for m in range(6)
-        ]
-    )
-    return ReferenceHexagon(nodes, tris, _classify(nodes))
 
 
 @dataclass(frozen=True)
@@ -130,29 +86,33 @@ class BlochMatrices:
 def _displacement_table(quad_degree=4):
     """(d, C): node displacements d (19, 2) and the real table C (19, 64).
 
-    Row j of C, read as (4, 4, 4), holds in column (x, class_n, class_m) the
-    sum of the element-block entries X[x][n, m] (mass, stiffness, d/dx, d/dy)
-    of the six faces whose displacement xi_m - xi_n is d[j].  Pairs are
-    grouped by their integer half-lattice coordinates, and d[j] is the exact
-    displacement of one pair of the group, not a rounded key.
+    Row j of C, read as (4, 4, 4), holds in column (x, class_n, class_m)
+    3 times the sum of the element-block entries X[x][n, m] (mass, stiffness,
+    d/dx, d/dy) of the one cell's two faces whose displacement xi_m - xi_n is
+    d[j]; the 4 dofs of the cell are mapped to the classes by _CELL_CLASS.
+    Nodes sit at exact integer keys in half-lattice units from the corner
+    shifts s (the cell's one vertex is the origin): 2 s at a corner and
+    s_a + s_b at the midpoint of the side from corner a to corner b.  Pairs
+    are grouped by the difference of their keys, and d = key @ lattice / 2.
     """
-    hexa = build_reference_hexagon()
+    cell = _equilateral_cells(1, 1, 1.0)
     quad = fem.quadrature_rule(quad_degree)
-    Jinv, area = fem._geometry(hexa.nodes[hexa.triangles[:, :3]])
-    blocks = np.stack([
+    Jinv, area = fem._geometry(cell.corner_coords())
+    blocks = 3.0 * np.stack([
         fem._p2_mass_blocks(area, quad),
         fem._p2_stiffness_blocks(Jinv, area, quad),
         fem._p2_ddx_blocks(Jinv, area, quad, np.array([1.0, 0.0])),
         fem._p2_ddx_blocks(Jinv, area, quad, np.array([0.0, 1.0])),
     ], axis=1)  # (face, x, n, m)
-    n, m = hexa.triangles[:, :, None], hexa.triangles[:, None, :]
-    disp = (hexa.nodes[m] - hexa.nodes[n]).reshape(-1, 2)
-    keys = np.rint(2.0 * disp @ np.linalg.inv(_CELL)).astype(int)
+    s = cell.shifts
+    half = np.concatenate([2 * s, s[:, [1, 2, 0]] + s[:, [2, 0, 1]]], axis=1)
+    keys = (half[:, None, :] - half[:, :, None]).reshape(-1, 2)
     _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    classes = _CELL_CLASS[fem.P2Space(cell).cell_dofs()]
     C = np.zeros((len(first), 4, 4, 4))
-    np.add.at(C, (row.reshape(6, 1, 6, 6), np.arange(4)[:, None, None],
-                  hexa.classes[n][:, None], hexa.classes[m][:, None]), blocks)
-    return disp[first], C.reshape(len(first), 64)
+    np.add.at(C, (row.reshape(2, 1, 6, 6), np.arange(4)[:, None, None],
+                  classes[:, None, :, None], classes[:, None, None, :]), blocks)
+    return 0.5 * keys[first] @ cell.lattice, C.reshape(len(first), 64)
 
 
 def _reductions(kdx, quad_degree=4):
@@ -454,10 +414,36 @@ def _mesh_dx(mesh):
     return float(np.linalg.norm(X[0, 1] - X[0, 0]))
 
 
-def lattice_dof_classes(mesh, dx=None):
-    """Translation class of every P2 dof on the torus."""
-    dx = dx or _mesh_dx(mesh)
-    return _classify(fem.operators(mesh).p2.dof_points() / dx)
+def lattice_dof_classes(mesh):
+    """Translation class of every P2 dof on an equilateral torus.
+
+    Faces 2c and 2c + 1 must be the one cell's two faces, scaled by dx and
+    translated (the face order of build_equilateral_torus); their dofs take
+    the classes of the cell's dofs in the same local places.  ValueError
+    otherwise.
+    """
+    cell = _equilateral_cells(1, 1, 1.0)
+    cell_classes = _CELL_CLASS[fem.P2Space(cell).cell_dofs()]
+    dx = _mesh_dx(mesh)
+    space = fem.P2Space(mesh)
+    if mesh.n_f % 2 == 0:
+        offset = mesh.corner_coords().reshape(-1, 2, 3, 2) - dx * cell.corner_coords()
+        dofs = space.cell_dofs().reshape(-1, 2, 6)
+        classes = np.empty(space.n_dofs, dtype=np.intp)
+        classes[dofs] = cell_classes
+        # translates, and no dof shared by faces with different classes
+        translated = np.abs(offset - offset[:, :, :1]).max() <= 1e-9 * dx
+        if translated and np.all(classes[dofs] == cell_classes):
+            return classes
+    raise ValueError("mesh faces are not translates of the equilateral cell's faces")
+
+
+def _lattice_phases(mesh, m1, m2):
+    """dx, the wave vector k of torus mode (m1, m2), the P2 dof classes and
+    the phases exp(i k . x) at the dofs."""
+    classes = lattice_dof_classes(mesh)
+    k = reciprocal_wavevector(mesh, m1, m2)
+    return _mesh_dx(mesh), k, classes, np.exp(1j * (fem.P2Space(mesh).dof_points() @ k))
 
 
 def lattice_gravity_mode(mesh, m1, m2, params, branch=0):
@@ -467,18 +453,12 @@ def lattice_gravity_mode(mesh, m1, m2, params, branch=0):
     u_hat solves the velocity equation of the time-harmonic system, which is
     pointwise 2x2 because gradients of quadratics embed exactly.
     """
-    ops = fem.operators(mesh)
-    dx = _mesh_dx(mesh)
-    k = reciprocal_wavevector(mesh, m1, m2)
-    kdx = k * dx
-    disp = gravity_branches(kdx, params, dx)
+    dx, k, classes, phases = _lattice_phases(mesh, m1, m2)
+    disp = gravity_branches(k * dx, params, dx)
     omega = float(disp.omegas[branch])
-    vtil = disp.vectors[:, branch]
+    eta_hat = phases * disp.vectors[classes, branch]
 
-    pts = ops.p2.dof_points()
-    eta_hat = np.exp(1j * (pts @ k)) * vtil[lattice_dof_classes(mesh, dx)]
-
-    grad = (ops.E @ eta_hat).reshape(-1, 2)
+    grad = (fem.operators(mesh).E @ eta_hat).reshape(-1, 2)
     a, b = -1j * omega, params.f0
     denom = params.f0 ** 2 - omega ** 2
     if abs(denom) < 1e-14 * max(omega ** 2, 1.0):
@@ -490,13 +470,6 @@ def lattice_gravity_mode(mesh, m1, m2, params, branch=0):
 
 def lattice_rossby_mode(mesh, m1, m2, params, fhat=(0.0, 1.0), branch=0):
     """Bloch Rossby mode (omega, psi_hat) on an equilateral torus."""
-    ops = fem.operators(mesh)
-    dx = _mesh_dx(mesh)
-    k = reciprocal_wavevector(mesh, m1, m2)
-    kdx = k * dx
-    disp = rossby_branches(kdx, params, fhat, dx)
-    omega = float(disp.omegas[branch])
-    vtil = disp.vectors[:, branch]
-    pts = ops.p2.dof_points()
-    psi_hat = np.exp(1j * (pts @ k)) * vtil[lattice_dof_classes(mesh, dx)]
-    return omega, psi_hat
+    dx, k, classes, phases = _lattice_phases(mesh, m1, m2)
+    disp = rossby_branches(k * dx, params, fhat, dx)
+    return float(disp.omegas[branch]), phases * disp.vectors[classes, branch]

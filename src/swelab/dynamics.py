@@ -498,12 +498,10 @@ def read_checkpoint(path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
     try:
         mesh = read_mesh(mesh_path)
-        # a mesh that parses can still be unusable: a clockwise face fails
-        # the assembly, and a broken topology the mesh checks
-        ops = fem.operators(mesh)
     except ValueError as exc:
         raise CheckpointFormatError(1, f"mesh file {mesh_path}: {exc}") from None
-    failed = [c.name for c in validate(mesh).checks if not c.passed]
+    failed = [f"{c.name} ({c.detail})" if c.detail else c.name
+              for c in validate(mesh).checks if not c.passed]
     if failed:
         raise CheckpointFormatError(1, f"mesh file {mesh_path}: failed checks {', '.join(failed)}")
     if len(lines) < 2 or not lines[1].startswith("time "):
@@ -514,18 +512,19 @@ def read_checkpoint(path):
         raise CheckpointFormatError(2, f"bad time value {lines[1][5:]!r}")
 
     i = 2
-    fields = {}
-    for name, space in (("u", ops.v), ("eta", ops.p2)):
+    values = {}
+    for name, n_dofs in (("u", 6 * mesh.n_f), ("eta", mesh.n_v + mesh.n_e)):
         if i >= len(lines) or not lines[i].startswith(name + " "):
             raise CheckpointFormatError(i + 1, f"expected '{name} <count>'")
         try:
             count = int(lines[i][len(name) + 1:])
         except ValueError:
             raise CheckpointFormatError(i + 1, f"bad {name} count")
-        if count != space.n_dofs:
+        if count != n_dofs:
             raise CheckpointFormatError(
-                i + 1, f"{name} has {count} coefficients, mesh needs {space.n_dofs}"
+                i + 1, f"{name} has {count} coefficients, mesh needs {n_dofs}"
             )
-        vals, i = _read_block(lines, i + 1, name, count)
-        fields[name] = Field(space, vals)
-    return mesh, State(fields["u"], fields["eta"], t)
+        values[name], i = _read_block(lines, i + 1, name, count)
+    # the operators are assembled only for a checkpoint that parsed completely
+    ops = fem.operators(mesh)
+    return mesh, State(Field(ops.v, values["u"]), Field(ops.p2, values["eta"]), t)

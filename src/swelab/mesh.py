@@ -188,6 +188,12 @@ def build_equilateral_torus(n1, n2, dx):
         raise ValueError("need n1, n2 >= 2; smaller tori have degenerate periodic identification")
     if dx <= 0:
         raise ValueError("dx must be positive")
+    return _equilateral_cells(n1, n2, dx)
+
+
+def _equilateral_cells(n1, n2, dx):
+    """build_equilateral_torus without its checks; the 1x1 torus is the one
+    periodic cell of the lattice, with one vertex and three self-loop edges."""
     axes = [[1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]
     # split along the short diagonal, corner 10 to corner 01
     return _cell_torus(n1, n2, (dx, dx), (n1 * dx, n2 * dx), axes, [[0, 1, 2], [1, 3, 2]])
@@ -236,7 +242,7 @@ def validate(mesh):
 
     areas = mesh.areas()
     bad = np.nonzero(areas <= 0)[0]
-    detail = "; ".join(f"negative area at face {i}" for i in bad[:8])
+    detail = "; ".join(f"face {i} is not counter-clockwise" for i in bad[:8])
     if len(bad) > 8:
         detail += f"; and {len(bad) - 8} more"
     checks.append(CheckResult("positive-areas", len(bad) == 0, detail))

@@ -13,16 +13,19 @@ element kernels share the package's basis and quadrature rules but sum over
 the quadrature points face by face, the route the package took before it
 contracted reference tensors with geometry; ``assemble_dense`` adds their
 blocks into a dense matrix one face at a time, and ``hexagon_patch`` adds
-them into the 19x19 patch matrices that the Bloch reductions are defined
-from.  ``ref_p2_basis`` evaluates the package's basis at one checked
-barycentric point, the form in which the tests compare it with the symbolic
-basis.  ``random_field``, ``recompose``, ``jittered_torus`` (and its
-hypothesis strategy ``jittered_tori``), ``symbolic_reference``,
-``bloch_matrix_S`` and ``v_mean`` are helpers that only the tests use.
+them into the 19x19 matrices of the patch that the Bloch reductions are
+defined on.  That patch, a hexagon of six triangles with 19 nodes in 4
+classes (``HEXAGON_NODES``, ``HEXAGON_TRIANGLES``, ``HEXAGON_CLASSES``), is
+written out here and not in the package, which reduces one periodic cell
+instead; ``bloch_matrix_S`` is its phase matrix.  ``ref_p2_basis`` evaluates
+the package's basis at one checked barycentric point, the form in which the
+tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
+``jittered_torus`` (and its hypothesis strategy ``jittered_tori``),
+``symbolic_reference`` and ``v_mean`` are helpers that only the tests use.
 ``midpoint_step_dense`` is a time step written from the ``dynamics`` module
 docstring with dense solves on those blocks, and ``p2_point_value``
-evaluates a quadratic at a physical point by a barycentric solve, apart
-from the package's basis tables.
+evaluates a quadratic at a physical point by a barycentric solve, apart from
+the package's basis tables.
 """
 
 import functools
@@ -104,24 +107,37 @@ def recompose(parts, mesh):
     return fem.Field(ops.v, coeffs)
 
 
+# the patch the Bloch reductions are defined on: six unit-edge equilateral
+# triangles around the origin with 19 quadratic nodes, the centre, the rim
+# vertices 1-6 at 0, 60, ..., 300 degrees, the spoke midpoints 7-12 and the
+# rim midpoints 13-18 (13 + m between rim vertices m and m + 1); the classes
+# are those of the closed forms: 0 x-edge midpoints, 1 oblique and
+# 2 anti-oblique midpoints, 3 vertices
+_RIM = np.array([[1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)], [-0.5, 0.5 * np.sqrt(3.0)],
+                 [-1.0, 0.0], [-0.5, -0.5 * np.sqrt(3.0)], [0.5, -0.5 * np.sqrt(3.0)]])
+HEXAGON_NODES = np.vstack([np.zeros((1, 2)), _RIM, 0.5 * _RIM,
+                           0.5 * (_RIM + np.roll(_RIM, -1, axis=0))])
+HEXAGON_TRIANGLES = np.array([[0, 1 + m, 1 + (m + 1) % 6, 13 + m, 7 + (m + 1) % 6, 7 + m]
+                              for m in range(6)])
+HEXAGON_CLASSES = np.array([3] * 7 + [0, 1, 2, 0, 1, 2] + [2, 0, 1, 2, 0, 1])
+
+
 def bloch_matrix_S(kdx):
     """19x4 Bloch phase matrix: row n carries exp(i kdx . xi_n) in the column
     of node n's class.  For an (N, 2) array of wave vectors the result is the
     (N, 19, 4) stack; S^H X S is the definition of the reductions that
     ``bloch._reductions`` builds from its displacement table."""
-    hexa = bloch.build_reference_hexagon()
     kdx = np.asarray(kdx, dtype=float)
     S = np.zeros(kdx.shape[:-1] + (19, 4), dtype=complex)
-    S[..., np.arange(19), hexa.classes] = np.exp(1j * (kdx @ hexa.nodes.T))
+    S[..., np.arange(19), HEXAGON_CLASSES] = np.exp(1j * (kdx @ HEXAGON_NODES.T))
     return S
 
 
 def hexagon_patch(quad_degree=4):
-    """19x19 mass, stiffness, d/dx and d/dy matrices on bloch's reference
-    hexagon, stacked: the quadrature-sum blocks below, added face by face."""
-    hexa = bloch.build_reference_hexagon()
+    """19x19 mass, stiffness, d/dx and d/dy matrices on the hexagon above,
+    stacked: the quadrature-sum blocks below, added face by face."""
     quad = fem.quadrature_rule(quad_degree)
-    X, dofs = hexa.nodes[hexa.triangles[:, :3]], hexa.triangles
+    X, dofs = HEXAGON_NODES[HEXAGON_TRIANGLES[:, :3]], HEXAGON_TRIANGLES
     blocks = (p2_mass_blocks(X, quad), p2_stiffness_blocks(X, quad),
               p2_ddx_blocks(X, quad, (1.0, 0.0)), p2_ddx_blocks(X, quad, (0.0, 1.0)))
     return np.array([assemble_dense(b, dofs, dofs, (19, 19)) for b in blocks])

@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 
 from swelab import bloch, fem
 from swelab.dynamics import RossbyParams, SweParams
-from swelab.mesh import build_equilateral_torus
+from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
 from .oracles import (
+    HEXAGON_CLASSES,
+    HEXAGON_NODES,
+    HEXAGON_TRIANGLES,
     bloch_matrix_S,
     hexagon_patch,
+    jittered_torus,
     pencil_eigvals,
     rank_by_svd,
     symbolic_reference,
@@ -21,24 +25,34 @@ from .oracles import (
 ZONE_R = 2.0 * math.pi / math.sqrt(3.0)
 
 
+def _same_translation_class(points, dx):
+    """(n, n) flags: points i and j differ by an integer combination of the
+    equilateral cell vectors (1, 0) and (1/2, sqrt(3)/2) times dx."""
+    cell = np.array([[1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]])
+    frac = (points[:, None] - points[None, :]) @ np.linalg.inv(dx * cell)
+    return np.all(np.abs(frac - np.rint(frac)) < 1e-9, axis=-1)
+
+
 def test_reference_hexagon_geometry():
-    hx = bloch.build_reference_hexagon()
-    assert hx.nodes.shape == (19, 2)
-    assert hx.triangles.shape == (6, 6)
-    assert np.allclose(hx.nodes[0], 0.0)
-    rim = hx.nodes[1:7]
+    nodes, tris, classes = HEXAGON_NODES, HEXAGON_TRIANGLES, HEXAGON_CLASSES
+    assert nodes.shape == (19, 2)
+    assert tris.shape == (6, 6)
+    assert np.allclose(nodes[0], 0.0)
+    rim = nodes[1:7]
     assert np.allclose(np.linalg.norm(rim, axis=1), 1.0, atol=1e-14)
     # six unit triangles around the origin, positively oriented
     total = 0.0
-    for tri in hx.triangles:
-        a, b, c = hx.nodes[tri[0]], hx.nodes[tri[1]], hx.nodes[tri[2]]
+    for tri in tris:
+        a, b, c = nodes[tri[0]], nodes[tri[1]], nodes[tri[2]]
         area = 0.5 * ((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
         assert area > 0
         total += area
     assert np.isclose(total, 6 * math.sqrt(3) / 4, rtol=1e-13)
-    counts = np.bincount(hx.classes, minlength=4)
+    counts = np.bincount(classes, minlength=4)
     assert counts.tolist() == [4, 4, 4, 7]
-    assert hx.classes[0] == 3
+    assert classes[0] == 3
+    # the hard-coded classes are the translation classes of the lattice
+    assert np.array_equal(_same_translation_class(nodes, 1.0), classes[:, None] == classes)
 
 
 def test_bloch_matrix_structure():
@@ -324,15 +338,29 @@ def test_degenerate_rossby_pairs_are_flagged():
 
 
 def test_lattice_dof_classes():
-    mesh = build_equilateral_torus(4, 4, 0.5)
-    classes = bloch.lattice_dof_classes(mesh)
-    assert classes.shape == (mesh.n_v + mesh.n_e,)
-    counts = np.bincount(classes, minlength=4)
-    # one vertex and three edge classes per primitive cell
-    assert counts.tolist() == [16, 16, 16, 16]
-    # vertices are the last row of the reduced ordering, midpoints the rest
-    assert set(classes[: mesh.n_v].tolist()) == {3}
-    assert set(classes[mesh.n_v:].tolist()) == {0, 1, 2}
+    for n1, n2, dx in [(2, 2, 1.0), (4, 4, 0.5), (5, 7, 0.3)]:
+        mesh = build_equilateral_torus(n1, n2, dx)
+        classes = bloch.lattice_dof_classes(mesh)
+        assert classes.shape == (mesh.n_v + mesh.n_e,)
+        counts = np.bincount(classes, minlength=4)
+        # one vertex and three edge classes per primitive cell
+        assert counts.tolist() == [n1 * n2] * 4
+        # vertices are the last row of the reduced ordering, midpoints the rest
+        assert set(classes[: mesh.n_v].tolist()) == {3}
+        assert set(classes[mesh.n_v:].tolist()) == {0, 1, 2}
+        # two dofs share a class exactly when their points differ by a
+        # lattice vector, whatever order the faces and dofs come in
+        same = _same_translation_class(fem.P2Space(mesh).dof_points(), dx)
+        assert np.array_equal(same, classes[:, None] == classes)
+
+
+@pytest.mark.parametrize("mesh", [build_right_triangle_torus(6, 6, 6.0, 6.0), jittered_torus(8)],
+                         ids=["right", "jittered"])
+def test_lattice_modes_reject_non_equilateral_mesh(mesh):
+    with pytest.raises(ValueError, match="equilateral cell"):
+        bloch.lattice_gravity_mode(mesh, 1, 0, SweParams(f0=1.0, c2=1.0))
+    with pytest.raises(ValueError, match="equilateral cell"):
+        bloch.lattice_rossby_mode(mesh, 1, 0, RossbyParams(f0=1e-4, beta=1e-12, c2=1e5))
 
 
 def test_lattice_gravity_mode_is_discrete_eigenpair():

@@ -379,6 +379,28 @@ def test_checkpoint_format_errors(tmp_path):
     assert exc.value.lineno == 1
 
 
+def test_checkpoint_errors_before_assembly(tmp_path, monkeypatch):
+    # a checkpoint whose header or counts are wrong is rejected without
+    # assembling the operators; a good one assembles them once
+    mesh = build_right_triangle_torus(3, 3, 1.0, 1.0)
+    write_mesh(mesh, tmp_path / "grid.txt")
+    dynamics.write_checkpoint(tmp_path / "chk.txt", _random_state(mesh, seed=2), "grid.txt")
+    lines = (tmp_path / "chk.txt").read_text().splitlines()
+    calls = []
+    real = fem.operators
+    monkeypatch.setattr(fem, "operators", lambda m: calls.append(m) or real(m))
+    for row, text in ((1, "time later"), (2, "u 5")):
+        bad = lines.copy()
+        bad[row] = text
+        (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
+        with pytest.raises(CheckpointFormatError) as exc:
+            dynamics.read_checkpoint(tmp_path / "bad.txt")
+        assert exc.value.lineno == row + 1
+        assert calls == []
+    dynamics.read_checkpoint(tmp_path / "chk.txt")
+    assert len(calls) == 1
+
+
 def test_step_midpoint_is_linear():
     mesh = build_right_triangle_torus(2, 3, 1.0, 1.0)
     params = SweParams(f0=0.9, c2=1.4)
