@@ -17,11 +17,11 @@ first step solves the system.
 
 Two preconditioners serve two kinds of matrix.  Mass-dominated ones
 (M + kappa L at the usual steps, the midpoint Schur complement below the
-gravity-wave Courant limit, the Rossby operator) are well conditioned, and
-Jacobi-CG solves them in tens of iterations.  Stiffness-dominated ones are
-not: for the P2 stiffness matrix L, and for a Schur complement at a step
-past the Courant limit, Jacobi-CG needs iterations in proportion to 1/h.
-For these the caller passes ``coarse``, the P2 -> P1 interpolation, and the
+gravity-wave Courant limit) are well conditioned, and Jacobi-CG solves them
+in tens of iterations.  Stiffness-dominated ones are not: for the P2
+stiffness matrix L, and for a Schur complement at a step past the Courant
+limit, Jacobi-CG needs iterations in proportion to 1/h.  For these the
+caller passes ``coarse``, the P2 -> P1 interpolation, and the
 preconditioner is one symmetric multigrid V(1,1)-cycle on the symmetric
 part, whose iteration count does not grow with the mesh.  Level 0 is Sym,
 level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
@@ -29,8 +29,18 @@ level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
 ``_COARSEST`` unknowns, which a dense inverse solves, or a dense
 pseudo-inverse on the mean-free subspace when the nullspace is the
 constants, unless aggregation stalls first (see ``_VCycle``).  Every level
-smooths by damped Jacobi.  The set-up takes no random vectors, so it is
+smooths by damped Jacobi, and folds its post-smoothing into a correction
+operator Q = (I - omega D^-1 A) P formed at set-up, so that a level applies
+A once, R once and Q once.  The set-up takes no random vectors, so it is
 deterministic.
+
+The Rossby operator K = L + M/L_R^2 of ``dynamics.solve_rossby`` is
+stiffness-dominated wherever the deformation radius L_R spans many cells:
+on the 32 x 64 equilateral torus with L_R/dx = 31.6, L's diagonal is 3.25e4
+times M/L_R^2's.  Its solves still keep Jacobi.  They are warm-started from
+the previous step and take 25-30 Jacobi iterations each, and the V-cycle
+converges poorly on K: over 40 steps there it saved less than a quarter of
+the preconditioner applications and took about twice the time.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -254,11 +264,21 @@ class _VCycle:
 
     The first prolongation is ``coarse``; each further one is the aggregation
     prolongator T smoothed to (I - omega D^-1 A) T.  Coarse matrices are the
-    Galerkin products P^T A P.  A definite A has a definite coarsest level,
-    which a dense inverse solves.  With ``nullspace`` A is semi-definite with
-    the constants as nullspace; every prolongation maps constants to
-    constants and so keeps the nullspace of each level the constants, and
-    the coarsest pseudo-inverse acts on mean-free vectors.
+    Galerkin products P^T A P.  A level is (A, omega D^-1, R = P^T, Q) with
+    Q = (I - omega D^-1 A) P.  Pre-smoothing gives x1 = omega D^-1 r and the
+    residual t = r - A x1; the coarse correction e solves for R t, and
+    post-smoothing the residual t - A P e of x1 + P e gives
+
+        x2 = x1 + omega D^-1 t + Q e,
+
+    the textbook V(1,1)-cycle with one product with A per level instead of
+    two.
+
+    A definite A has a definite coarsest level, which a dense inverse
+    solves.  With ``nullspace`` A is semi-definite with the constants as
+    nullspace; every prolongation maps constants to constants and so keeps
+    the nullspace of each level the constants, and the coarsest
+    pseudo-inverse acts on mean-free vectors.
 
     Aggregation stalls, keeping more than half of a level's unknowns, where
     most of them have no strong neighbour, as on the mass-dominated coarse
@@ -278,9 +298,10 @@ class _VCycle:
                 if 2 * T.shape[1] > A.shape[0]:
                     break
                 P = (T - sp.diags(smoother) @ (A @ T)).tocsr()
+            AP = A @ P
             R = P.T.tocsr()
-            self.levels.append((A, smoother, P, R))
-            A, P = (R @ (A @ P)).tocsr(), None
+            self.levels.append((A, smoother, R, (P - sp.diags(smoother) @ AP).tocsr()))
+            A, P = (R @ AP).tocsr(), None
         if A.shape[0] > _COARSEST:
             self.coarsest = functools.partial(np.multiply, smoother)
         elif nullspace:
@@ -294,8 +315,9 @@ class _VCycle:
     def __call__(self, r, level=0):
         if level == len(self.levels):
             return self.coarsest(r)
-        A, smoother, P, R = self.levels[level]
+        A, smoother, R, Q = self.levels[level]
         x = smoother * r
-        x += P @ self(R @ (r - A @ x), level + 1)
-        x += smoother * (r - A @ x)
+        t = r - A @ x
+        x += smoother * t
+        x += Q @ self(R @ t, level + 1)
         return x

@@ -287,10 +287,44 @@ def test_definite_multigrid_agrees_with_jacobi(kind):
     S, R = _schur(kind)
     b = np.random.default_rng(10).standard_normal(S.shape[0])
     solver = Solver(S, coarse=R)
-    assert solver._precondition.levels[0][2] is R
+    # level 0's correction is built from the given prolongation
+    A0, smoother, _, Q0 = solver._precondition.levels[0]
+    expected = R - sparse.diags(smoother) @ (A0 @ R)
+    assert abs(Q0 - expected).max() <= 1e-14 * abs(expected).max()
     x = solver.solve(b, tol=1e-12)
     ref = Solver(S).solve(b, tol=1e-12)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _textbook_vcycle(B, r, level=0):
+    """The V(1,1)-cycle in its four-product form on B's levels, with P = R^T:
+    smooth, restrict r - A x, prolong the coarse correction, smooth again."""
+    if level == len(B.levels):
+        return B.coarsest(r)
+    A, smoother, R, _ = B.levels[level]
+    x = smoother * r
+    x = x + R.T @ _textbook_vcycle(B, R @ (r - A @ x), level + 1)
+    return x + smoother * (r - A @ x)
+
+
+@pytest.mark.parametrize("hierarchy", [*SCHUR_KINDS, "stiffness"])
+def test_folded_vcycle_matches_the_textbook_cycle(hierarchy):
+    # the Schur complements of the 16 x 16 tori, and the nullspace hierarchy
+    # of L on the 32 x 32 right torus, whose aggregation levels smooth P
+    if hierarchy == "stiffness":
+        B = _operators("right", 32).L_solver._precondition
+        assert len(B.levels) >= 2
+    else:
+        S, R = _schur(hierarchy)
+        B = Solver(S, coarse=R)._precondition
+    for A, smoother, R, Q in B.levels:
+        ref = R.T - sparse.diags(smoother) @ (A @ R.T)
+        assert abs(Q - ref).max() <= 1e-14 * abs(ref).max()
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        r = rng.standard_normal(B.levels[0][0].shape[0])
+        ref = _textbook_vcycle(B, r)
+        assert np.linalg.norm(B(r) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_small_definite_matrix_is_solved_in_one_step():
