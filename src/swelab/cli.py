@@ -226,6 +226,10 @@ def cmd_dispersion(args):
     header = "k,l,omega1,omega2,omega3,omega4"
     if kind == "rossby":
         header += ",label1,label2,label3,label4"
+        ambiguous = sum(any(r.ambiguous) for r in rows)
+        if ambiguous:
+            print(f"warning: {ambiguous} of {len(rows)} rows have a label that rounding decides "
+                  "(runner-up template within 1 % or a repeated frequency)", file=sys.stderr)
     if args.compare_exact:
         header += ",omega_exact"
     lines = [header]

@@ -12,11 +12,17 @@ That leaves one solve for the midpoint elevation with the Schur complement
 
     S = M + (c2 dt^2/4) E^T M_v W E.
 
+W is fixed per (mesh, dt, params), so the stepper folds it once into the
+operators a step applies: couple = (dt/2) E^T M_v W for the right-hand side,
+and lift = c2 dt W E and reflect = 2 W - I for the new velocity.  A step
+is then four operator products and the solve.
+
 On the f-plane W = (I - gamma P)/(1 + gamma^2) with gamma = f0 dt/2, and S
 reduces in closed form to the symmetric positive definite M + kappa L,
 because rotated gradients of quadratics are mass-orthogonal to gradients of
-quadratics.  On the beta-plane W and S are built face by face, and S also
-has a skew-symmetric part, which ``linalg.Solver`` handles for any beta dt.
+quadratics.  On the beta-plane W is built face by face, S is M plus
+(c2 dt/2) couple E, and S also has a skew-symmetric part, which
+``linalg.Solver`` handles for any beta dt.
 
 S is mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h
 is below about one, and stiffness-dominated past it.  On either plane the
@@ -140,13 +146,29 @@ _MULTIGRID_ABOVE = 18.0
 
 
 class _Stepper:
-    """The rotation W and the Schur complement solver for one (mesh, dt, params).
+    """The operators of one implicit-midpoint step for one (mesh, dt, params).
 
-    One step forms wu = W u_n, solves S eta_m = M eta_n + (dt/2) E^T M_v wu,
-    sets u_m = wu - (c2 dt/2) W E eta_m, which is W (u_n - (c2 dt/2) E eta_m)
-    because W is linear, and extrapolates both fields to 2 x_m - x_n.  So
-    W u_n is formed once per step, and E^T is the mesh's cached ``ops.Et``.
-    Only the set-up tells the f-plane from the beta-plane.
+    With W = (M_v + (dt/2) C)^{-1} M_v, block diagonal per face, a step
+    solves S eta_m = M eta_n + (dt/2) E^T M_v W u_n and sets
+    u_{n+1} = 2 W (u_n - (c2 dt/2) E eta_m) - u_n.  The set-up folds W into
+    three operators, fixed per (mesh, dt, params):
+
+        couple  = (dt/2) E^T M_v W,   lift = c2 dt W E,   reflect = 2 W - I,
+
+    so that a step is
+
+        eta_m   = S^{-1} (M eta_n + couple u_n),
+        u_{n+1} = reflect u_n - lift eta_m,   eta_{n+1} = 2 eta_m - eta_n:
+
+    four operator products and the solve.  E's rows 6f ... 6f+5 hold face
+    f's six P2 columns in one order, so ``E.data`` reshaped to (n_f, 6, 6)
+    are E's face blocks, and lift and the transpose of couple store only a
+    new data array on E's index arrays; the set-up checks that layout.  Only
+    the set-up tells the f-plane from the beta-plane.  On the f-plane W_f is
+    the constant (I - gamma P_f)/s with gamma = f0 dt/2 and s = 1 + gamma^2,
+    reflect is ((1 - gamma^2) I - 2 gamma P)/s, and S = M + kappa L shares
+    M's index arrays.  On the beta-plane W_f comes from one batched solve,
+    reflect is a block-sparse matrix, and S is M + (c2 dt/2) couple E.
 
     On the f-plane W acts on the Helmholtz potentials in closed form, so a
     step from the u_n held in the mesh's potentials slot (see ``helmholtz``)
@@ -158,27 +180,42 @@ class _Stepper:
         self.ops = ops = fem.operators(mesh)
         self.dt, self.c2 = dt, params.c2
         c2dt2 = params.c2 * dt * dt
+        E, n_f = ops.E, mesh.n_f
+        if E.nnz != 36 * n_f or np.diff(E.indices.reshape(n_f, 6, 6), axis=1).any():
+            raise ValueError("E must store face f's six P2 columns on each of rows 6f to 6f+5")
+        Eb = E.data.reshape(n_f, 6, 6)
+        X, _, area = fem._face_geometry(mesh)
         if params.beta == 0.0:
             gamma = 0.5 * params.f0 * dt
             # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
             # so a huge dt reaches the solver's finiteness check
             scale = 1.0 + gamma * gamma
             self.gamma, self.scale = gamma, scale
-            self.rotate = lambda v: (v - gamma * (ops.P @ v)) / scale
-            S = ops.M + (c2dt2 / (4.0 * scale)) * ops.L
+            self.reflect = lambda v: (2.0 / scale - 1.0) * v - (2.0 * gamma / scale) * (ops.P @ v)
+            W = (np.eye(6) - gamma * np.kron(np.eye(3), fem._PERP)) / scale
+            # M_v's face blocks are 2 |T_f| times one 6 x 6 matrix
+            couple = (np.kron(fem._ref_tensors(fem._RULES[4]).p1_mass, np.eye(2)) @ W).T @ Eb
+            couple *= 2.0 * area[:, None, None]
+            # M and L share one pattern, so S is one new data array
+            S = sp.csr_matrix((ops.M.data + (c2dt2 / (4.0 * scale)) * ops.L.data,
+                               ops.M.indices, ops.M.indptr), shape=ops.M.shape)
         else:
             self.gamma = None
-            # W_f = A_f^{-1} Mv_f by one batched solve; S adds up the
-            # element blocks g_f^T Mv_f W_f g_f, g_f the blocks of E
+            # W_f = A_f^{-1} Mv_f by one batched solve
             quad = fem.quadrature_rule(5)
-            X, Jinv, area = fem._face_geometry(mesh)
             mv = fem._p1dg_mass_blocks(area, quad)
             coriolis = fem._coriolis_blocks(X, area, params.f0, params.beta, quad)
             W = np.linalg.solve(mv + 0.5 * dt * coriolis, mv)
-            g = fem._gradient_blocks(Jinv)
-            faces = np.arange(mesh.n_f + 1)
-            self.rotate = sp.bsr_matrix((W, faces[:-1], faces), shape=(ops.v.n_dofs,) * 2).dot
-            S = ops.M + (c2dt2 / 4.0) * fem._scatter(np.swapaxes(g, 1, 2) @ (mv @ W) @ g, ops.p2)
+            couple = np.swapaxes(mv @ W, 1, 2) @ Eb
+        lift = (params.c2 * dt * W) @ Eb
+        self.lift = sp.csr_matrix((lift.ravel(), E.indices, E.indptr), shape=E.shape)
+        # E^T M_v W, scaled to couple in place once the beta-plane S has read it
+        self.couple = sp.csr_matrix((couple.ravel(), E.indices, E.indptr), shape=E.shape).T
+        if self.gamma is None:
+            S = ops.M + (c2dt2 / 4.0) * (self.couple @ E)
+            W = 2.0 * W - np.eye(6)
+            self.reflect = sp.bsr_matrix((W, np.arange(n_f), np.arange(n_f + 1))).dot
+        self.couple.data *= 0.5 * dt
         # the mean of (S_ii - M_ii) / M_ii.  S_ii >= M_ii > 0, but an overflowed
         # S has entries of both signs on its diagonal, whose abs keeps the sum
         # from inf - inf; the inf or nan that remains keeps Jacobi, and the
@@ -188,19 +225,16 @@ class _Stepper:
         self.solver = linalg.Solver(S, coarse=coarse)
 
     def step(self, state, tol):
-        ops, dt = self.ops, self.dt
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
-        wu = self.rotate(u_n)
-        rhs = ops.M @ eta_n + 0.5 * dt * (ops.Et @ (ops.Mv @ wu))
+        rhs = self.ops.M @ eta_n + self.couple @ u_n
         eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
-        u_m = wu - 0.5 * self.c2 * dt * self.rotate(ops.E @ eta_m)
-        u_next = 2.0 * u_m - u_n
+        u_next = self.reflect(u_n) - self.lift @ eta_m
         if self.gamma is not None:
             self._predict_potentials(u_n, eta_m, u_next)
         return State(
             Field(state.u.space, u_next),
             Field(state.eta.space, 2.0 * eta_m - eta_n),
-            state.time + dt,
+            state.time + self.dt,
         )
 
     def _predict_potentials(self, u_n, eta_m, u_next):

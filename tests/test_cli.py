@@ -176,6 +176,23 @@ def test_rossby_csv_has_labels(tmp_path, capsys):
         assert set(cells[6:]) <= names
 
 
+@pytest.mark.parametrize("argv", [["rossby"], ["dispersion", "--kind", "rossby"]])
+@pytest.mark.parametrize("ngrid, flagged", [(33, 65), (8, 0)])
+def test_rossby_labels_that_rounding_decides_are_counted(argv, ngrid, flagged, tmp_path, capsys):
+    # the CSV keeps its format; one stderr line counts the rows whose label
+    # the ambiguity flags of ``sweep_brillouin`` mark
+    out_file = tmp_path / "ros.csv"
+    code, _, err = run(argv + ["--ngrid", str(ngrid), "--out", str(out_file)], capsys)
+    assert code == 0
+    rows = out_file.read_text().strip().splitlines()[1:]
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    if flagged:
+        assert warnings == [f"warning: {flagged} of {len(rows)} rows have a label that rounding "
+                            "decides (runner-up template within 1 % or a repeated frequency)"]
+    else:
+        assert warnings == []
+
+
 def test_helmholtz_energies_sum(capsys):
     code, out, err = run(["helmholtz", "--n1", "3", "--n2", "3", "--seed", "4"], capsys)
     assert code == 0

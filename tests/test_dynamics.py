@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -440,6 +441,109 @@ def test_step_matches_dense_oracle(kind, beta):
                     np.linalg.norm(state.u.coeffs - u) / np.linalg.norm(u),
                     np.linalg.norm(state.eta.coeffs - eta) / np.linalg.norm(eta))
     assert worst <= 1e-12
+
+
+FOLD_MESHES = {
+    "right": lambda: build_right_triangle_torus(4, 3, 1.0, 0.75),
+    "equilateral": lambda: build_equilateral_torus(4, 4, 0.25),
+    "jittered": lambda: jittered_torus(4, seed=7),
+}
+
+
+def _rotation(ops, dt, params):
+    """Dense W = (Mv + (dt/2) C)^{-1} Mv, assembled apart from the stepper."""
+    if params.beta == 0.0:
+        gamma = 0.5 * params.f0 * dt
+        return (np.eye(ops.v.n_dofs) - gamma * ops.P.toarray()) / (1.0 + gamma ** 2)
+    Mv = ops.Mv.toarray()
+    C = fem.assemble_coriolis(ops.v, params.f0, params.beta).toarray()
+    return np.linalg.solve(Mv + 0.5 * dt * C, Mv)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+@pytest.mark.parametrize("kind", sorted(FOLD_MESHES))
+def test_folded_step_operators_match_their_definitions(kind, beta):
+    # the set-up folds W into lift = c2 dt W E, couple = (dt/2) E^T Mv W and
+    # reflect = 2 W - I; one step must be the unfolded midpoint step
+    mesh = FOLD_MESHES[kind]()
+    ops = fem.operators(mesh)
+    params, dt = SweParams(f0=1.3, beta=beta, c2=1.5), 0.1
+    stepper = dynamics._Stepper(mesh, dt, params)
+    W, E, Mv = _rotation(ops, dt, params), ops.E.toarray(), ops.Mv.toarray()
+    identity = np.eye(ops.v.n_dofs)
+    for got, want in ((stepper.lift.toarray(), params.c2 * dt * W @ E),
+                      (stepper.couple.toarray(), 0.5 * dt * E.T @ Mv @ W),
+                      (stepper.reflect(identity), 2.0 * W - identity)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    state = _random_state(mesh, seed=44)
+    u, eta = state.u.coeffs, state.eta.coeffs
+    M = ops.M.toarray()
+    S = M + 0.25 * params.c2 * dt * dt * (E.T @ Mv @ W @ E)
+    eta_m = np.linalg.solve(S, M @ eta + 0.5 * dt * (E.T @ Mv @ W @ u))
+    u_next = 2.0 * W @ (u - 0.5 * params.c2 * dt * (E @ eta_m)) - u
+    stepped = stepper.step(state, 1e-14)
+    assert np.linalg.norm(stepped.u.coeffs - u_next) <= 1e-13 * np.linalg.norm(u_next)
+    eta_next = 2.0 * eta_m - eta
+    assert np.linalg.norm(stepped.eta.coeffs - eta_next) <= 1e-13 * np.linalg.norm(eta_next)
+
+
+@pytest.mark.parametrize("broken", ["dropped zeros", "rows swapped across faces"])
+def test_stepper_rejects_a_gradient_embedding_it_cannot_fold(broken):
+    # the fold reads E's data as one 6 x 6 block per face: 36 stored entries
+    # per face, face f's six P2 columns on rows 6f to 6f + 5
+    mesh = build_right_triangle_torus(4, 4, 1.0, 1.0)
+    ops = fem.operators(mesh)
+    E = ops.E.copy()
+    if broken == "dropped zeros":
+        E.eliminate_zeros()
+        assert E.nnz < 36 * mesh.n_f
+    else:
+        rows = np.arange(E.shape[0])
+        rows[[5, 6]] = rows[[6, 5]]
+        E = E[rows]
+    mesh.cache["operators"] = dataclasses.replace(ops, E=E)
+    with pytest.raises(ValueError, match="six P2 columns"):
+        dynamics._Stepper(mesh, 0.1, SweParams(f0=1.0, c2=1.0))
+
+
+def test_transit_slopes_on_jittered_tori(monkeypatch):
+    # the paper's third-order claim off the lattice: ``run_convergence``
+    # with its meshes jittered, held to criterion 05's bounds
+    monkeypatch.setattr(dynamics, "build_right_triangle_torus",
+                        lambda nx, ny, lx, ly: jittered_torus(nx, seed=1))
+    collocated = dynamics.run_convergence([8, 16, 32], "collocated")
+    projected = dynamics.run_convergence([8, 16, 32], "projected")
+    assert 1.7 <= collocated.order <= 2.4
+    assert projected.order >= 2.7
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e-4])
+def test_beta_plane_step_follows_quasigeostrophy_away_from_the_seam(beta):
+    # a balanced Rossby mode stepped by the shallow-water equations and by
+    # the quasi-geostrophic equation for 1/20 of its period, with f0 = c2 = 1
+    # so that (c2/f0) eta is eta; f jumps by beta Ly across y = 0, so only
+    # the band 0.35 Ly < y < 0.65 Ly is compared.  There the difference,
+    # relative to max |psi|, measured 6.05e-3 at beta = 1e-3 and 7.51e-4 at
+    # beta = 1e-4, against 1.8 near the seam
+    mesh = build_equilateral_torus(12, 24, 1.0)
+    ops = fem.operators(mesh)
+    rparams = RossbyParams(f0=1.0, beta=beta, c2=1.0)
+    omega, psi_hat = bloch.lattice_rossby_mode(mesh, 1, 1, rparams)
+    psi0 = Field(ops.p2, np.real(psi_hat))
+    T, n_steps = 2.0 * math.pi / abs(omega) / 20, 40
+    qg = dynamics.solve_rossby(psi0, T / n_steps, T, rparams).psis[-1]
+    params = SweParams(f0=1.0, beta=beta, c2=1.0)
+    state = dynamics.geostrophic_init(psi0, params)
+    for _ in range(n_steps):
+        state = dynamics.step_midpoint(state, T / n_steps, params)
+    y = ops.p2.dof_points()[:, 1] / mesh.lattice[1, 1]
+    band = (0.35 < y) & (y < 0.65)
+    scale = np.abs(psi0.coeffs).max()
+    # the mode itself moves by 0.31 of max |psi| over the interval
+    assert np.abs(qg - psi0.coeffs)[band].max() >= 0.2 * scale
+    diff = np.abs(state.eta.coeffs - qg)[band].max() / scale
+    assert diff <= 1.25e-2 * (beta / 1e-3)
 
 
 # --------------------------------------------------------------------------
