@@ -586,8 +586,9 @@ def _build_parser():
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
+        # inside the try: the parser reads SWE_SEED for its --seed default
+        parser = _build_parser()
         # two-phase parse: config-file values become defaults the explicit
         # flags then override (argparse keeps the last occurrence)
         if argv and not argv[0].startswith("-"):

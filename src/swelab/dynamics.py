@@ -13,9 +13,9 @@ That leaves one solve for the midpoint elevation with the Schur complement
     S = M + (c2 dt^2/4) E^T M_v W E.
 
 W is fixed per (mesh, dt, params), so the stepper folds it once into the
-operators a step applies: couple = (dt/2) E^T M_v W for the right-hand side,
-and lift = c2 dt W E and reflect = 2 W - I for the new velocity.  A step
-is then four operator products and the solve.
+operator couple = (dt/2) E^T M_v W of the right-hand side and applies W
+itself to the new velocity.  A step is then four operator products and the
+solve.
 
 On the f-plane W = (I - gamma P)/(1 + gamma^2) with gamma = f0 dt/2, and S
 reduces in closed form to the symmetric positive definite M + kappa L,
@@ -51,7 +51,7 @@ import scipy.sparse as sp
 
 from . import fem, helmholtz, linalg
 from .fem import Field
-from .mesh import build_right_triangle_torus, read_mesh, validate
+from .mesh import _format_rows, _read_block, build_right_triangle_torus, read_mesh, validate
 
 __all__ = [
     "SweParams",
@@ -151,24 +151,23 @@ class _Stepper:
     With W = (M_v + (dt/2) C)^{-1} M_v, block diagonal per face, a step
     solves S eta_m = M eta_n + (dt/2) E^T M_v W u_n and sets
     u_{n+1} = 2 W (u_n - (c2 dt/2) E eta_m) - u_n.  The set-up folds W into
-    three operators, fixed per (mesh, dt, params):
-
-        couple  = (dt/2) E^T M_v W,   lift = c2 dt W E,   reflect = 2 W - I,
-
-    so that a step is
+    couple = (dt/2) E^T M_v W, fixed per (mesh, dt, params), so that a step is
 
         eta_m   = S^{-1} (M eta_n + couple u_n),
-        u_{n+1} = reflect u_n - lift eta_m,   eta_{n+1} = 2 eta_m - eta_n:
+        u_{n+1} = 2 W (u_n - (c2 dt/2) E eta_m) - u_n,   eta_{n+1} = 2 eta_m - eta_n:
 
-    four operator products and the solve.  E's rows 6f ... 6f+5 hold face
-    f's six P2 columns in one order, so ``E.data`` reshaped to (n_f, 6, 6)
-    are E's face blocks, and lift and the transpose of couple store only a
-    new data array on E's index arrays; the set-up checks that layout.  Only
-    the set-up tells the f-plane from the beta-plane.  On the f-plane W_f is
-    the constant (I - gamma P_f)/s with gamma = f0 dt/2 and s = 1 + gamma^2,
-    reflect is ((1 - gamma^2) I - 2 gamma P)/s, and S = M + kappa L shares
-    M's index arrays.  On the beta-plane W_f comes from one batched solve,
-    reflect is a block-sparse matrix, and S is M + (c2 dt/2) couple E.
+    four operator products and the solve.  (The same products in the form
+    reflect (u_n - g) - g, with reflect = 2 W - I and g = (c2 dt/2) E eta_m,
+    allocate twice the temporary vectors and made the benchmark's transit
+    step 9 % slower; CHANGES.md.)  E's rows 6f ... 6f+5 hold face f's six P2
+    columns in one order, so ``E.data`` reshaped to (n_f, 6, 6) are E's face
+    blocks, and couple is built as a new data array on E's index arrays and
+    stored as CSR; the set-up checks that layout.  Only the set-up tells the
+    f-plane from the beta-plane.  On the f-plane W_f is the constant
+    (I - gamma P_f)/s with gamma = f0 dt/2 and s = 1 + gamma^2, applied in
+    closed form through P, and S = M + kappa L shares M's index arrays.  On
+    the beta-plane W_f comes from one batched solve, W is a block-sparse
+    matrix, and S is M + (c2 dt/2) couple E.
 
     On the f-plane W acts on the Helmholtz potentials in closed form, so a
     step from the u_n held in the mesh's potentials slot (see ``helmholtz``)
@@ -191,8 +190,16 @@ class _Stepper:
             # so a huge dt reaches the solver's finiteness check
             scale = 1.0 + gamma * gamma
             self.gamma, self.scale = gamma, scale
-            self.reflect = lambda v: (2.0 / scale - 1.0) * v - (2.0 * gamma / scale) * (ops.P @ v)
             W = (np.eye(6) - gamma * np.kron(np.eye(3), fem._PERP)) / scale
+
+            def rotate(v):
+                # (v - gamma P v) / s in place on one new vector
+                w = ops.P @ v
+                w *= -gamma
+                w += v
+                w /= scale
+                return w
+            self.rotate = rotate
             # M_v's face blocks are 2 |T_f| times one 6 x 6 matrix
             couple = (np.kron(fem._ref_tensors(fem._RULES[4]).p1_mass, np.eye(2)) @ W).T @ Eb
             couple *= 2.0 * area[:, None, None]
@@ -207,14 +214,13 @@ class _Stepper:
             coriolis = fem._coriolis_blocks(X, area, params.f0, params.beta, quad)
             W = np.linalg.solve(mv + 0.5 * dt * coriolis, mv)
             couple = np.swapaxes(mv @ W, 1, 2) @ Eb
-        lift = (params.c2 * dt * W) @ Eb
-        self.lift = sp.csr_matrix((lift.ravel(), E.indices, E.indptr), shape=E.shape)
-        # E^T M_v W, scaled to couple in place once the beta-plane S has read it
-        self.couple = sp.csr_matrix((couple.ravel(), E.indices, E.indptr), shape=E.shape).T
+        # E^T M_v W, a CSC view on E's index arrays; its product with E keeps
+        # S's indices sorted, and the step's product with u_n is faster as CSR
+        couple = sp.csr_matrix((couple.ravel(), E.indices, E.indptr), shape=E.shape).T
         if self.gamma is None:
-            S = ops.M + (c2dt2 / 4.0) * (self.couple @ E)
-            W = 2.0 * W - np.eye(6)
-            self.reflect = sp.bsr_matrix((W, np.arange(n_f), np.arange(n_f + 1))).dot
+            S = ops.M + (c2dt2 / 4.0) * (couple @ E)
+            self.rotate = sp.bsr_matrix((W, np.arange(n_f), np.arange(n_f + 1))).dot
+        self.couple = couple.tocsr()
         self.couple.data *= 0.5 * dt
         # the mean of (S_ii - M_ii) / M_ii.  S_ii >= M_ii > 0, but an overflowed
         # S has entries of both signs on its diagonal, whose abs keeps the sum
@@ -228,7 +234,9 @@ class _Stepper:
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
         rhs = self.ops.M @ eta_n + self.couple @ u_n
         eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
-        u_next = self.reflect(u_n) - self.lift @ eta_m
+        u_next = self.rotate(u_n - self.ops.E @ ((0.5 * self.c2 * self.dt) * eta_m))
+        u_next *= 2.0
+        u_next -= u_n
         if self.gamma is not None:
             self._predict_potentials(u_n, eta_m, u_next)
         return State(
@@ -508,34 +516,21 @@ class CheckpointFormatError(ValueError):
 def write_checkpoint(path, state, mesh_path):
     """State snapshot: mesh file reference plus both coefficient vectors."""
     with open(path, "w") as fh:
-        fh.write(f"mesh {mesh_path}\n")
-        fh.write(f"time {state.time:.17g}\n")
-        fh.write(f"u {state.u.coeffs.size}\n")
-        for v in state.u.coeffs:
-            fh.write(f"{v:.17g}\n")
-        fh.write(f"eta {state.eta.coeffs.size}\n")
-        for v in state.eta.coeffs:
-            fh.write(f"{v:.17g}\n")
-
-
-def _read_block(lines, i, name, count):
-    vals = np.empty(count)
-    for j in range(count):
-        lineno = i + j + 1
-        if i + j >= len(lines):
-            raise CheckpointFormatError(lineno, f"{name} block truncated")
-        try:
-            vals[j] = float(lines[i + j])
-        except ValueError:
-            raise CheckpointFormatError(lineno, f"bad {name} coefficient {lines[i + j]!r}")
-    return vals, i + count
+        fh.write(f"mesh {mesh_path}\ntime {state.time:.17g}\n")
+        for name, coeffs in (("u", state.u.coeffs), ("eta", state.eta.coeffs)):
+            fh.write(f"{name} {coeffs.size}\n" + _format_rows("{:.17g}\n", coeffs))
 
 
 def read_checkpoint(path):
-    """Inverse of write_checkpoint; returns (mesh, State)."""
+    """Inverse of write_checkpoint; returns (mesh, State).
+
+    Layout: "mesh <path>" (relative to the checkpoint's directory), "time <t>",
+    "u <count>" and count lines of one coefficient each, then the same for
+    eta.  The time and every coefficient are finite numbers.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("mesh "):
+        lines = fh.read().rstrip("\n").split("\n")
+    if not lines[0].startswith("mesh "):
         raise CheckpointFormatError(1, "expected 'mesh <path>'")
     mesh_path = lines[0][5:].strip()
     if not os.path.isabs(mesh_path):
@@ -550,10 +545,7 @@ def read_checkpoint(path):
         raise CheckpointFormatError(1, f"mesh file {mesh_path}: failed checks {', '.join(failed)}")
     if len(lines) < 2 or not lines[1].startswith("time "):
         raise CheckpointFormatError(2, "expected 'time <t>'")
-    try:
-        t = float(lines[1][5:])
-    except ValueError:
-        raise CheckpointFormatError(2, f"bad time value {lines[1][5:]!r}")
+    t = _read_block([(2, lines[1][5:])], 1, 1, CheckpointFormatError, "time")[0, 0]
 
     i = 2
     values = {}
@@ -568,7 +560,10 @@ def read_checkpoint(path):
             raise CheckpointFormatError(
                 i + 1, f"{name} has {count} coefficients, mesh needs {n_dofs}"
             )
-        values[name], i = _read_block(lines, i + 1, name, count)
+        # each coefficient line is converted whole, as one field
+        rows = list(enumerate(lines[i + 1:i + 1 + count], start=i + 2))
+        values[name] = _read_block(rows, count, 1, CheckpointFormatError, name).ravel()
+        i += 1 + count
     # the operators are assembled only for a checkpoint that parsed completely
     ops = fem.operators(mesh)
-    return mesh, State(Field(ops.v, values["u"]), Field(ops.p2, values["eta"]), t)
+    return mesh, State(Field(ops.v, values["u"]), Field(ops.p2, values["eta"]), float(t))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .mesh import Mesh
+from .mesh import Mesh, _format_rows
 
 __all__ = [
     "QuadratureRule",
@@ -463,10 +463,8 @@ def write_matrix_text(A, path_or_file):
     """Coordinate text export: header 'n_rows n_cols nnz', then 'row col value'."""
     A = sp.coo_matrix(A)
     order = np.lexsort((A.col, A.row))
-    lines = [f"{A.shape[0]} {A.shape[1]} {A.nnz}"]
-    for i in order:
-        lines.append(f"{A.row[i]} {A.col[i]} {A.data[i]:.17g}")
-    text = "\n".join(lines) + "\n"
+    text = f"{A.shape[0]} {A.shape[1]} {A.nnz}\n" + _format_rows(
+        "{} {} {:.17g}\n", A.row[order], A.col[order], A.data[order])
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

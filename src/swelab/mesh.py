@@ -44,7 +44,7 @@ __all__ = [
 
 
 class MeshFormatError(ValueError):
-    """Raised by read_mesh with the offending 1-based line number."""
+    """Raised by read_mesh with the offending 1-based line number, 0 at an early end of file."""
 
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
@@ -241,8 +241,10 @@ def validate(mesh):
     checks = []
 
     areas = mesh.areas()
-    bad = np.nonzero(areas <= 0)[0]
-    detail = "; ".join(f"face {i} is not counter-clockwise" for i in bad[:8])
+    # not areas <= 0, which is false for nan
+    bad = np.nonzero(~((areas > 0) & np.isfinite(areas)))[0]
+    detail = "; ".join(f"face {i} is not counter-clockwise" if areas[i] <= 0
+                       else f"face {i} has area {areas[i]}" for i in bad[:8])
     if len(bad) > 8:
         detail += f"; and {len(bad) - 8} more"
     checks.append(CheckResult("positive-areas", len(bad) == 0, detail))
@@ -286,29 +288,49 @@ def reciprocal_wavevector(mesh, m1, m2):
     return np.linalg.solve(mesh.lattice, 2.0 * np.pi * np.array([m1, m2], dtype=float))
 
 
+def _format_rows(fmt, *columns):
+    """One ``fmt.format(*row)`` per row of the equal-length columns, joined."""
+    return "".join(map(fmt.format, *(np.asarray(c).tolist() for c in columns)))
+
+
+def _read_block(rows, count, width, error, what):
+    """The ``count`` lines of one numeric block as a (count, width) float array.
+
+    ``rows`` holds (lineno, fields) pairs, fewer than ``count`` when the file
+    ended early; ``fields`` is a line's list of fields, or the whole line when
+    it holds one number.  Raises ``error(lineno, message)`` at the first line
+    with other than ``width`` fields, a field that is not a number or one that
+    is not finite, and ``error(0, message)`` for a file that ended early.
+    """
+    try:
+        values = np.array([fields for _, fields in rows], dtype=float).reshape(count, width)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    for lineno, fields in rows:
+        if isinstance(fields, str):
+            fields = [fields]
+        if len(fields) != width:
+            raise error(lineno, f"{what} line needs {width} fields, got {len(fields)}")
+        for text in fields:
+            try:
+                value = float(text)
+            except ValueError:
+                raise error(lineno, f"{what} field {text!r} is not a number") from None
+            if not np.isfinite(value):
+                raise error(lineno, f"{what} field {text!r} is not finite")
+    raise error(0, f"unexpected end of file after {len(rows)} of {count} {what} lines")
+
+
 def write_mesh(mesh, path):
     """Plain-text mesh format; see read_mesh for the layout."""
+    faces = np.concatenate([mesh.triangles, mesh.shifts.reshape(-1, 6)], axis=1)
     with open(path, "w") as fh:
-        fh.write("# periodic triangulation\n")
-        fh.write(f"{mesh.n_v} {mesh.n_f}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for f in range(mesh.n_f):
-            i, j, k = mesh.triangles[f]
-            s = mesh.shifts[f]
-            fh.write(
-                f"{i} {j} {k} {s[0, 0]} {s[0, 1]} {s[1, 0]} {s[1, 1]} {s[2, 0]} {s[2, 1]}\n"
-            )
-        for row in mesh.lattice:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g}\n")
-
-
-def _token_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+        fh.write(f"# periodic triangulation\n{mesh.n_v} {mesh.n_f}\n")
+        fh.write(_format_rows("{:.17g} {:.17g}\n", *mesh.vertices.T))
+        fh.write(_format_rows("{} {} {} {} {} {} {} {} {}\n", *faces.T))
+        fh.write(_format_rows("{:.17g} {:.17g}\n", *mesh.lattice.T))
 
 
 def read_mesh(path):
@@ -316,59 +338,34 @@ def read_mesh(path):
 
     Layout: one line "n_v n_f"; n_v vertex lines "x y"; n_f face lines
     "i j k sx1 sy1 sx2 sy2 sx3 sy3" (shifts in lattice units); two lattice
-    generator lines.  '#' starts a comment.
+    generator lines.  '#' starts a comment.  Every field is a finite number,
+    and the face fields are integers (3.0 is 3) of magnitude at most 2**53,
+    with the vertex indices i, j, k in 0 .. n_v - 1.
     """
-    lines = _token_lines(path)
-
-    def next_line(what):
-        try:
-            return next(lines)
-        except StopIteration:
-            raise MeshFormatError(0, f"unexpected end of file, expected {what}") from None
-
-    lineno, toks = next_line("header 'n_v n_f'")
-    if len(toks) != 2:
-        raise MeshFormatError(lineno, f"expected 'n_v n_f', got {len(toks)} fields")
+    with open(path) as fh:
+        rows = [(lineno, fields) for lineno, raw in enumerate(fh, start=1)
+                if (fields := raw.split("#", 1)[0].split())]
+    if not rows:
+        raise MeshFormatError(0, "unexpected end of file, expected header 'n_v n_f'")
+    lineno, fields = rows[0]
+    if len(fields) != 2:
+        raise MeshFormatError(lineno, f"expected 'n_v n_f', got {len(fields)} fields")
     try:
-        n_v, n_f = int(toks[0]), int(toks[1])
+        n_v, n_f = int(fields[0]), int(fields[1])
     except ValueError:
         raise MeshFormatError(lineno, "header fields must be integers") from None
     if n_v <= 0 or n_f <= 0:
         raise MeshFormatError(lineno, "n_v and n_f must be positive")
 
-    vertices = np.empty((n_v, 2))
-    for r in range(n_v):
-        lineno, toks = next_line(f"vertex {r}")
-        if len(toks) != 2:
-            raise MeshFormatError(lineno, f"vertex line needs 2 fields, got {len(toks)}")
-        try:
-            vertices[r] = (float(toks[0]), float(toks[1]))
-        except ValueError:
-            raise MeshFormatError(lineno, "vertex coordinates must be numbers") from None
-
-    triangles = np.empty((n_f, 3), dtype=np.intp)
-    shifts = np.empty((n_f, 3, 2), dtype=np.intp)
-    for r in range(n_f):
-        lineno, toks = next_line(f"face {r}")
-        if len(toks) != 9:
-            raise MeshFormatError(lineno, f"face line needs 9 fields, got {len(toks)}")
-        try:
-            vals = [int(round(float(t))) for t in toks]
-        except ValueError:
-            raise MeshFormatError(lineno, "face fields must be numbers") from None
-        triangles[r] = vals[:3]
-        shifts[r] = np.array(vals[3:], dtype=np.intp).reshape(3, 2)
-        if min(vals[:3]) < 0 or max(vals[:3]) >= n_v:
-            raise MeshFormatError(lineno, f"vertex index out of range 0..{n_v - 1}")
-
-    lattice = np.empty((2, 2))
-    for r in range(2):
-        lineno, toks = next_line(f"lattice vector {r}")
-        if len(toks) != 2:
-            raise MeshFormatError(lineno, f"lattice line needs 2 fields, got {len(toks)}")
-        try:
-            lattice[r] = (float(toks[0]), float(toks[1]))
-        except ValueError:
-            raise MeshFormatError(lineno, "lattice components must be numbers") from None
-
-    return Mesh(vertices, triangles, shifts, lattice)
+    vertices = _read_block(rows[1:1 + n_v], n_v, 2, MeshFormatError, "vertex")
+    face_rows = rows[1 + n_v:1 + n_v + n_f]
+    faces = _read_block(face_rows, n_f, 9, MeshFormatError, "face")
+    # integers a double holds exactly, so that the cast to intp is exact
+    bad = ((faces != np.round(faces)) | (np.abs(faces) > 2.0 ** 53)).any(axis=1)
+    bad |= ((faces[:, :3] < 0) | (faces[:, :3] >= n_v)).any(axis=1)
+    if bad.any():
+        raise MeshFormatError(face_rows[np.argmax(bad)][0],
+                              f"face fields must be integers, vertex indices in 0..{n_v - 1}")
+    faces = faces.astype(np.intp)
+    lattice = _read_block(rows[1 + n_v + n_f:3 + n_v + n_f], 2, 2, MeshFormatError, "lattice")
+    return Mesh(vertices, faces[:, :3], faces[:, 3:].reshape(n_f, 3, 2), lattice)

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swelab import bloch, cli, dynamics
+from swelab import bloch, cli, dynamics, fem
+from swelab.mesh import build_right_triangle_torus, write_mesh
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +53,10 @@ def run(argv, capsys):
         ["helmholtz", "--tol", "2"],
         ["converge", "--levels", "4,4,8"],
         ["rossby", "--kind", "gravity"],
+        ["simulate", "--steps", "0"],
+        ["simulate", "--dt", "0"],
+        ["simulate", "--n1", "3", "--n2", "3", "--init", "geostrophic", "--f0", "0"],
+        ["simulate", "--n1", "3", "--n2", "3", "--init", "wave", "--wave-m", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -163,6 +168,25 @@ def test_dispersion_gravity_csv(tmp_path, capsys):
         assert vals[2] <= vals[3] <= vals[4] <= vals[5]
 
 
+def test_rossby_compare_exact_tracks_the_fundamental_branch(tmp_path, capsys):
+    # the omega_exact column is the continuous quasi-geostrophic Rossby
+    # frequency; the branch labelled fundamental approaches it at fourth
+    # order in |k dx| (relative error 2.2e-4 at |k dx| = 0.74, 8.8e-2 at 3.7)
+    out_file = tmp_path / "r.csv"
+    code, _, _ = run(["dispersion", "--kind", "rossby", "--ngrid", "8", "--compare-exact",
+                      "--out", str(out_file)], capsys)
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert lines[0].endswith(",label4,omega_exact")
+    for line in lines[1:]:
+        cells = line.split(",")
+        kdx = np.hypot(float(cells[0]), float(cells[1]))
+        omega = float(cells[2 + cells[6:10].index("fundamental")])
+        exact = float(cells[10])
+        assert np.sign(omega) == np.sign(exact)
+        assert abs(omega - exact) <= 1e-3 * kdx ** 4 * abs(exact)
+
+
 def test_rossby_csv_has_labels(tmp_path, capsys):
     out_file = tmp_path / "ros.csv"
     code, out, err = run(["rossby", "--ngrid", "8", "--out", str(out_file)], capsys)
@@ -221,6 +245,17 @@ def test_simulate_geostrophic_check(tmp_path, capsys):
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert lines[0] == "t,energy,mean_e,pot_e,stream_e,spurious_e"
     assert len(lines) == 6  # t=0 plus one row per step
+
+
+def test_simulate_filtered_run_stays_spurious_free(capsys):
+    # the paper's claim on the f-plane: a field with its residual part
+    # projected out gains none under the midpoint step
+    code, out, err = run(["simulate", "--filter-hp2", "--n1", "4", "--n2", "4",
+                          "--steps", "3", "--out", "-"], capsys)
+    assert code == 0
+    assert "CHECK filtered run stays spurious-free: PASS" in out
+    ratio = float(out.split("spurious/total = ")[1].split(")")[0])
+    assert ratio <= 1e-16
 
 
 def test_simulate_spurious_check(capsys):
@@ -320,6 +355,39 @@ def test_helmholtz_rejects_checkpoint_with_invalid_mesh(tmp_path, capsys):
     assert out == ""
 
 
+# mesh file lines of the 3 x 3 right torus: 1 a comment, 2 the header,
+# 3-11 the vertices, 12-29 the faces, 30-31 the lattice
+@pytest.mark.parametrize("lineno, text, message", [
+    pytest.param(12, "0 1 4 0 0 0 0 0 inf", "'inf' is not finite", id="face inf"),
+    pytest.param(13, "0 4 3 0 0 0 0 0 1e30", "integers", id="face 1e30"),
+    pytest.param(14, "1 2 4 0 0 0 0 0 1.5", "integers", id="face 1.5"),
+    pytest.param(5, "nan 0", "'nan' is not finite", id="vertex nan"),
+    pytest.param(31, "0 nan", "'nan' is not finite", id="lattice nan"),
+])
+def test_helmholtz_rejects_checkpoint_with_malformed_mesh_values(lineno, text, message,
+                                                                tmp_path, capsys):
+    mesh = build_right_triangle_torus(3, 3, 3.0, 3.0)
+    write_mesh(mesh, tmp_path / "grid.txt")
+    ops = fem.operators(mesh)
+    state = dynamics.State(fem.Field(ops.v, np.ones(ops.v.n_dofs)),
+                           fem.Field(ops.p2, np.ones(ops.p2.n_dofs)))
+    dynamics.write_checkpoint(tmp_path / "run.chk", state, "grid.txt")
+    lines = (tmp_path / "grid.txt").read_text().splitlines()
+    assert len(lines) == 31
+    lines[lineno - 1] = text
+    (tmp_path / "grid.txt").write_text("\n".join(lines) + "\n")
+    code, out, err = run(["helmholtz", "--checkpoint", str(tmp_path / "run.chk")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"grid.txt: line {lineno}: " in err and message in err
+
+
+def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SWE_SEED", "x")
+    code, out, err = run(["oracle", "--samples", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "usage error: SWE_SEED must be an integer\n"
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for f in (a, b):
@@ -369,10 +437,11 @@ def test_config_file_and_override(tmp_path, capsys):
 
 def test_config_file_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("ngrid 8\n")
-    code, out, err = run(["dispersion", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "line 1" in err
+    for text in ("ngrid 8\n", "ngrid =\n"):
+        cfg.write_text(text)
+        code, out, err = run(["dispersion", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "line 1" in err
 
 
 def test_dump_matrices_roundtrip(tmp_path, capsys):

@@ -330,6 +330,11 @@ def test_checkpoint_roundtrip(tmp_path):
     state = dynamics.step_midpoint(state, 0.123, SweParams(f0=0.4, c2=1.0))
     dynamics.write_checkpoint(tmp_path / "chk.txt", state, "grid.txt")
 
+    u, eta = state.u.coeffs, state.eta.coeffs
+    want = ["mesh grid.txt", f"time {state.time:.17g}", f"u {u.size}", *[f"{v:.17g}" for v in u],
+            f"eta {eta.size}", *[f"{v:.17g}" for v in eta]]
+    assert (tmp_path / "chk.txt").read_text() == "\n".join(want) + "\n"
+
     mesh2, state2 = dynamics.read_checkpoint(tmp_path / "chk.txt")
     assert np.array_equal(mesh2.vertices, mesh.vertices)
     assert np.array_equal(state2.u.coeffs, state.u.coeffs)
@@ -359,13 +364,16 @@ def test_checkpoint_format_errors(tmp_path):
         dynamics.read_checkpoint(tmp_path / "bad2.txt")
     assert exc.value.lineno == u_header + 3
 
+    # a file that ends early reports line 0
     (tmp_path / "bad3.txt").write_text("\n".join(lines[: u_header + 3]) + "\n")
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError, match="end of file") as exc:
         dynamics.read_checkpoint(tmp_path / "bad3.txt")
+    assert exc.value.lineno == 0
 
     (tmp_path / "bad4.txt").write_text("time 0.0\n")
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointFormatError) as exc:
         dynamics.read_checkpoint(tmp_path / "bad4.txt")
+    assert exc.value.lineno == 1
 
     # a mesh file that parses but has a clockwise face: corners (and their
     # shifts) 1 and 2 of the first face swapped
@@ -378,6 +386,36 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(CheckpointFormatError, match="counter-clockwise") as exc:
         dynamics.read_checkpoint(tmp_path / "bad5.txt")
     assert exc.value.lineno == 1
+
+
+# lines of a checkpoint on the 2 x 2 right torus: 1 mesh, 2 time, 3 the u
+# header and 4-51 its 48 coefficients, 52 the eta header and 53-68 eta
+@pytest.mark.parametrize("lineno, text, message", [
+    (1, "grid.txt", "expected 'mesh <path>'"),
+    (2, "time", "expected 'time <t>'"),
+    (2, "time later", "'later' is not a number"),
+    (2, "time nan", "'nan' is not finite"),
+    (3, "u", "expected 'u <count>'"),
+    (3, "u many", "bad u count"),
+    (3, "u 47", "u has 47 coefficients, mesh needs 48"),
+    (4, "1.5 2.5", "is not a number"),
+    (5, "", "'' is not a number"),
+    (51, "inf", "'inf' is not finite"),
+    (52, "eta 48", "eta has 48 coefficients, mesh needs 16"),
+    (60, "-nan", "'-nan' is not finite"),
+    (68, "1e999", "'1e999' is not finite"),
+])
+def test_checkpoint_rejects_malformed_lines(tmp_path, lineno, text, message):
+    mesh = build_right_triangle_torus(2, 2, 1.0, 1.0)
+    write_mesh(mesh, tmp_path / "grid.txt")
+    dynamics.write_checkpoint(tmp_path / "chk.txt", _random_state(mesh, seed=3), "grid.txt")
+    lines = (tmp_path / "chk.txt").read_text().splitlines()
+    assert len(lines) == 68 and lines[2] == "u 48" and lines[51] == "eta 16"
+    lines[lineno - 1] = text
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointFormatError, match=message) as exc:
+        dynamics.read_checkpoint(tmp_path / "bad.txt")
+    assert exc.value.lineno == lineno
 
 
 def test_checkpoint_errors_before_assembly(tmp_path, monkeypatch):
@@ -463,17 +501,17 @@ def _rotation(ops, dt, params):
 @pytest.mark.parametrize("beta", [0.0, 0.4])
 @pytest.mark.parametrize("kind", sorted(FOLD_MESHES))
 def test_folded_step_operators_match_their_definitions(kind, beta):
-    # the set-up folds W into lift = c2 dt W E, couple = (dt/2) E^T Mv W and
-    # reflect = 2 W - I; one step must be the unfolded midpoint step
+    # the set-up folds W into couple = (dt/2) E^T Mv W, stored as CSR, and
+    # applies W through rotate; one step must be the unfolded midpoint step
     mesh = FOLD_MESHES[kind]()
     ops = fem.operators(mesh)
     params, dt = SweParams(f0=1.3, beta=beta, c2=1.5), 0.1
     stepper = dynamics._Stepper(mesh, dt, params)
     W, E, Mv = _rotation(ops, dt, params), ops.E.toarray(), ops.Mv.toarray()
     identity = np.eye(ops.v.n_dofs)
-    for got, want in ((stepper.lift.toarray(), params.c2 * dt * W @ E),
-                      (stepper.couple.toarray(), 0.5 * dt * E.T @ Mv @ W),
-                      (stepper.reflect(identity), 2.0 * W - identity)):
+    assert stepper.couple.format == "csr"
+    for got, want in ((stepper.couple.toarray(), 0.5 * dt * E.T @ Mv @ W),
+                      (stepper.rotate(identity), W)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     state = _random_state(mesh, seed=44)

@@ -107,6 +107,17 @@ def test_solve_spd_fails_on_indefinite():
         Solver(A).solve(np.array([1.0, 1.0, 1.0]))
 
 
+def test_inner_cg_raises_at_its_iteration_cap():
+    # a path Laplacian of 200 unknowns needs far more than 3 CG iterations
+    n = 200
+    A = sparse.diags([-np.ones(n - 1), 2.1 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tocsr()
+    solver = Solver(A)
+    solver.max_iter = 3
+    with pytest.raises(SolverError, match="symmetric part failed to converge in 3 iterations") as info:
+        solver.solve(np.ones(n))
+    assert info.value.iterations == 3 and info.value.residual > 1e-3
+
+
 def test_solve_spd_zero_rhs():
     A = _random_spd(8, np.random.RandomState(3))
     x = Solver(A).solve(np.zeros(8))

@@ -83,6 +83,17 @@ def test_validate_catches_clockwise_triangle():
     assert any("positive-areas" == c.name and not c.passed for c in report.checks)
 
 
+@pytest.mark.parametrize("where", ["vertex", "lattice"])
+def test_validate_flags_areas_that_are_not_finite(where):
+    # areas <= 0 is false for nan, so a nan coordinate would pass a sign test
+    m = build_right_triangle_torus(2, 2, 1.0, 1.0)
+    vertices, lattice = m.vertices.copy(), m.lattice.copy()
+    (vertices if where == "vertex" else lattice)[0, 1] = np.nan
+    report = validate(Mesh(vertices, m.triangles, m.shifts, lattice))
+    areas = next(c for c in report.checks if c.name == "positive-areas")
+    assert not areas.passed and "has area" in areas.detail
+
+
 def _shift_corner(m):
     shifts = m.shifts.copy()
     shifts[0, 1, 0] += 1
@@ -170,6 +181,16 @@ def test_write_read_roundtrip(tmp_path):
         assert np.array_equal(back.edges, mesh.edges)
 
 
+def test_write_mesh_matches_the_line_by_line_layout(tmp_path):
+    m = build_equilateral_torus(5, 3, 0.37)
+    write_mesh(m, tmp_path / "m.txt")
+    want = ["# periodic triangulation", f"{m.n_v} {m.n_f}"]
+    want += [f"{x:.17g} {y:.17g}" for x, y in m.vertices]
+    want += [" ".join(str(v) for v in (*m.triangles[f], *m.shifts[f].ravel())) for f in range(m.n_f)]
+    want += [f"{x:.17g} {y:.17g}" for x, y in m.lattice]
+    assert (tmp_path / "m.txt").read_text() == "\n".join(want) + "\n"
+
+
 def test_read_mesh_reports_line_numbers(tmp_path):
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     p = tmp_path / "m.txt"
@@ -183,14 +204,76 @@ def test_read_mesh_reports_line_numbers(tmp_path):
         read_mesh(tmp_path / "bad1.txt")
     assert exc.value.lineno == 4
 
+    # a file that ends early reports line 0
     truncated = text[:5]
     (tmp_path / "bad2.txt").write_text("\n".join(truncated) + "\n")
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError) as exc:
         read_mesh(tmp_path / "bad2.txt")
+    assert exc.value.lineno == 0
 
     (tmp_path / "bad3.txt").write_text("# only a comment\n")
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError) as exc:
         read_mesh(tmp_path / "bad3.txt")
+    assert exc.value.lineno == 0
+
+
+# the 2 x 2 right torus as write_mesh lays it out: line 1 a comment, line 2
+# the header "4 8", lines 3-6 the vertices, 7-14 the faces, 15-16 the lattice
+@pytest.mark.parametrize("lineno, text, message", [
+    (2, "4", "'n_v n_f'"),
+    (2, "4 eight", "integers"),
+    (2, "4 0", "positive"),
+    (3, "0", "needs 2 fields, got 1"),
+    (4, "0.5 zero", "'zero' is not a number"),
+    (5, "nan 0.5", "'nan' is not finite"),
+    (7, "0 1 3 0 0 0 0 0", "needs 9 fields, got 8"),
+    (8, "0 3 2 0 0 0 0 0 inf", "'inf' is not finite"),
+    (8, "0 3 2 0 0 0 0 0 1e30", "integers"),
+    (9, "1 2.5 3 0 0 0 0 0 0", "integers"),
+    (10, "1 3 4 0 0 0 0 0 0", "vertex indices in 0..3"),
+    (11, "2 3 -1 0 0 0 0 0 0", "vertex indices in 0..3"),
+    (15, "2 0 0", "needs 2 fields, got 3"),
+    (16, "0 nan", "'nan' is not finite"),
+])
+def test_read_mesh_rejects_malformed_lines(tmp_path, lineno, text, message):
+    write_mesh(build_right_triangle_torus(2, 2, 1.0, 1.0), tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    assert len(lines) == 16 and lines[1] == "4 8"
+    lines[lineno - 1] = text
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=message) as exc:
+        read_mesh(tmp_path / "bad.txt")
+    assert exc.value.lineno == lineno
+    assert str(exc.value).startswith(f"line {lineno}: ")
+
+
+def test_read_mesh_takes_integral_floats_and_reports_the_first_bad_line(tmp_path):
+    mesh = build_right_triangle_torus(2, 2, 1.0, 1.0)
+    write_mesh(mesh, tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    # face fields written as floats, and a comment line that shifts the rest
+    lines[6] = " ".join(f"{int(v)}.0" for v in lines[6].split()) + "  # face 0"
+    lines.insert(7, "# the other faces")
+    (tmp_path / "ok.txt").write_text("\n".join(lines) + "\n")
+    back = read_mesh(tmp_path / "ok.txt")
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert np.array_equal(back.shifts, mesh.shifts)
+
+    def first_error(edits):
+        bad = lines.copy()
+        for row, text in edits.items():
+            bad[row] = text
+        (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
+        with pytest.raises(MeshFormatError) as exc:
+            read_mesh(tmp_path / "bad.txt")
+        return exc.value
+
+    # the first bad line is reported, whichever check finds it; line 9 holds
+    # face 1, below the inserted comment
+    face = lines[8].replace("0", "1.5", 1)
+    assert first_error({2: "nan 0", 4: "0.5", 8: face}).lineno == 3
+    assert first_error({4: "0.5", 8: face}).lineno == 5
+    assert first_error({8: face}).lineno == 9
 
 
 def test_build_rejects_degenerate_sizes():
