@@ -169,6 +169,8 @@ def cmd_converge(args):
         raise UsageError("need at least three refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 2:
         raise UsageError("--levels must be increasing mesh sizes of at least 2")
+    if args.steps_factor <= 0:
+        raise UsageError("--steps-factor must be positive")
     results = {}
     for mode in ("collocated", "projected"):
         results[mode] = dynamics.run_convergence(
@@ -349,6 +351,8 @@ def _simulate_initial(args, mesh, params):
         )
     elif args.init == "wave":
         m1, m2 = _parse_pair(args.wave_m, "--wave-m")
+        if not (m1.is_integer() and m2.is_integer()):
+            raise UsageError("--wave-m must be two integers")
         k = reciprocal_wavevector(mesh, int(m1), int(m2))
         spec = dynamics.PlaneWaveSpec(k=tuple(k))
         state = dynamics._initial_state(mesh, "projected", spec, params)
@@ -490,8 +494,8 @@ def cmd_dump_matrices(args):
     }
     names = [s for s in args.which.split(",") if s]
     unknown = [n for n in names if n not in available]
-    if unknown:
-        raise UsageError(f"unknown matrices {unknown}; choose from {sorted(available)}")
+    if unknown or not names:
+        raise UsageError(f"--which must name matrices from {sorted(available)}, got {args.which!r}")
     for name in names:
         path = f"{args.out_prefix}{name}.txt"
         fem.write_matrix_text(available[name](), path)

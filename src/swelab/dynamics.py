@@ -17,10 +17,10 @@ operator couple = (dt/2) E^T M_v W of the right-hand side and applies W
 itself to the new velocity.  A step is then four operator products and the
 solve.
 
-On the f-plane W = (I - gamma P)/(1 + gamma^2) with gamma = f0 dt/2, and S
-reduces in closed form to the symmetric positive definite M + kappa L,
-because rotated gradients of quadratics are mass-orthogonal to gradients of
-quadratics.  On the beta-plane W is built face by face, S is M plus
+On the f-plane W applies R = [[1, gamma], [-gamma, 1]]/(1 + gamma^2), with
+gamma = f0 dt/2, at every velocity node, and S reduces in closed form to the
+symmetric positive definite M + kappa L, because rotated gradients of
+quadratics are mass-orthogonal to gradients of quadratics.  On the beta-plane W is built face by face, S is M plus
 (c2 dt/2) couple E, and S also has a skew-symmetric part, which
 ``linalg.Solver`` handles for any beta dt.
 
@@ -122,6 +122,10 @@ class PlaneWaveSpec:
     amplitude: float = 1.0
     sign: int = 1
 
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+
     def omega(self, params):
         k = np.asarray(self.k, dtype=float)
         return self.sign * math.sqrt(params.f0 ** 2 + params.c2 * (k @ k))
@@ -156,23 +160,20 @@ class _Stepper:
         eta_m   = S^{-1} (M eta_n + couple u_n),
         u_{n+1} = 2 W (u_n - (c2 dt/2) E eta_m) - u_n,   eta_{n+1} = 2 eta_m - eta_n:
 
-    four operator products and the solve.  (The same products in the form
-    reflect (u_n - g) - g, with reflect = 2 W - I and g = (c2 dt/2) E eta_m,
-    allocate twice the temporary vectors and made the benchmark's transit
-    step 9 % slower; CHANGES.md.)  E's rows 6f ... 6f+5 hold face f's six P2
-    columns in one order, so ``E.data`` reshaped to (n_f, 6, 6) are E's face
-    blocks, and couple is built as a new data array on E's index arrays and
-    stored as CSR; the set-up checks that layout.  Only the set-up tells the
-    f-plane from the beta-plane.  On the f-plane W_f is the constant
-    (I - gamma P_f)/s with gamma = f0 dt/2 and s = 1 + gamma^2, applied in
-    closed form through P, and S = M + kappa L shares M's index arrays.  On
-    the beta-plane W_f comes from one batched solve, W is a block-sparse
-    matrix, and S is M + (c2 dt/2) couple E.
-
-    On the f-plane W acts on the Helmholtz potentials in closed form, so a
-    step from the u_n held in the mesh's potentials slot (see ``helmholtz``)
-    also advances the slot to u_{n+1}: ``helmholtz.decompose`` of the new
-    state then starts its two solves from the predicted potentials.
+    four operator products and the solve.  (reflect (u_n - g) - g, with
+    reflect = 2 W - I and g = (c2 dt/2) E eta_m, makes twice the temporary
+    vectors and the benchmark's transit step 9 % slower; CHANGES.md.)  E's
+    rows 6f ... 6f+5 hold face f's six P2 columns in one order, so ``E.data``
+    reshaped to (n_f, 6, 6) are E's face blocks, and couple is built as a new
+    data array on E's index arrays and stored as CSR; the set-up checks that
+    layout.  Only the set-up tells the f-plane from the beta-plane.  On the f-plane every W_f is kron(I_3, R),
+    with ``node_rotation`` R = [[1, gamma], [-gamma, 1]] / (1 + gamma^2) and
+    gamma = f0 dt/2, applied as one dense product, and S = M + kappa L shares
+    M's index arrays.  On the beta-plane ``node_rotation`` is None, W_f comes
+    from one batched solve, W is a block-sparse matrix, and S is
+    M + (c2 dt/2) couple E.  On the f-plane R also rotates the potentials, so
+    a step from the u_n in the mesh's potentials slot advances the slot to
+    u_{n+1} (``helmholtz._advance_potentials``) for the next decompose.
     """
 
     def __init__(self, mesh, dt, params):
@@ -189,25 +190,18 @@ class _Stepper:
             # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
             # so a huge dt reaches the solver's finiteness check
             scale = 1.0 + gamma * gamma
-            self.gamma, self.scale = gamma, scale
-            W = (np.eye(6) - gamma * np.kron(np.eye(3), fem._PERP)) / scale
-
-            def rotate(v):
-                # (v - gamma P v) / s in place on one new vector
-                w = ops.P @ v
-                w *= -gamma
-                w += v
-                w /= scale
-                return w
-            self.rotate = rotate
-            # M_v's face blocks are 2 |T_f| times one 6 x 6 matrix
-            couple = (np.kron(fem._ref_tensors(fem._RULES[4]).p1_mass, np.eye(2)) @ W).T @ Eb
+            R = self.node_rotation = np.array([[1.0, gamma], [-gamma, 1.0]]) / scale
+            W = np.kron(np.eye(3), R)
+            self.rotate = lambda v: (v.reshape(-1, 6) @ W.T).ravel()
+            # M_v's face blocks are 2 |T_f| times one 6 x 6 matrix, and
+            # kron(p1_mass, I) W = kron(p1_mass, R)
+            couple = np.kron(fem._ref_tensors(fem._RULES[4]).p1_mass, R).T @ Eb
             couple *= 2.0 * area[:, None, None]
             # M and L share one pattern, so S is one new data array
             S = sp.csr_matrix((ops.M.data + (c2dt2 / (4.0 * scale)) * ops.L.data,
                                ops.M.indices, ops.M.indptr), shape=ops.M.shape)
         else:
-            self.gamma = None
+            self.node_rotation = None
             # W_f = A_f^{-1} Mv_f by one batched solve
             quad = fem.quadrature_rule(5)
             mv = fem._p1dg_mass_blocks(area, quad)
@@ -217,7 +211,7 @@ class _Stepper:
         # E^T M_v W, a CSC view on E's index arrays; its product with E keeps
         # S's indices sorted, and the step's product with u_n is faster as CSR
         couple = sp.csr_matrix((couple.ravel(), E.indices, E.indptr), shape=E.shape).T
-        if self.gamma is None:
+        if self.node_rotation is None:
             S = ops.M + (c2dt2 / 4.0) * (couple @ E)
             self.rotate = sp.bsr_matrix((W, np.arange(n_f), np.arange(n_f + 1))).dot
         self.couple = couple.tocsr()
@@ -234,37 +228,18 @@ class _Stepper:
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
         rhs = self.ops.M @ eta_n + self.couple @ u_n
         eta_m = self.solver.solve(rhs, tol=tol, x0=eta_n)
-        u_next = self.rotate(u_n - self.ops.E @ ((0.5 * self.c2 * self.dt) * eta_m))
+        shift = (0.5 * self.c2 * self.dt) * eta_m
+        u_next = self.rotate(u_n - self.ops.E @ shift)
         u_next *= 2.0
         u_next -= u_n
-        if self.gamma is not None:
-            self._predict_potentials(u_n, eta_m, u_next)
+        if self.node_rotation is not None:
+            helmholtz._advance_potentials(state.u.space.mesh, u_n, u_next,
+                                          self.node_rotation, shift)
         return State(
             Field(state.u.space, u_next),
             Field(state.eta.space, 2.0 * eta_m - eta_n),
             state.time + self.dt,
         )
-
-    def _predict_potentials(self, u_n, eta_m, u_next):
-        """Advance the potentials slot from u_n to u_next, if it holds u_n.
-
-        W (E phi + P E psi) = E (phi + gamma psi) / s + P E (psi - gamma phi) / s
-        with s = 1 + gamma^2, since P P = -I.  With phi' = phi_n - (c2 dt/2) eta_m,
-        u_m then has the potentials ((phi' + gamma psi_n)/s, (psi_n - gamma phi')/s)
-        and u_next = 2 u_m - u_n twice those minus (phi_n, psi_n).
-        """
-        mesh = self.ops.p2.mesh
-        hint = helmholtz._slot_potentials(mesh, u_n)
-        if hint is None:
-            return
-        phi, psi = hint
-        gamma, scale = self.gamma, self.scale
-        phi_p = phi - 0.5 * self.c2 * self.dt * eta_m
-        phi_next = 2.0 * (phi_p + gamma * psi) / scale - phi
-        psi_next = 2.0 * (psi - gamma * phi_p) / scale - psi
-        # an overflowed prediction would fail the solver's finiteness check
-        if np.isfinite(phi_next).all() and np.isfinite(psi_next).all():
-            helmholtz._store_potentials(mesh, u_next, phi_next, psi_next)
 
 
 def _stepper(mesh, dt, params):
@@ -426,6 +401,8 @@ def run_convergence(levels, ic_mode, params=None, spec=None, steps_factor=1.0):
         raise ValueError("need at least two refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly refining")
+    if not steps_factor > 0:
+        raise ValueError("steps_factor must be positive")
     params = params or SweParams(f0=math.pi, beta=0.0, c2=1.0)
     spec = spec or PlaneWaveSpec(k=(2.0 * math.pi, 0.0), amplitude=1.0, sign=1)
 

@@ -7,9 +7,9 @@ two potentials decouple because rotated gradients of quadratics are exactly
 mass-orthogonal to gradients of quadratics on a torus.
 
 Each mesh keeps one slot, ``mesh.cache["potentials"]``: a copy of the last
-velocity coefficients decomposed together with their potentials.  The
-f-plane stepper (``dynamics._Stepper``) advances the slot in closed form
-when it steps exactly that velocity, so that decomposing the next state
+velocity coefficients decomposed together with their potentials.  An
+f-plane step from exactly that velocity advances the slot by the step's own
+node rotation (``_advance_potentials``), so that decomposing the next state
 starts both solves from its potentials instead of from zero.
 """
 
@@ -50,6 +50,22 @@ def _slot_potentials(mesh, coeffs):
 def _store_potentials(mesh, coeffs, phi, psi):
     """Fill the potentials slot; coeffs is copied, as its owner may change it."""
     mesh.cache["potentials"] = (coeffs.copy(), phi, psi)
+
+
+def _advance_potentials(mesh, u_n, u_next, R, shift):
+    """Move the slot from u_n to u_next = 2 R (u_n - E shift) - u_n, R a 2 x 2
+    rotation of every velocity node, if it holds u_n.  As P P = -I, R maps
+    E phi + P E psi to E phi' + P E psi' with (phi', psi') = R (phi, psi).  An
+    overflowed prediction, which would fail the solver's check, is not stored."""
+    held = _slot_potentials(mesh, u_n)
+    if held is None:
+        return
+    phi, psi = held
+    pair = (2.0 * R) @ np.stack((phi - shift, psi))
+    pair[0] -= phi
+    pair[1] -= psi
+    if np.isfinite(pair).all():
+        _store_potentials(mesh, u_next, *pair)
 
 
 def _split(u, tol):

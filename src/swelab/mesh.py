@@ -240,7 +240,9 @@ def validate(mesh):
     """Check every mesh invariant; returns a report, never raises."""
     checks = []
 
-    areas = mesh.areas()
+    # an infinite coordinate gives 0 * inf, a nan area reported below
+    with np.errstate(invalid="ignore"):
+        areas = mesh.areas()
     # not areas <= 0, which is false for nan
     bad = np.nonzero(~((areas > 0) & np.isfinite(areas)))[0]
     detail = "; ".join(f"face {i} is not counter-clockwise" if areas[i] <= 0

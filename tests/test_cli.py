@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swelab import bloch, cli, dynamics, fem
+from swelab import bloch, cli, dynamics, fem, linalg
 from swelab.mesh import build_right_triangle_torus, write_mesh
 
 DATA = Path(__file__).parent / "data"
@@ -57,6 +57,11 @@ def run(argv, capsys):
         ["simulate", "--dt", "0"],
         ["simulate", "--n1", "3", "--n2", "3", "--init", "geostrophic", "--f0", "0"],
         ["simulate", "--n1", "3", "--n2", "3", "--init", "wave", "--wave-m", "1"],
+        ["simulate", "--n1", "3", "--n2", "3", "--init", "wave", "--wave-m", "1.5,0"],
+        ["simulate", "--dt", "abc"],
+        ["converge", "--levels", "4,8,16", "--steps-factor", "0"],
+        ["converge", "--levels", "4,8,16", "--steps-factor", "-2"],
+        ["dump-matrices", "--which", ","],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -145,6 +150,27 @@ def test_oracle_pass(capsys):
     for name in ("Mr", "Lr", "D1r", "D2r"):
         assert any(l.startswith(f"{name} max discrepancy = ") for l in lines)
     assert lines[-1].startswith("result: PASS")
+
+
+def test_oracle_out_file_prints_the_result_line(tmp_path, capsys):
+    out_file = tmp_path / "oracle.txt"
+    code, out, err = run(["oracle", "--samples", "3", "--out", str(out_file)], capsys)
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 5 and lines[-1].startswith("result: PASS")
+    assert out.splitlines() == [lines[-1]]
+
+
+def test_simulate_tol_reaches_every_solve(monkeypatch, capsys):
+    tols = []
+    solve = linalg.Solver.solve
+    monkeypatch.setattr(linalg.Solver, "solve",
+                        lambda self, b, tol=1e-12, x0=None: tols.append(tol) or solve(self, b, tol, x0))
+    code, out, err = run(["simulate", "--n1", "4", "--n2", "4", "--steps", "3", "--tol", "1e-11",
+                          "--out", "-"], capsys)
+    assert code == 0, err
+    # three steps, and the two potential solves of four records
+    assert tols == [1e-11] * 11
 
 
 def test_oracle_detects_weak_quadrature(capsys):

@@ -222,6 +222,17 @@ def test_plane_wave_validation():
     mesh = build_right_triangle_torus(2, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
         dynamics.exact_plane_wave(PlaneWaveSpec(k=(1.0, 0.0)), params, mesh=mesh)
+    # sign picks one of the two roots of the dispersion relation
+    for sign in (0, 2, -3):
+        with pytest.raises(ValueError, match="sign"):
+            PlaneWaveSpec(k=(1.0, 0.0), sign=sign)
+
+
+def test_step_midpoint_rejects_nonpositive_dt():
+    mesh = build_right_triangle_torus(3, 3, 1.0, 1.0)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            dynamics.step_midpoint(_random_state(mesh), dt, SweParams(f0=1.0, c2=1.0))
 
 
 def test_l2_error_vanishes_on_projected_exact():
@@ -261,6 +272,9 @@ def test_run_convergence_validation():
         dynamics.run_convergence([4, 4, 8], "collocated")
     with pytest.raises(ValueError):
         dynamics.run_convergence([4, 8], "smoothed")
+    for factor in (0.0, -2.0):
+        with pytest.raises(ValueError, match="steps_factor"):
+            dynamics.run_convergence([4, 8], "collocated", steps_factor=factor)
 
 
 def test_solve_rossby_conserves_invariant():
@@ -502,16 +516,22 @@ def _rotation(ops, dt, params):
 @pytest.mark.parametrize("kind", sorted(FOLD_MESHES))
 def test_folded_step_operators_match_their_definitions(kind, beta):
     # the set-up folds W into couple = (dt/2) E^T Mv W, stored as CSR, and
-    # applies W through rotate; one step must be the unfolded midpoint step
+    # applies W through rotate, one vector at a time; on the f-plane W is
+    # node_rotation at every velocity node.  One step must be the unfolded
+    # midpoint step
     mesh = FOLD_MESHES[kind]()
     ops = fem.operators(mesh)
     params, dt = SweParams(f0=1.3, beta=beta, c2=1.5), 0.1
     stepper = dynamics._Stepper(mesh, dt, params)
     W, E, Mv = _rotation(ops, dt, params), ops.E.toarray(), ops.Mv.toarray()
-    identity = np.eye(ops.v.n_dofs)
+    rotated = np.column_stack([stepper.rotate(e) for e in np.eye(ops.v.n_dofs)])
     assert stepper.couple.format == "csr"
-    for got, want in ((stepper.couple.toarray(), 0.5 * dt * E.T @ Mv @ W),
-                      (stepper.rotate(identity), W)):
+    checks = [(stepper.couple.toarray(), 0.5 * dt * E.T @ Mv @ W), (rotated, W)]
+    if beta == 0.0:
+        checks.append((np.kron(np.eye(3 * mesh.n_f), stepper.node_rotation), W))
+    else:
+        assert stepper.node_rotation is None
+    for got, want in checks:
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     state = _random_state(mesh, seed=44)

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swelab.mesh import (
+    CheckResult,
     Mesh,
     MeshFormatError,
+    MeshReport,
     build_equilateral_torus,
     build_right_triangle_torus,
     read_mesh,
@@ -83,15 +85,23 @@ def test_validate_catches_clockwise_triangle():
     assert any("positive-areas" == c.name and not c.passed for c in report.checks)
 
 
-@pytest.mark.parametrize("where", ["vertex", "lattice"])
+@pytest.mark.parametrize("where", ["vertex", "lattice", "vertex inf"])
 def test_validate_flags_areas_that_are_not_finite(where):
-    # areas <= 0 is false for nan, so a nan coordinate would pass a sign test
+    # areas <= 0 is false for nan, so a nan coordinate would pass a sign
+    # test; an inf one makes 0 * inf, which must be reported, not warned of
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     vertices, lattice = m.vertices.copy(), m.lattice.copy()
-    (vertices if where == "vertex" else lattice)[0, 1] = np.nan
+    value = np.inf if where.endswith("inf") else np.nan
+    (vertices if where.startswith("vertex") else lattice)[0, 1] = value
     report = validate(Mesh(vertices, m.triangles, m.shifts, lattice))
     areas = next(c for c in report.checks if c.name == "positive-areas")
-    assert not areas.passed and "has area" in areas.detail
+    assert not areas.passed and "face 0 has area nan" in areas.detail
+
+
+def test_mesh_report_prints_one_line_per_check():
+    report = MeshReport([CheckResult("a", True), CheckResult("b", False, "face 3 is bad")])
+    assert str(report) == "PASS a\nFAIL b: face 3 is bad"
+    assert not report.ok
 
 
 def _shift_corner(m):
