@@ -307,7 +307,7 @@ def cmd_helmholtz(args):
     if args.filter_hp2:
         u = helmholtz.project_hp2(u, tol=args.tol)
 
-    e = helmholtz.component_energies(u, args.c2, tol=args.tol)
+    e = helmholtz.component_energies(u, tol=args.tol)
     total = sum(e.values())
     lines = ["component,energy"]
     for name, key in (
@@ -398,7 +398,7 @@ def cmd_simulate(args):
     lines = [header]
 
     def record(st):
-        e = helmholtz.component_energies(st.u, params.c2, tol=args.tol)
+        e = helmholtz.component_energies(st.u, tol=args.tol)
         row = [
             _fmt(st.time),
             _fmt(dynamics.energy(st, params)),
@@ -513,24 +513,30 @@ def _build_parser():
         description="wave-propagation laboratory for the mixed P1DG-P2 pair",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _seed_default()
+    shared = {
+        "--out": dict(default=None, help="output file (default stdout)"),
+        "--seed": dict(type=int, default=_seed_default()),
+        "--gnuplot": dict(action="store_true", help="also emit a plot script"),
+        "--tol": dict(type=_tolerance, default=1e-12),
+    }
 
-    def common(p):
+    def common(p, *flags):
+        # whole flags only: a flag the subcommand lacks is an error, not a
+        # prefix of another one (--out of --out-prefix)
+        p.allow_abbrev = False
         p.add_argument("--config", default=None, help="key = value defaults file")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=seed)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("converge", help="free-surface convergence experiment")
-    common(p)
-    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
+    common(p, "--out", "--gnuplot")
     p.add_argument("--levels", default="8,16,32")
     p.add_argument("--steps-factor", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_converge)
 
     for name in ("dispersion", "rossby"):
         p = sub.add_parser(name, help="Brillouin-zone dispersion sweep")
-        common(p)
-        p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
+        common(p, "--out", "--gnuplot")
         if name == "dispersion":
             p.add_argument("--kind", choices=("gravity", "rossby"), default="gravity")
         else:
@@ -545,24 +551,20 @@ def _build_parser():
         p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("oracle", help="closed-form reduction oracle report")
-    common(p)
+    common(p, "--out", "--seed")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--quad-degree", type=int, default=4)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("helmholtz", help="component energies of a velocity field")
-    common(p)
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    common(p, "--out", "--seed", "--tol")
     _add_mesh_flags(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--c2", type=_finite_float, default=1.0)
     p.add_argument("--filter-hp2", action="store_true")
     p.set_defaults(func=cmd_helmholtz)
 
     p = sub.add_parser("simulate", help="implicit-midpoint time integration")
-    common(p)
-    p.add_argument("--gnuplot", action="store_true", help="also emit a plot script")
-    p.add_argument("--tol", type=_tolerance, default=1e-12)
+    common(p, "--out", "--seed", "--gnuplot", "--tol")
     _add_mesh_flags(p)
     p.add_argument("--init",
                    choices=("geostrophic", "physical", "spurious", "random", "wave"),

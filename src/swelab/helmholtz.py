@@ -4,7 +4,8 @@ Every velocity field splits into a constant mean part, a gradient of a
 mean-free quadratic potential, a rotated gradient of a mean-free quadratic
 streamfunction, and a residual that is mass-orthogonal to all three.  The
 two potentials decouple because rotated gradients of quadratics are exactly
-mass-orthogonal to gradients of quadratics on a torus.
+mass-orthogonal to gradients of quadratics on a torus.  ``decompose``
+computes the split; the energies and the projection are read from it.
 
 Each mesh keeps one slot, ``mesh.cache["potentials"]``: a copy of the last
 velocity coefficients decomposed together with their potentials.  An
@@ -68,9 +69,15 @@ def _advance_potentials(mesh, u_n, u_next, R, shift):
         _store_potentials(mesh, u_next, *pair)
 
 
-def _split(u, tol):
-    """(mean, phi, psi, E phi, P E psi, residual) coefficients of u; the
-    potentials have integral mean zero.  See ``decompose``."""
+def decompose(u, tol=1e-12):
+    """Split a velocity field u into mean + grad(phi) + perp(grad(psi)) + residual.
+
+    The potentials have integral mean zero.  When the mesh's potentials slot
+    holds exactly u, its potentials are the initial guesses of the two
+    solves; each solve still meets tol on its true residual, so a stale or
+    inaccurate slot costs iterations only.  The slot then holds u and the
+    potentials returned.
+    """
     mesh = u.space.mesh
     ops = fem.operators(mesh)
     mvu = ops.Mv @ u.coeffs
@@ -81,57 +88,38 @@ def _split(u, tol):
     # both potential solves share the singular stiffness operator: testing
     # grad(phi) (resp. perp grad(psi)) against u reduces to L by exactness;
     # P^T = -P, so (P E)^T Mv u = -E^T P Mv u
-    rhs_phi = ops.Et @ mvu
-    rhs_psi = -(ops.Et @ (ops.P @ mvu))
     phi0, psi0 = _slot_potentials(mesh, u.coeffs) or (None, None)
-    phi = ops.L_solver.solve(rhs_phi, tol=tol, x0=phi0)
-    psi = ops.L_solver.solve(rhs_psi, tol=tol, x0=psi0)
+    phi = ops.L_solver.solve(ops.Et @ mvu, tol=tol, x0=phi0)
+    psi = ops.L_solver.solve(-(ops.Et @ (ops.P @ mvu)), tol=tol, x0=psi0)
 
     # the solver returns coefficient-mean-zero vectors; shift to integral mean zero
     phi -= ops.p2_mean(phi)
     psi -= ops.p2_mean(psi)
     _store_potentials(mesh, u.coeffs, phi, psi)
 
-    grad_phi = ops.E @ phi
-    perp_psi = ops.P @ (ops.E @ psi)
-    resid = ((u.coeffs - grad_phi - perp_psi).reshape(-1, 2) - mean).reshape(-1)
-    return mean, phi, psi, grad_phi, perp_psi, resid
-
-
-def decompose(u, tol=1e-12):
-    """Split a velocity field u into mean + grad(phi) + perp(grad(psi)) + residual.
-
-    When the mesh's potentials slot holds exactly u, its potentials are the
-    initial guesses of the two solves; each solve still meets tol on its true
-    residual, so a stale or inaccurate slot costs iterations only.  The slot
-    then holds u and the potentials returned.
-    """
-    mean, phi, psi, _, _, resid = _split(u, tol)
-    p2 = fem.operators(u.space.mesh).p2
-    return HelmholtzComponents(
-        mean=mean,
-        phi=Field(p2, phi),
-        psi=Field(p2, psi),
-        residual=Field(u.space, resid),
-    )
+    resid = (u.coeffs - ops.E @ phi - ops.P @ (ops.E @ psi)).reshape(-1, 2) - mean
+    return HelmholtzComponents(mean, Field(ops.p2, phi), Field(ops.p2, psi),
+                               Field(u.space, resid.reshape(-1)))
 
 
 def project_hp2(u, tol=1e-12):
-    """Mass projection of u onto mean + gradients + rotated gradients."""
-    mean, _, _, grad_phi, perp_psi, _ = _split(u, tol)
-    return Field(u.space, ((grad_phi + perp_psi).reshape(-1, 2) + mean).reshape(-1))
+    """Mass projection of u onto mean + gradients + rotated gradients: u minus
+    its residual."""
+    return Field(u.space, u.coeffs - decompose(u, tol).residual.coeffs)
 
 
 def component_energies(u, c2=1.0, tol=1e-12):
-    """Kinetic energy of each component; they sum to the total by orthogonality.
+    """Kinetic energy of each component of ``decompose(u, tol)``; they sum to
+    the total by orthogonality.  c2 is not read.
 
     E^T Mv E = L and P^T Mv P = Mv, so the potentials' energies are
     1/2 phi^T L phi and 1/2 psi^T L psi.
     """
     ops = fem.operators(u.space.mesh)
-    mean, phi, psi, _, _, resid = _split(u, tol)
+    parts = decompose(u, tol)
+    phi, psi, resid = parts.phi.coeffs, parts.psi.coeffs, parts.residual.coeffs
     return {
-        "mean": 0.5 * ops.area * float(mean @ mean),
+        "mean": 0.5 * ops.area * float(parts.mean @ parts.mean),
         "divergent": 0.5 * float(phi @ (ops.L @ phi)),
         "rotational": 0.5 * float(psi @ (ops.L @ psi)),
         "residual": 0.5 * float(resid @ (ops.Mv @ resid)),

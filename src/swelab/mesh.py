@@ -245,7 +245,7 @@ def validate(mesh):
         areas = mesh.areas()
     # not areas <= 0, which is false for nan
     bad = np.nonzero(~((areas > 0) & np.isfinite(areas)))[0]
-    detail = "; ".join(f"face {i} is not counter-clockwise" if areas[i] <= 0
+    detail = "; ".join(f"face {i} is not counter-clockwise" if np.isfinite(areas[i])
                        else f"face {i} has area {areas[i]}" for i in bad[:8])
     if len(bad) > 8:
         detail += f"; and {len(bad) - 8} more"

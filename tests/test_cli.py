@@ -62,12 +62,35 @@ def run(argv, capsys):
         ["converge", "--levels", "4,8,16", "--steps-factor", "0"],
         ["converge", "--levels", "4,8,16", "--steps-factor", "-2"],
         ["dump-matrices", "--which", ","],
+        # flags that changed no output are gone; --out is not taken as a
+        # prefix of --out-prefix
+        ["converge", "--seed", "1"],
+        ["dispersion", "--seed", "1"],
+        ["rossby", "--seed", "1"],
+        ["dump-matrices", "--seed", "1"],
+        ["dump-matrices", "--n1", "2", "--n2", "2", "--out", "wanted.txt"],
+        ["helmholtz", "--n1", "4", "--n2", "4", "--c2", "5"],
     ],
 )
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a wrongly accepted command would write
     code, out, err = run(argv, capsys)
     assert code == 2
     assert "usage error" in err or "usage" in err
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [("converge", "seed"), ("dispersion", "seed"), ("rossby", "seed"),
+     ("dump-matrices", "seed"), ("dump-matrices", "out"), ("helmholtz", "c2")],
+)
+def test_config_keys_of_removed_flags_exit_2(command, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 2 and f"--{key}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("dt", ["6e4", "3e5", "1e6"])

@@ -185,6 +185,47 @@ def test_component_energies_sum(mesh):
     assert all(v >= -1e-13 for v in e.values())
 
 
+def test_energies_and_projection_call_decompose_once(monkeypatch):
+    # the split has one path: both go through the module attribute, as a
+    # tracer that wraps it would see them
+    mesh = MESHES[2]
+    u = _random_velocity(mesh, 21)
+    calls, results = [], []
+    decompose = helmholtz.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        results.append(decompose(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(helmholtz, "decompose", counting)
+    helmholtz.component_energies(u)
+    assert calls == [u]
+    pu = helmholtz.project_hp2(u)
+    assert calls == [u, u]
+    assert np.array_equal(pu.coeffs, u.coeffs - results[-1].residual.coeffs)
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_energies_are_those_of_the_components(mesh):
+    # each energy is 1/2 c^T Mv c of the velocity c its component of
+    # decompose(u) contributes, although component_energies takes the
+    # potentials' energies through L
+    ops = fem.operators(mesh)
+    u = _random_velocity(mesh, 23)
+    parts = helmholtz.decompose(u)
+    pieces = {
+        "mean": ops.constant_field(parts.mean),
+        "divergent": ops.E @ parts.phi.coeffs,
+        "rotational": ops.P @ (ops.E @ parts.psi.coeffs),
+        "residual": parts.residual.coeffs,
+    }
+    e = helmholtz.component_energies(u)
+    total = 0.5 * u.coeffs @ (ops.Mv @ u.coeffs)
+    for name, c in pieces.items():
+        assert abs(e[name] - 0.5 * c @ (ops.Mv @ c)) <= 1e-13 * total, name
+
+
 def test_component_energies_pure_components():
     mesh = MESHES[0]
     ops = fem.operators(mesh)

@@ -85,17 +85,22 @@ def test_validate_catches_clockwise_triangle():
     assert any("positive-areas" == c.name and not c.passed for c in report.checks)
 
 
-@pytest.mark.parametrize("where", ["vertex", "lattice", "vertex inf"])
+@pytest.mark.parametrize("where", ["vertex", "lattice", "vertex inf", "vertex -inf"])
 def test_validate_flags_areas_that_are_not_finite(where):
     # areas <= 0 is false for nan, so a nan coordinate would pass a sign
     # test; an inf one makes 0 * inf, which must be reported, not warned of
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     vertices, lattice = m.vertices.copy(), m.lattice.copy()
-    value = np.inf if where.endswith("inf") else np.nan
+    value = {"inf": np.inf, "-inf": -np.inf}.get(where.split()[-1], np.nan)
     (vertices if where.startswith("vertex") else lattice)[0, 1] = value
     report = validate(Mesh(vertices, m.triangles, m.shifts, lattice))
     areas = next(c for c in report.checks if c.name == "positive-areas")
     assert not areas.passed and "face 0 has area nan" in areas.detail
+    # an infinite area is not finite, whatever its sign: faces 2, 5 and 6
+    # get -inf, inf, inf from y = inf and the opposite signs from y = -inf
+    assert "counter-clockwise" not in areas.detail
+    if where == "vertex -inf":
+        assert "face 5 has area -inf" in areas.detail
 
 
 def test_mesh_report_prints_one_line_per_check():
