@@ -8,3 +8,7 @@ for that pair.
 """
 
 __version__ = "0.1.0"
+
+
+class ParameterError(ValueError):
+    """A caller's argument that a library function rejects, with the rule it breaks."""

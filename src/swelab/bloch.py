@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fem, linalg
+from . import ParameterError, fem, linalg
 from .mesh import _equilateral_cells, reciprocal_wavevector
 
 __all__ = [
@@ -226,6 +226,8 @@ def oracle_report(n_samples=100, seed=0, quad_degree=4):
 
     Returns {block: (max discrepancy, kdx where it occurred)}.
     """
+    if n_samples < 1:
+        raise ParameterError("n_samples must be at least 1")
     pts = random_zone_points(n_samples, seed)
 
     def discrepancies(block):
@@ -295,9 +297,15 @@ class DispersionResult:
     ambiguous: tuple = None   # Rossby only
 
 
+def _require_dx(dx):
+    # a negative dx flips the sign of every Rossby frequency
+    if not 0.0 < dx < math.inf:
+        raise ParameterError(f"dx must be positive and finite, got {dx}")
+
+
 def _require_zone(kdx):
     if not in_brillouin_zone(kdx, tol=1e-9):
-        raise ValueError(f"kdx {tuple(kdx)} lies outside the first Brillouin zone")
+        raise ParameterError(f"kdx {tuple(kdx)} lies outside the first Brillouin zone")
 
 
 def _eigh_pencil(A, B):
@@ -372,6 +380,7 @@ def _results(kdx, omegas, vecs, labels=None, flags=None):
 
 def gravity_branches(kdx, params, dx=1.0):
     """Four inertia-gravity frequencies omega^2 = f0^2 + (c2/dx^2) lam."""
+    _require_dx(dx)
     _require_zone(kdx)
     pts = np.asarray(kdx, dtype=float).reshape(1, 2)
     return _results(pts, *_gravity(pts, params, dx))[0]
@@ -383,6 +392,7 @@ def rossby_branches(kdx, params, fhat=(0.0, 1.0), dx=1.0):
     Dr pairs each basis function with the derivative along local east, the
     clockwise quarter-turn of fhat (the direction of increasing f).
     """
+    _require_dx(dx)
     _require_zone(kdx)
     pts = np.asarray(kdx, dtype=float).reshape(1, 2)
     return _results(pts, *_rossby(pts, params, fem._east(fhat), dx))[0]
@@ -390,10 +400,11 @@ def rossby_branches(kdx, params, fhat=(0.0, 1.0), dx=1.0):
 
 def sweep_brillouin(n_grid, kind, params, fhat=(0.0, 1.0), dx=1.0):
     """Branch frequencies on a cell-centred grid clipped to the first zone."""
+    _require_dx(dx)
     if n_grid < 8:
-        raise ValueError("n_grid must be at least 8")
+        raise ParameterError("n_grid must be at least 8")
     if kind not in ("gravity", "rossby"):
-        raise ValueError(f"unknown sweep kind {kind!r}")
+        raise ParameterError(f"unknown sweep kind {kind!r}")
     r = 4.0 * math.pi / 3.0
     centers = r * (-1.0 + (2.0 * np.arange(n_grid) + 1.0) / n_grid)
     k, l = np.meshgrid(centers, centers)
@@ -419,7 +430,7 @@ def lattice_dof_classes(mesh):
 
     Faces 2c and 2c + 1 must be the one cell's two faces, scaled by dx and
     translated (the face order of build_equilateral_torus); their dofs take
-    the classes of the cell's dofs in the same local places.  ValueError
+    the classes of the cell's dofs in the same local places.  ParameterError
     otherwise.
     """
     cell = _equilateral_cells(1, 1, 1.0)
@@ -435,7 +446,7 @@ def lattice_dof_classes(mesh):
         translated = np.abs(offset - offset[:, :, :1]).max() <= 1e-9 * dx
         if translated and np.all(classes[dofs] == cell_classes):
             return classes
-    raise ValueError("mesh faces are not translates of the equilateral cell's faces")
+    raise ParameterError("mesh faces are not translates of the equilateral cell's faces")
 
 
 def _lattice_phases(mesh, m1, m2):
@@ -462,7 +473,7 @@ def lattice_gravity_mode(mesh, m1, m2, params, branch=0):
     a, b = -1j * omega, params.f0
     denom = params.f0 ** 2 - omega ** 2
     if abs(denom) < 1e-14 * max(omega ** 2, 1.0):
-        raise ValueError("inertial branch: velocity amplitude is not determined")
+        raise ParameterError("inertial branch: velocity amplitude is not determined")
     rot = np.column_stack([grad[:, 1], -grad[:, 0]])
     u_hat = (-params.c2 / denom) * (a * grad + b * rot)
     return omega, u_hat.reshape(-1), eta_hat

@@ -7,6 +7,13 @@ cannot be read or written; 1 flags a numerical or solver failure or a
 malformed checkpoint or mesh file.  A config file of `key = value` lines
 supplies defaults that explicit command-line flags override, and SWE_SEED
 sets the default seed.
+
+The library states each rule on its arguments and raises
+``swelab.ParameterError`` when one is broken; the commands here add only the
+rules no library function holds and the parsing of text values.  ``main``
+alone turns an exception into an exit code: ``ParameterError`` and
+``OSError`` exit 2, ``linalg.SolverError`` exits 1, and anything else, a
+program fault, ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,17 +25,13 @@ import sys
 
 import numpy as np
 
-from . import bloch, dynamics, fem, helmholtz, linalg
+from . import ParameterError, bloch, dynamics, fem, helmholtz, linalg
 from .mesh import (
     build_equilateral_torus,
     build_right_triangle_torus,
     reciprocal_wavevector,
     write_mesh,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x):
@@ -67,10 +70,10 @@ def _load_config(path):
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
+                raise ParameterError(f"{path}: line {lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
-                raise UsageError(f"{path}: line {lineno}: empty key or value")
+                raise ParameterError(f"{path}: line {lineno}: empty key or value")
             flag = "--" + key.replace("_", "-")
             if value.lower() in ("true", "false"):
                 if value.lower() == "true":
@@ -84,7 +87,7 @@ def _seed_default():
     try:
         return int(os.environ.get("SWE_SEED", "0"))
     except ValueError:
-        raise UsageError("SWE_SEED must be an integer")
+        raise ParameterError("SWE_SEED must be an integer")
 
 
 def _finite_float(text):
@@ -109,11 +112,11 @@ def _tolerance(text):
 def _parse_pair(text, name):
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"{name} must be two comma-separated numbers")
+        raise ParameterError(f"{name} must be two comma-separated numbers")
     try:
         return _finite_float(parts[0]), _finite_float(parts[1])
     except argparse.ArgumentTypeError:
-        raise UsageError(f"{name} must be two finite numbers") from None
+        raise ParameterError(f"{name} must be two finite numbers") from None
 
 
 def _check(name, ok, detail=""):
@@ -140,20 +143,9 @@ def _add_mesh_flags(p):
 
 
 def _build_mesh(args):
-    try:
-        if args.mesh_kind == "equilateral":
-            return build_equilateral_torus(args.n1, args.n2, args.dx)
-        return build_right_triangle_torus(args.n1, args.n2, args.n1 * args.dx, args.n2 * args.dx)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _params(cls, **values):
-    """SweParams or RossbyParams from flags; rejected values are usage errors."""
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.mesh_kind == "equilateral":
+        return build_equilateral_torus(args.n1, args.n2, args.dx)
+    return build_right_triangle_torus(args.n1, args.n2, args.n1 * args.dx, args.n2 * args.dx)
 
 
 # --------------------------------------------------------------------------
@@ -164,13 +156,9 @@ def cmd_converge(args):
     try:
         levels = [int(s) for s in args.levels.split(",") if s]
     except ValueError:
-        raise UsageError("--levels must be comma-separated integers") from None
+        raise ParameterError("--levels must be comma-separated integers") from None
     if len(levels) < 3:
-        raise UsageError("need at least three refinement levels")
-    if any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 2:
-        raise UsageError("--levels must be increasing mesh sizes of at least 2")
-    if args.steps_factor <= 0:
-        raise UsageError("--steps-factor must be positive")
+        raise ParameterError("need at least three refinement levels")
     results = {}
     for mode in ("collocated", "projected"):
         results[mode] = dynamics.run_convergence(
@@ -206,24 +194,14 @@ def cmd_converge(args):
 
 def cmd_dispersion(args):
     kind = args.kind
-    if args.ngrid < 8:
-        raise UsageError("--ngrid must be at least 8")
-    if args.dx <= 0:
-        raise UsageError("--dx must be positive")
     fhat = None
     if kind == "gravity":
-        params = _params(dynamics.SweParams, f0=args.f0, beta=0.0, c2=args.c2)
+        params = dynamics.SweParams(f0=args.f0, beta=0.0, c2=args.c2)
     else:
-        params = _params(dynamics.RossbyParams, f0=args.f0, beta=args.beta, c2=args.c2)
+        params = dynamics.RossbyParams(f0=args.f0, beta=args.beta, c2=args.c2)
         fhat = _parse_pair(args.fhat, "--fhat")
-        if fhat == (0.0, 0.0):
-            raise UsageError("--fhat must be a nonzero direction")
         east = fem._east(fhat)
-    try:
-        rows = bloch.sweep_brillouin(args.ngrid, kind, params, fhat=fhat, dx=args.dx)
-    except linalg.SolverError as exc:
-        print(f"error: eigensolver failure: {exc}", file=sys.stderr)
-        return 1
+    rows = bloch.sweep_brillouin(args.ngrid, kind, params, fhat=fhat, dx=args.dx)
 
     header = "k,l,omega1,omega2,omega3,omega4"
     if kind == "rossby":
@@ -263,12 +241,6 @@ def cmd_dispersion(args):
 
 
 def cmd_oracle(args):
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
-    try:
-        fem.quadrature_rule(args.quad_degree)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     report = bloch.oracle_report(args.samples, seed=args.seed, quad_degree=args.quad_degree)
     lines = []
     worst_name, (worst_val, worst_kdx) = max(report.items(), key=lambda kv: kv[1][0])
@@ -352,27 +324,27 @@ def _simulate_initial(args, mesh, params):
     elif args.init == "wave":
         m1, m2 = _parse_pair(args.wave_m, "--wave-m")
         if not (m1.is_integer() and m2.is_integer()):
-            raise UsageError("--wave-m must be two integers")
+            raise ParameterError("--wave-m must be two integers")
         k = reciprocal_wavevector(mesh, int(m1), int(m2))
         spec = dynamics.PlaneWaveSpec(k=tuple(k))
         state = dynamics._initial_state(mesh, "projected", spec, params)
         exact = (spec, params)
     else:
-        raise UsageError(f"unknown init mode {args.init!r}")
+        raise ParameterError(f"unknown init mode {args.init!r}")
     return state, exact
 
 
 def cmd_simulate(args):
     if args.steps < 1:
-        raise UsageError("--steps must be positive")
+        raise ParameterError("--steps must be positive")
     if args.dt <= 0:
-        raise UsageError("--dt must be positive")
+        raise ParameterError("--dt must be positive")
     if args.init == "spurious" and args.filter_hp2:
         # the filter removes the whole spurious field, and the spurious
         # checks would divide by its rounding-level remainder
-        raise UsageError("--filter-hp2 removes all of --init spurious; use one or the other")
+        raise ParameterError("--filter-hp2 removes all of --init spurious; use one or the other")
     mesh = _build_mesh(args)
-    params = _params(dynamics.SweParams, f0=args.f0, beta=args.beta, c2=args.c2)
+    params = dynamics.SweParams(f0=args.f0, beta=args.beta, c2=args.c2)
     # an unwritable output path fails before the run, not after it; a file
     # the check creates is removed again, so a failed run leaves none
     chk = args.checkpoint_out
@@ -382,10 +354,7 @@ def cmd_simulate(args):
             open(path, "a").close()
             if not existed:
                 os.remove(path)
-    try:
-        state, exact = _simulate_initial(args, mesh, params)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    state, exact = _simulate_initial(args, mesh, params)
     if args.filter_hp2:
         state = dynamics.State(
             helmholtz.project_hp2(state.u, tol=args.tol), state.eta, state.time
@@ -495,7 +464,7 @@ def cmd_dump_matrices(args):
     names = [s for s in args.which.split(",") if s]
     unknown = [n for n in names if n not in available]
     if unknown or not names:
-        raise UsageError(f"--which must name matrices from {sorted(available)}, got {args.which!r}")
+        raise ParameterError(f"--which must name matrices from {sorted(available)}, got {args.which!r}")
     for name in names:
         path = f"{args.out_prefix}{name}.txt"
         fem.write_matrix_text(available[name](), path)
@@ -604,7 +573,7 @@ def main(argv=None):
                 argv = [argv[0]] + injected + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except linalg.SolverError as exc:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import fem, helmholtz, linalg
+from . import ParameterError, fem, helmholtz, linalg
 from .fem import Field
 from .mesh import _format_rows, _read_block, build_right_triangle_torus, read_mesh, validate
 
@@ -82,9 +82,9 @@ class SweParams:
 
     def __post_init__(self):
         if self.c2 <= 0:
-            raise ValueError("c2 must be positive")
+            raise ParameterError("c2 must be positive")
         if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+            raise ParameterError("beta must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class RossbyParams:
 
     def __post_init__(self):
         if self.c2 <= 0:
-            raise ValueError("c2 must be positive")
+            raise ParameterError("c2 must be positive")
         if self.f0 == 0:
-            raise ValueError("f0 must be nonzero (finite deformation radius)")
+            raise ParameterError("f0 must be nonzero (finite deformation radius)")
 
     @property
     def lr2_inv(self):
@@ -113,7 +113,7 @@ class State:
 
     def __post_init__(self):
         if self.u.space.mesh is not self.eta.space.mesh:
-            raise ValueError("u and eta must live on the same mesh")
+            raise ParameterError("u and eta must live on the same mesh")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class PlaneWaveSpec:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise ParameterError("sign must be +1 or -1")
 
     def omega(self, params):
         k = np.asarray(self.k, dtype=float)
@@ -255,7 +255,7 @@ def _stepper(mesh, dt, params):
 def step_midpoint(state, dt, params, tol=1e-13):
     """Advance one implicit-midpoint step; the elevation solve to relative tol."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt must be positive")
     return _stepper(state.u.space.mesh, dt, params).step(state, tol)
 
 
@@ -266,7 +266,7 @@ def step_midpoint(state, dt, params, tol=1e-13):
 def geostrophic_init(eta0, params):
     """Balanced state u = (c2/f0) perp(grad eta0); an exact fixed point."""
     if params.f0 == 0:
-        raise ValueError("geostrophic balance requires f0 != 0")
+        raise ParameterError("geostrophic balance requires f0 != 0")
     ops = fem.operators(eta0.space.mesh)
     u = (params.c2 / params.f0) * (ops.P @ (ops.E @ eta0.coeffs))
     return State(Field(ops.v, u), eta0.copy(), 0.0)
@@ -282,7 +282,7 @@ def inertial_init(mesh, mode, seed=0):
         raw = Field(ops.v, rng.standard_normal(ops.v.n_dofs))
         u = helmholtz.decompose(raw, tol=1e-14).residual.coeffs
     else:
-        raise ValueError(f"unknown inertial mode {mode!r} (physical or spurious)")
+        raise ParameterError(f"unknown inertial mode {mode!r} (physical or spurious)")
     return State(Field(ops.v, u), Field.zeros(ops.p2), 0.0)
 
 
@@ -293,7 +293,7 @@ def inertial_init(mesh, mode, seed=0):
 def _check_compatible(k, mesh):
     m = mesh.lattice @ k / (2.0 * np.pi)
     if np.max(np.abs(m - np.round(m))) > 1e-9:
-        raise ValueError(
+        raise ParameterError(
             f"wave vector {k} is not periodic on this torus (lattice indices {m})"
         )
 
@@ -308,7 +308,7 @@ def exact_plane_wave(spec, params, t=0.0, mesh=None):
     k = np.asarray(spec.k, dtype=float)
     kn = np.linalg.norm(k)
     if kn == 0:
-        raise ValueError("plane wave requires a nonzero wave vector")
+        raise ParameterError("plane wave requires a nonzero wave vector")
     if mesh is not None:
         _check_compatible(k, mesh)
     omega = spec.omega(params)
@@ -370,7 +370,7 @@ def _initial_state(mesh, ic_mode, spec, params):
         uy = fem.collocate(ops.p2, lambda x: u_fn(x)[..., 1])
         u0 = fem.project_p2vec_to_p1dg(ux, uy, ops.v)
     else:
-        raise ValueError(f"unknown ic_mode {ic_mode!r} (collocated or projected)")
+        raise ParameterError(f"unknown ic_mode {ic_mode!r} (collocated or projected)")
     return State(u0, eta0, 0.0)
 
 
@@ -398,11 +398,11 @@ def run_convergence(levels, ic_mode, params=None, spec=None, steps_factor=1.0):
     can sit anywhere in the beat envelope and scrambles the fitted slope.
     """
     if len(levels) < 2:
-        raise ValueError("need at least two refinement levels")
+        raise ParameterError("need at least two refinement levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly refining")
+        raise ParameterError("levels must be strictly refining")
     if not steps_factor > 0:
-        raise ValueError("steps_factor must be positive")
+        raise ParameterError("steps_factor must be positive")
     params = params or SweParams(f0=math.pi, beta=0.0, c2=1.0)
     spec = spec or PlaneWaveSpec(k=(2.0 * math.pi, 0.0), amplitude=1.0, sign=1)
 
@@ -447,18 +447,17 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     The quadratic form psi^T (L + M f0^2/c2) psi is conserved because D is
     antisymmetric on a torus.  Each step solves to relative tol.
     """
+    if not (dt > 0 and T > 0):
+        raise ParameterError("dt and T must be positive")
     east = fem._east(fhat)
     ops = fem.operators(psi0.space.mesh)
     mean0 = ops.p2_mean(psi0.coeffs)
     scale = np.linalg.norm(psi0.coeffs)
     if abs(mean0) * math.sqrt(ops.area) > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"psi0 must have zero integral mean (got {mean0:.3e})")
+        raise ParameterError(f"psi0 must have zero integral mean (got {mean0:.3e})")
 
     K = (ops.L + params.lr2_inv * ops.M).tocsr()
     D = fem.assemble_ddx_p2(ops.p2, east)
-
-    if dt <= 0 or T <= 0:
-        raise ValueError("dt and T must be positive")
     n_steps = max(1, round(T / dt))
 
     n = ops.p2.n_dofs

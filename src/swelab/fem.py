@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import linalg
+from . import ParameterError, linalg
 from .mesh import Mesh, _format_rows
 
 __all__ = [
@@ -102,7 +102,7 @@ def quadrature_rule(degree):
     for d in sorted(_RULES):
         if d >= degree:
             return _RULES[d]
-    raise ValueError(f"no quadrature rule of degree {degree} (max {max(_RULES)})")
+    raise ParameterError(f"no quadrature rule of degree {degree} (max {max(_RULES)})")
 
 
 def _p2_values(lam):
@@ -175,7 +175,7 @@ class Field:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (self.space.n_dofs,):
-            raise ValueError(
+            raise ParameterError(
                 f"coefficient length {self.coeffs.shape} does not match space ({self.space.n_dofs},)"
             )
 
@@ -196,7 +196,7 @@ def _geometry(X):
     J = np.stack([X[:, 1] - X[:, 0], X[:, 2] - X[:, 0]], axis=-1)  # columns
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     if np.any(det <= 0):
-        raise ValueError("triangle corners are not counter-clockwise")
+        raise ParameterError("triangle corners are not counter-clockwise")
     Jinv = np.empty_like(J)
     Jinv[:, 0, 0] = J[:, 1, 1]
     Jinv[:, 0, 1] = -J[:, 0, 1]
@@ -300,7 +300,7 @@ def _evaluate(fn, x, value_shape=()):
     flat = x.reshape(-1, 2)
     vals = np.asarray(fn(flat), dtype=float)
     if vals.shape != (len(flat), *value_shape):
-        raise ValueError(
+        raise ParameterError(
             f"callback returned shape {vals.shape} for {len(flat)} points, "
             f"expected {(len(flat), *value_shape)}"
         )
@@ -334,7 +334,7 @@ def _east(fhat):
     fhat = np.asarray(fhat, dtype=float)
     nf = np.linalg.norm(fhat)
     if nf == 0:
-        raise ValueError("fhat must be a nonzero direction")
+        raise ParameterError("fhat must be a nonzero direction")
     return np.array([fhat[1], -fhat[0]]) / nf
 
 
@@ -375,7 +375,7 @@ def project_p2vec_to_p1dg(ux, uy, vspace=None):
     """
     space = ux.space
     if uy.space is not space and uy.space.mesh is not space.mesh:
-        raise ValueError("component fields must live on the same mesh")
+        raise ParameterError("component fields must live on the same mesh")
     if vspace is None:
         vspace = operators(space.mesh).v
     cd = space.cell_dofs()

@@ -55,6 +55,8 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
+from . import ParameterError
+
 __all__ = ["SolverError", "Solver"]
 
 # largest multigrid level solved by a dense (pseudo-)inverse
@@ -92,7 +94,7 @@ class Solver:
         A = sp.csr_matrix(A)
         n = A.shape[0]
         if A.shape[1] != n:
-            raise ValueError(f"matrix is not square: A is {A.shape}")
+            raise ParameterError(f"matrix is not square: A is {A.shape}")
         self.A = A
         self.n = n
         self.max_iter = max(50, 10 * n)
@@ -112,7 +114,7 @@ class Solver:
         """
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
-            raise ValueError(f"shape mismatch: A is {(self.n, self.n)}, b is {b.shape}")
+            raise ParameterError(f"shape mismatch: A is {(self.n, self.n)}, b is {b.shape}")
         if not np.isfinite(b).all():
             raise SolverError("right-hand side is not finite", iterations=0)
         b = self._project(b)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab import bloch, fem
+from swelab import ParameterError, bloch, fem
 from swelab.dynamics import RossbyParams, SweParams
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
@@ -157,6 +157,13 @@ def test_oracle_report_and_quadrature_sensitivity():
     assert weak["Lr"][0] < 1e-12
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_oracle_report_rejects_no_samples(n_samples):
+    # an empty report would leave its caller no worst block to name
+    with pytest.raises(ParameterError, match="n_samples must be at least 1"):
+        bloch.oracle_report(n_samples)
+
+
 def test_in_brillouin_zone():
     assert bloch.in_brillouin_zone((0.0, 0.0))
     assert bloch.in_brillouin_zone((4 * math.pi / 3 - 1e-9, 0.0))
@@ -291,6 +298,21 @@ def test_sweep_brillouin():
         bloch.sweep_brillouin(4, "gravity", params)
     with pytest.raises(ValueError):
         bloch.sweep_brillouin(8, "acoustic", params)
+
+
+@pytest.mark.parametrize("dx", [0.0, -1e5, math.nan])
+def test_dispersion_rejects_dx_that_is_not_positive(dx):
+    # a negative dx would flip the sign of every Rossby frequency, and 0
+    # would divide by zero
+    gparams = SweParams(f0=1e-4, c2=1e5)
+    rparams = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    calls = [lambda: bloch.gravity_branches((0.5, 0.0), gparams, dx=dx),
+             lambda: bloch.rossby_branches((0.5, 0.0), rparams, dx=dx),
+             lambda: bloch.sweep_brillouin(8, "gravity", gparams, dx=dx),
+             lambda: bloch.sweep_brillouin(8, "rossby", rparams, dx=dx)]
+    for call in calls:
+        with pytest.raises(ParameterError, match="dx must be positive and finite"):
+            call()
 
 
 @settings(max_examples=30, deadline=None)

@@ -70,6 +70,12 @@ def run(argv, capsys):
         ["dump-matrices", "--seed", "1"],
         ["dump-matrices", "--n1", "2", "--n2", "2", "--out", "wanted.txt"],
         ["helmholtz", "--n1", "4", "--n2", "4", "--c2", "5"],
+        # rules the library states: a nonpositive dx, and faces whose area
+        # underflows to zero
+        ["rossby", "--dx", "-1"],
+        ["simulate", "--mesh-kind", "right", "--n1", "4", "--n2", "4", "--dx", "1e-320",
+         "--steps", "1"],
+        ["helmholtz", "--mesh-kind", "right", "--n1", "4", "--n2", "4", "--dx", "1e-320"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
@@ -77,6 +83,22 @@ def test_usage_errors_exit_2(argv, capsys, tmp_path, monkeypatch):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert "usage error" in err or "usage" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n1", "4", "--n2", "4", "--steps", "1"],
+    ["helmholtz", "--n1", "4", "--n2", "4"],
+])
+def test_other_value_errors_are_not_usage_errors(argv, monkeypatch, capsys):
+    # only swelab.ParameterError exits 2; a plain ValueError is a fault of
+    # the program and ends in a traceback
+    def operators(mesh):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(fem, "operators", operators)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(argv)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from swelab import bloch, dynamics, fem, helmholtz, linalg
+from swelab import ParameterError, bloch, dynamics, fem, helmholtz, linalg
 from swelab.dynamics import (
     CheckpointFormatError,
     PlaneWaveSpec,
@@ -306,6 +306,23 @@ def test_solve_rossby_rejects_bad_input():
         dynamics.solve_rossby(good, dt=0.1, T=1.0, params=params, fhat=(0.0, 0.0))
     with pytest.raises(ValueError):
         dynamics.solve_rossby(good, dt=-0.1, T=1.0, params=params)
+
+
+@pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0), (math.nan, 1.0)])
+def test_solve_rossby_checks_dt_and_T_before_assembly(dt, T, monkeypatch):
+    mesh = build_equilateral_torus(3, 3, 0.5)
+    ops = fem.operators(mesh)
+    params = RossbyParams(f0=1.0, beta=0.4, c2=1.0)
+    psi0 = random_field(ops.p2, seed=1)
+    psi0.coeffs -= ops.p2_mean(psi0.coeffs)
+    calls = []
+    real = fem.assemble_ddx_p2
+    monkeypatch.setattr(fem, "assemble_ddx_p2", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(ParameterError, match="dt and T must be positive"):
+        dynamics.solve_rossby(psi0, dt=dt, T=T, params=params)
+    assert calls == []
+    dynamics.solve_rossby(psi0, dt=0.1, T=0.2, params=params)
+    assert len(calls) == 1
 
 
 def test_split_solve_converges_or_raises():

@@ -63,37 +63,49 @@ def test_right_geometry_positive_areas():
     assert np.isclose(m.areas().sum(), 1.5, rtol=1e-13)
 
 
-@pytest.mark.parametrize(
-    "mesh",
-    [build_equilateral_torus(2, 2, 1.0), build_equilateral_torus(4, 3, 0.5),
-     build_right_triangle_torus(2, 2, 1.0, 1.0), build_right_triangle_torus(3, 5, 2.0, 1.0)],
-)
+VALID_TORI = [build_equilateral_torus(2, 2, 1.0), build_equilateral_torus(4, 3, 0.5),
+              build_right_triangle_torus(2, 2, 1.0, 1.0),
+              build_right_triangle_torus(3, 5, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("mesh", VALID_TORI)
 def test_validate_passes(mesh):
     report = validate(mesh)
     assert report.ok, str(report)
 
 
-def test_validate_catches_clockwise_triangle():
+def _clockwise_face():
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     tris = m.triangles.copy()
     tris[0] = tris[0][::-1]
     shifts = m.shifts.copy()
     shifts[0] = shifts[0][::-1]
-    bad = Mesh(m.vertices.copy(), tris, shifts, m.lattice.copy())
-    report = validate(bad)
+    return Mesh(m.vertices.copy(), tris, shifts, m.lattice.copy())
+
+
+def test_validate_catches_clockwise_triangle():
+    report = validate(_clockwise_face())
     assert not report.ok
     assert any("positive-areas" == c.name and not c.passed for c in report.checks)
 
 
-@pytest.mark.parametrize("where", ["vertex", "lattice", "vertex inf", "vertex -inf"])
-def test_validate_flags_areas_that_are_not_finite(where):
-    # areas <= 0 is false for nan, so a nan coordinate would pass a sign
-    # test; an inf one makes 0 * inf, which must be reported, not warned of
+NOT_FINITE = ["vertex", "lattice", "vertex inf", "vertex -inf"]
+
+
+def _not_finite(where):
+    """The 2 x 2 right torus with one vertex or lattice coordinate nan or +-inf."""
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
     vertices, lattice = m.vertices.copy(), m.lattice.copy()
     value = {"inf": np.inf, "-inf": -np.inf}.get(where.split()[-1], np.nan)
     (vertices if where.startswith("vertex") else lattice)[0, 1] = value
-    report = validate(Mesh(vertices, m.triangles, m.shifts, lattice))
+    return Mesh(vertices, m.triangles, m.shifts, lattice)
+
+
+@pytest.mark.parametrize("where", NOT_FINITE)
+def test_validate_flags_areas_that_are_not_finite(where):
+    # areas <= 0 is false for nan, so a nan coordinate would pass a sign
+    # test; an inf one makes 0 * inf, which must be reported, not warned of
+    report = validate(_not_finite(where))
     areas = next(c for c in report.checks if c.name == "positive-areas")
     assert not areas.passed and "face 0 has area nan" in areas.detail
     # an infinite area is not finite, whatever its sign: faces 2, 5 and 6
@@ -115,22 +127,26 @@ def _shift_corner(m):
     return m.triangles, shifts
 
 
-@pytest.mark.parametrize(
-    "corrupt,odd_degrees",
-    [
-        # both sides at the shifted corner become new one-face edges, and
-        # the two edges they belonged to keep one face each
-        (_shift_corner, [1, 1, 1, 1]),
-        # the three sides of the dropped face are left with one face each
-        (lambda m: (m.triangles[:-1], m.shifts[:-1]), [1, 1, 1]),
-        (lambda m: (np.vstack([m.triangles, m.triangles[:1]]),
-                    np.concatenate([m.shifts, m.shifts[:1]])), [3, 3, 3]),
-    ],
-    ids=["shifted-corner", "dropped-face", "duplicated-face"],
-)
-def test_validate_catches_dangling_edge(corrupt, odd_degrees):
+DANGLING = [
+    # both sides at the shifted corner become new one-face edges, and
+    # the two edges they belonged to keep one face each
+    pytest.param(_shift_corner, [1, 1, 1, 1], id="shifted-corner"),
+    # the three sides of the dropped face are left with one face each
+    pytest.param(lambda m: (m.triangles[:-1], m.shifts[:-1]), [1, 1, 1], id="dropped-face"),
+    pytest.param(lambda m: (np.vstack([m.triangles, m.triangles[:1]]),
+                            np.concatenate([m.shifts, m.shifts[:1]])), [3, 3, 3],
+                 id="duplicated-face"),
+]
+
+
+def _dangling(corrupt):
     m = build_right_triangle_torus(2, 2, 1.0, 1.0)
-    bad = Mesh(m.vertices, *corrupt(m), m.lattice)
+    return Mesh(m.vertices, *corrupt(m), m.lattice)
+
+
+@pytest.mark.parametrize("corrupt,odd_degrees", DANGLING)
+def test_validate_catches_dangling_edge(corrupt, odd_degrees):
+    bad = _dangling(corrupt)
     report = validate(bad)
     assert not report.ok
     assert any(c.name == "edge-adjacency" and not c.passed for c in report.checks)
@@ -141,19 +157,48 @@ def test_validate_catches_dangling_edge(corrupt, odd_degrees):
     assert_topology_matches_reference(bad)
 
 
-def test_validate_passes_on_self_loop_torus():
+def _self_loop_torus():
     # 3 x 1 right-triangle torus: every vertical edge joins a vertex to its
     # own copy one period up, so both copies of it are self-loops
     triangles = [[0, 1, 1], [0, 1, 0], [1, 2, 2], [1, 2, 1], [2, 0, 0], [2, 0, 2]]
     shifts = [[(0, 0), (0, 0), (0, 1)], [(0, 0), (0, 1), (0, 1)]] * 2 + [
         [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
-    mesh = Mesh([[0.0, 0.0], [1 / 3, 0.0], [2 / 3, 0.0]], triangles, shifts, np.eye(2))
+    return Mesh([[0.0, 0.0], [1 / 3, 0.0], [2 / 3, 0.0]], triangles, shifts, np.eye(2))
+
+
+def test_validate_passes_on_self_loop_torus():
+    mesh = _self_loop_torus()
     loops = np.nonzero(mesh.edges[:, 0] == mesh.edges[:, 1])[0]
     assert loops.tolist() == [0, 5, 8]
     assert mesh.edge_shifts[loops].tolist() == [[0, 1]] * 3
     assert_topology_matches_reference(mesh)
     report = validate(mesh)
     assert report.ok, str(report)
+
+
+def _five_conditions(mesh):
+    """Finite positive areas, two face sides at every edge, Euler
+    characteristic 0, 2 n_e = 3 n_f and n_v + n_e = 2 n_f."""
+    with np.errstate(invalid="ignore"):
+        areas = mesh.areas()
+    return bool(np.all(np.isfinite(areas) & (areas > 0)) and np.all(mesh.edge_degree == 2)
+                and mesh.n_v - mesh.n_e + mesh.n_f == 0 and 2 * mesh.n_e == 3 * mesh.n_f
+                and mesh.n_v + mesh.n_e == 2 * mesh.n_f)
+
+
+@pytest.mark.parametrize("mesh", [
+    *(pytest.param(m, id=f"valid-{i}") for i, m in enumerate(VALID_TORI)),
+    pytest.param(_self_loop_torus(), id="self-loop"),
+    pytest.param(_clockwise_face(), id="clockwise"),
+    *(pytest.param(_not_finite(w), id=w) for w in NOT_FINITE),
+    *(pytest.param(_dangling(p.values[0]), id=p.id) for p in DANGLING),
+])
+def test_validate_verdict_is_that_of_the_five_conditions(mesh):
+    # validate checks three of them: with every edge of degree 2 the degrees
+    # sum 3 n_f to 2 n_e, and Euler then gives n_v + n_e = 2 n_f
+    assert [c.name for c in validate(mesh).checks] == [
+        "positive-areas", "edge-adjacency", "euler-characteristic"]
+    assert validate(mesh).ok == _five_conditions(mesh)
 
 
 @pytest.mark.parametrize("m1,m2", [(1, 0), (0, 1), (2, -3), (5, 5)])
