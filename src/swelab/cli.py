@@ -12,8 +12,9 @@ The library states each rule on its arguments and raises
 ``swelab.ParameterError`` when one is broken; the commands here add only the
 rules no library function holds and the parsing of text values.  ``main``
 alone turns an exception into an exit code: ``ParameterError`` and
-``OSError`` exit 2, ``linalg.SolverError`` exits 1, and anything else, a
-program fault, ends in a traceback.
+``OSError`` exit 2, ``linalg.SolverError`` and ``swelab.FormatError`` (a
+malformed checkpoint or mesh file) exit 1, and anything else, a program
+fault, ends in a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import ParameterError, bloch, dynamics, fem, helmholtz, linalg
+from . import FormatError, ParameterError, bloch, dynamics, fem, helmholtz, linalg
 from .mesh import (
     build_equilateral_torus,
     build_right_triangle_torus,
@@ -265,11 +266,7 @@ def cmd_oracle(args):
 
 def cmd_helmholtz(args):
     if args.checkpoint:
-        try:
-            mesh, state = dynamics.read_checkpoint(args.checkpoint)
-        except dynamics.CheckpointFormatError as exc:
-            print(f"error: {args.checkpoint}: {exc}", file=sys.stderr)
-            return 1
+        mesh, state = dynamics.read_checkpoint(args.checkpoint)
         u = state.u
     else:
         mesh = _build_mesh(args)
@@ -576,7 +573,7 @@ def main(argv=None):
     except (ParameterError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except linalg.SolverError as exc:
+    except (linalg.SolverError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import ParameterError, fem, helmholtz, linalg
+from . import FormatError, ParameterError, fem, helmholtz, linalg
 from .fem import Field
 from .mesh import _format_rows, _read_block, build_right_triangle_torus, read_mesh, validate
 
@@ -68,7 +68,6 @@ __all__ = [
     "run_convergence",
     "RossbyTrajectory",
     "solve_rossby",
-    "CheckpointFormatError",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -254,8 +253,8 @@ def _stepper(mesh, dt, params):
 
 def step_midpoint(state, dt, params, tol=1e-13):
     """Advance one implicit-midpoint step; the elevation solve to relative tol."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     return _stepper(state.u.space.mesh, dt, params).step(state, tol)
 
 
@@ -483,12 +482,6 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
 # checkpoint files
 
 
-class CheckpointFormatError(ValueError):
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 def write_checkpoint(path, state, mesh_path):
     """State snapshot: mesh file reference plus both coefficient vectors."""
     with open(path, "w") as fh:
@@ -502,43 +495,40 @@ def read_checkpoint(path):
 
     Layout: "mesh <path>" (relative to the checkpoint's directory), "time <t>",
     "u <count>" and count lines of one coefficient each, then the same for
-    eta.  The time and every coefficient are finite numbers.
+    eta.  The time and every coefficient are finite numbers.  A malformed
+    line raises ``swelab.FormatError`` naming its file, this one or the mesh
+    file; a mesh that fails ``validate`` is reported at line 1 of this one.
     """
     with open(path) as fh:
         lines = fh.read().rstrip("\n").split("\n")
     if not lines[0].startswith("mesh "):
-        raise CheckpointFormatError(1, "expected 'mesh <path>'")
+        raise FormatError(path, 1, "expected 'mesh <path>'")
     mesh_path = lines[0][5:].strip()
     if not os.path.isabs(mesh_path):
         mesh_path = os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path)
-    try:
-        mesh = read_mesh(mesh_path)
-    except ValueError as exc:
-        raise CheckpointFormatError(1, f"mesh file {mesh_path}: {exc}") from None
+    mesh = read_mesh(mesh_path)
     failed = [f"{c.name} ({c.detail})" if c.detail else c.name
               for c in validate(mesh).checks if not c.passed]
     if failed:
-        raise CheckpointFormatError(1, f"mesh file {mesh_path}: failed checks {', '.join(failed)}")
+        raise FormatError(path, 1, f"mesh file {mesh_path}: failed checks {', '.join(failed)}")
     if len(lines) < 2 or not lines[1].startswith("time "):
-        raise CheckpointFormatError(2, "expected 'time <t>'")
-    t = _read_block([(2, lines[1][5:])], 1, 1, CheckpointFormatError, "time")[0, 0]
+        raise FormatError(path, 2, "expected 'time <t>'")
+    t = _read_block([(2, lines[1][5:])], 1, 1, path, "time")[0, 0]
 
     i = 2
     values = {}
     for name, n_dofs in (("u", 6 * mesh.n_f), ("eta", mesh.n_v + mesh.n_e)):
         if i >= len(lines) or not lines[i].startswith(name + " "):
-            raise CheckpointFormatError(i + 1, f"expected '{name} <count>'")
+            raise FormatError(path, i + 1, f"expected '{name} <count>'")
         try:
             count = int(lines[i][len(name) + 1:])
         except ValueError:
-            raise CheckpointFormatError(i + 1, f"bad {name} count")
+            raise FormatError(path, i + 1, f"bad {name} count")
         if count != n_dofs:
-            raise CheckpointFormatError(
-                i + 1, f"{name} has {count} coefficients, mesh needs {n_dofs}"
-            )
+            raise FormatError(path, i + 1, f"{name} has {count} coefficients, mesh needs {n_dofs}")
         # each coefficient line is converted whole, as one field
         rows = list(enumerate(lines[i + 1:i + 1 + count], start=i + 2))
-        values[name] = _read_block(rows, count, 1, CheckpointFormatError, name).ravel()
+        values[name] = _read_block(rows, count, 1, path, name).ravel()
         i += 1 + count
     # the operators are assembled only for a checkpoint that parsed completely
     ops = fem.operators(mesh)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,9 +333,9 @@ def _east(fhat):
     """Unit local east: the clockwise quarter-turn of the direction fhat of
     increasing f, the direction of the beta-plane derivative pairings."""
     fhat = np.asarray(fhat, dtype=float)
-    nf = np.linalg.norm(fhat)
-    if nf == 0:
-        raise ParameterError("fhat must be a nonzero direction")
+    nf = math.hypot(fhat[0], fhat[1])
+    if not 0 < nf < math.inf:
+        raise ParameterError("fhat must be a nonzero finite direction")
     return np.array([fhat[1], -fhat[0]]) / nf
 
 

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ParameterError
+from . import FormatError, ParameterError
 
 __all__ = [
     "Mesh",
-    "MeshFormatError",
     "MeshReport",
     "build_equilateral_torus",
     "build_right_triangle_torus",
@@ -43,14 +42,6 @@ __all__ = [
     "write_mesh",
     "reciprocal_wavevector",
 ]
-
-
-class MeshFormatError(ValueError):
-    """Raised by read_mesh with the offending 1-based line number, 0 at an early end of file."""
-
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(eq=False)
@@ -285,14 +276,14 @@ def _format_rows(fmt, *columns):
     return "".join(map(fmt.format, *(np.asarray(c).tolist() for c in columns)))
 
 
-def _read_block(rows, count, width, error, what):
-    """The ``count`` lines of one numeric block as a (count, width) float array.
+def _read_block(rows, count, width, path, what):
+    """The ``count`` lines of one numeric block of file ``path`` as a (count, width) float array.
 
     ``rows`` holds (lineno, fields) pairs, fewer than ``count`` when the file
     ended early; ``fields`` is a line's list of fields, or the whole line when
-    it holds one number.  Raises ``error(lineno, message)`` at the first line
-    with other than ``width`` fields, a field that is not a number or one that
-    is not finite, and ``error(0, message)`` for a file that ended early.
+    it holds one number.  Raises ``FormatError`` at the first line with other
+    than ``width`` fields, a field that is not a number or one that is not
+    finite, and at line 0 for a file that ended early.
     """
     try:
         values = np.array([fields for _, fields in rows], dtype=float).reshape(count, width)
@@ -304,15 +295,15 @@ def _read_block(rows, count, width, error, what):
         if isinstance(fields, str):
             fields = [fields]
         if len(fields) != width:
-            raise error(lineno, f"{what} line needs {width} fields, got {len(fields)}")
+            raise FormatError(path, lineno, f"{what} line needs {width} fields, got {len(fields)}")
         for text in fields:
             try:
                 value = float(text)
             except ValueError:
-                raise error(lineno, f"{what} field {text!r} is not a number") from None
+                raise FormatError(path, lineno, f"{what} field {text!r} is not a number") from None
             if not np.isfinite(value):
-                raise error(lineno, f"{what} field {text!r} is not finite")
-    raise error(0, f"unexpected end of file after {len(rows)} of {count} {what} lines")
+                raise FormatError(path, lineno, f"{what} field {text!r} is not finite")
+    raise FormatError(path, 0, f"unexpected end of file after {len(rows)} of {count} {what} lines")
 
 
 def write_mesh(mesh, path):
@@ -332,32 +323,37 @@ def read_mesh(path):
     "i j k sx1 sy1 sx2 sy2 sx3 sy3" (shifts in lattice units); two lattice
     generator lines.  '#' starts a comment.  Every field is a finite number,
     and the face fields are integers (3.0 is 3) of magnitude at most 2**53,
-    with the vertex indices i, j, k in 0 .. n_v - 1.
+    with the vertex indices i, j, k in 0 .. n_v - 1.  A file that breaks
+    these rules raises ``swelab.FormatError`` at its first bad line; faces
+    that ``Mesh`` rejects as a whole are reported at the first face line.
     """
     with open(path) as fh:
         rows = [(lineno, fields) for lineno, raw in enumerate(fh, start=1)
                 if (fields := raw.split("#", 1)[0].split())]
     if not rows:
-        raise MeshFormatError(0, "unexpected end of file, expected header 'n_v n_f'")
+        raise FormatError(path, 0, "unexpected end of file, expected header 'n_v n_f'")
     lineno, fields = rows[0]
     if len(fields) != 2:
-        raise MeshFormatError(lineno, f"expected 'n_v n_f', got {len(fields)} fields")
+        raise FormatError(path, lineno, f"expected 'n_v n_f', got {len(fields)} fields")
     try:
         n_v, n_f = int(fields[0]), int(fields[1])
     except ValueError:
-        raise MeshFormatError(lineno, "header fields must be integers") from None
+        raise FormatError(path, lineno, "header fields must be integers") from None
     if n_v <= 0 or n_f <= 0:
-        raise MeshFormatError(lineno, "n_v and n_f must be positive")
+        raise FormatError(path, lineno, "n_v and n_f must be positive")
 
-    vertices = _read_block(rows[1:1 + n_v], n_v, 2, MeshFormatError, "vertex")
+    vertices = _read_block(rows[1:1 + n_v], n_v, 2, path, "vertex")
     face_rows = rows[1 + n_v:1 + n_v + n_f]
-    faces = _read_block(face_rows, n_f, 9, MeshFormatError, "face")
+    faces = _read_block(face_rows, n_f, 9, path, "face")
     # integers a double holds exactly, so that the cast to intp is exact
     bad = ((faces != np.round(faces)) | (np.abs(faces) > 2.0 ** 53)).any(axis=1)
     bad |= ((faces[:, :3] < 0) | (faces[:, :3] >= n_v)).any(axis=1)
     if bad.any():
-        raise MeshFormatError(face_rows[np.argmax(bad)][0],
-                              f"face fields must be integers, vertex indices in 0..{n_v - 1}")
+        raise FormatError(path, face_rows[np.argmax(bad)][0],
+                          f"face fields must be integers, vertex indices in 0..{n_v - 1}")
     faces = faces.astype(np.intp)
-    lattice = _read_block(rows[1 + n_v + n_f:3 + n_v + n_f], 2, 2, MeshFormatError, "lattice")
-    return Mesh(vertices, faces[:, :3], faces[:, 3:].reshape(n_f, 3, 2), lattice)
+    lattice = _read_block(rows[1 + n_v + n_f:3 + n_v + n_f], 2, 2, path, "lattice")
+    try:
+        return Mesh(vertices, faces[:, :3], faces[:, 3:].reshape(n_f, 3, 2), lattice)
+    except ParameterError as exc:
+        raise FormatError(path, face_rows[0][0], str(exc)) from None

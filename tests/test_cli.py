@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swelab import bloch, cli, dynamics, fem, linalg
-from swelab.mesh import build_right_triangle_torus, write_mesh
+from swelab.mesh import Mesh, build_right_triangle_torus, write_mesh
 
 DATA = Path(__file__).parent / "data"
 
@@ -391,7 +391,7 @@ def test_helmholtz_rejects_bad_checkpoint(tmp_path, capsys):
     bad.write_text("time 0.0\n")
     code, out, err = run(["helmholtz", "--checkpoint", str(bad)], capsys)
     assert code == 1
-    assert "bad.chk" in err or "line" in err
+    assert err == f"error: {bad}: line 1: expected 'mesh <path>'\n"
 
 
 def test_helmholtz_rejects_checkpoint_with_bad_mesh(tmp_path, capsys):
@@ -450,6 +450,28 @@ def test_helmholtz_rejects_checkpoint_with_malformed_mesh_values(lineno, text, m
     code, out, err = run(["helmholtz", "--checkpoint", str(tmp_path / "run.chk")], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"grid.txt: line {lineno}: " in err and message in err
+
+
+def test_other_value_errors_in_a_checkpoint_mesh_are_not_format_errors(tmp_path, monkeypatch,
+                                                                        capsys):
+    # a fault of the program while a checkpoint's mesh is read is not taken
+    # for a malformed file: it propagates as itself
+    chk = tmp_path / "final.chk"
+    code, _, _ = run(["simulate", "--n1", "3", "--n2", "3", "--steps", "1",
+                      "--checkpoint-out", str(chk), "--out", str(tmp_path / "t.csv")], capsys)
+    assert code == 0
+
+    def build_edges(mesh):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(Mesh, "_build_edges", build_edges)
+    with pytest.raises(ValueError, match="^internal$") as exc:
+        dynamics.read_checkpoint(chk)
+    assert type(exc.value) is ValueError
+    with pytest.raises(ValueError, match="^internal$") as exc:
+        cli.main(["helmholtz", "--checkpoint", str(chk)])
+    assert type(exc.value) is ValueError
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_env_seed_is_a_usage_error(monkeypatch, capsys):

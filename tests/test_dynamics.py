@@ -8,9 +8,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from swelab import ParameterError, bloch, dynamics, fem, helmholtz, linalg
+from swelab import FormatError, ParameterError, bloch, dynamics, fem, helmholtz, linalg
 from swelab.dynamics import (
-    CheckpointFormatError,
     PlaneWaveSpec,
     RossbyParams,
     State,
@@ -235,6 +234,15 @@ def test_step_midpoint_rejects_nonpositive_dt():
             dynamics.step_midpoint(_random_state(mesh), dt, SweParams(f0=1.0, c2=1.0))
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_step_midpoint_rejects_dt_that_is_not_finite(dt):
+    # rejected before a stepper is built and cached for that dt
+    mesh = build_right_triangle_torus(4, 4, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="dt must be positive and finite"):
+        dynamics.step_midpoint(_random_state(mesh), dt, SweParams(f0=1.0, c2=1.0))
+    assert "steppers" not in mesh.cache
+
+
 def test_l2_error_vanishes_on_projected_exact():
     mesh = build_right_triangle_torus(4, 4, 1.0, 1.0)
     ops = fem.operators(mesh)
@@ -384,25 +392,25 @@ def test_checkpoint_format_errors(tmp_path):
     bad = lines.copy()
     bad[u_header] = "u 7"
     (tmp_path / "bad1.txt").write_text("\n".join(bad) + "\n")
-    with pytest.raises(CheckpointFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         dynamics.read_checkpoint(tmp_path / "bad1.txt")
     assert exc.value.lineno == u_header + 1
 
     bad = lines.copy()
     bad[u_header + 2] = "zzz"
     (tmp_path / "bad2.txt").write_text("\n".join(bad) + "\n")
-    with pytest.raises(CheckpointFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         dynamics.read_checkpoint(tmp_path / "bad2.txt")
     assert exc.value.lineno == u_header + 3
 
     # a file that ends early reports line 0
     (tmp_path / "bad3.txt").write_text("\n".join(lines[: u_header + 3]) + "\n")
-    with pytest.raises(CheckpointFormatError, match="end of file") as exc:
+    with pytest.raises(FormatError, match="end of file") as exc:
         dynamics.read_checkpoint(tmp_path / "bad3.txt")
     assert exc.value.lineno == 0
 
     (tmp_path / "bad4.txt").write_text("time 0.0\n")
-    with pytest.raises(CheckpointFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         dynamics.read_checkpoint(tmp_path / "bad4.txt")
     assert exc.value.lineno == 1
 
@@ -414,9 +422,16 @@ def test_checkpoint_format_errors(tmp_path):
     mesh_lines[row] = " ".join(face[:1] + face[2:0:-1] + face[3:5] + face[7:9] + face[5:7])
     (tmp_path / "cw.txt").write_text("\n".join(mesh_lines) + "\n")
     (tmp_path / "bad5.txt").write_text("\n".join(["mesh cw.txt"] + lines[1:]) + "\n")
-    with pytest.raises(CheckpointFormatError, match="counter-clockwise") as exc:
+    with pytest.raises(FormatError, match="counter-clockwise") as exc:
         dynamics.read_checkpoint(tmp_path / "bad5.txt")
-    assert exc.value.lineno == 1
+    assert exc.value.lineno == 1 and exc.value.path == tmp_path / "bad5.txt"
+
+    # a mesh file that does not parse is reported at its own path and line
+    (tmp_path / "short.txt").write_text("\n".join(mesh_lines[:4]) + "\n")
+    (tmp_path / "bad6.txt").write_text("\n".join(["mesh short.txt"] + lines[1:]) + "\n")
+    with pytest.raises(FormatError, match="end of file") as exc:
+        dynamics.read_checkpoint(tmp_path / "bad6.txt")
+    assert exc.value.lineno == 0 and exc.value.path == str(tmp_path / "short.txt")
 
 
 # lines of a checkpoint on the 2 x 2 right torus: 1 mesh, 2 time, 3 the u
@@ -444,7 +459,7 @@ def test_checkpoint_rejects_malformed_lines(tmp_path, lineno, text, message):
     assert len(lines) == 68 and lines[2] == "u 48" and lines[51] == "eta 16"
     lines[lineno - 1] = text
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
-    with pytest.raises(CheckpointFormatError, match=message) as exc:
+    with pytest.raises(FormatError, match=message) as exc:
         dynamics.read_checkpoint(tmp_path / "bad.txt")
     assert exc.value.lineno == lineno
 
@@ -463,7 +478,7 @@ def test_checkpoint_errors_before_assembly(tmp_path, monkeypatch):
         bad = lines.copy()
         bad[row] = text
         (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
-        with pytest.raises(CheckpointFormatError) as exc:
+        with pytest.raises(FormatError) as exc:
             dynamics.read_checkpoint(tmp_path / "bad.txt")
         assert exc.value.lineno == row + 1
         assert calls == []

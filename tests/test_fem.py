@@ -1,12 +1,13 @@
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab import fem
+from swelab import ParameterError, fem
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
 from . import oracles
@@ -424,3 +425,16 @@ def test_random_field_deterministic():
     c = random_field(ops.p2, seed=43).coeffs
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_east_normalizes_directions_of_any_finite_size():
+    # the norm neither overflows nor underflows
+    assert np.array_equal(fem._east((1e300, 1e300)), fem._east((1.0, 1.0)))
+    assert np.array_equal(fem._east((1e-200, 0.0)), fem._east((1.0, 0.0)))
+    assert np.array_equal(fem._east((0.0, 1.0)), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("fhat", [(math.inf, 0.0), (math.nan, 1.0), (0.0, 0.0)])
+def test_east_rejects_fhat_that_is_not_a_direction(fhat):
+    with pytest.raises(ParameterError, match="fhat"):
+        fem._east(fhat)

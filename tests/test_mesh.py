@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swelab import FormatError, ParameterError
 from swelab.mesh import (
     CheckResult,
     Mesh,
-    MeshFormatError,
     MeshReport,
     build_equilateral_torus,
     build_right_triangle_torus,
@@ -260,19 +260,19 @@ def test_read_mesh_reports_line_numbers(tmp_path):
     corrupted = text.copy()
     corrupted[3] = "0.1 not-a-number"
     (tmp_path / "bad1.txt").write_text("\n".join(corrupted) + "\n")
-    with pytest.raises(MeshFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         read_mesh(tmp_path / "bad1.txt")
     assert exc.value.lineno == 4
 
     # a file that ends early reports line 0
     truncated = text[:5]
     (tmp_path / "bad2.txt").write_text("\n".join(truncated) + "\n")
-    with pytest.raises(MeshFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         read_mesh(tmp_path / "bad2.txt")
     assert exc.value.lineno == 0
 
     (tmp_path / "bad3.txt").write_text("# only a comment\n")
-    with pytest.raises(MeshFormatError) as exc:
+    with pytest.raises(FormatError) as exc:
         read_mesh(tmp_path / "bad3.txt")
     assert exc.value.lineno == 0
 
@@ -301,10 +301,23 @@ def test_read_mesh_rejects_malformed_lines(tmp_path, lineno, text, message):
     assert len(lines) == 16 and lines[1] == "4 8"
     lines[lineno - 1] = text
     (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
-    with pytest.raises(MeshFormatError, match=message) as exc:
+    with pytest.raises(FormatError, match=message) as exc:
         read_mesh(tmp_path / "bad.txt")
-    assert exc.value.lineno == lineno
-    assert str(exc.value).startswith(f"line {lineno}: ")
+    assert exc.value.lineno == lineno and exc.value.path == tmp_path / "bad.txt"
+    assert str(exc.value).startswith(f"{tmp_path / 'bad.txt'}: line {lineno}: ")
+
+
+def test_read_mesh_reports_faces_mesh_rejects_as_a_format_error(tmp_path):
+    # face 0 with two shifts of 2**52, integers the format takes, whose side
+    # keys span more than one int64: Mesh raises ParameterError on them
+    write_mesh(build_right_triangle_torus(2, 2, 1.0, 1.0), tmp_path / "m.txt")
+    lines = (tmp_path / "m.txt").read_text().splitlines()
+    lines[6] = f"0 1 3 0 0 {2 ** 52} 0 0 {2 ** 52}"
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="side keys do not fit in one int64") as exc:
+        read_mesh(tmp_path / "bad.txt")
+    assert not isinstance(exc.value, ParameterError)
+    assert exc.value.path == tmp_path / "bad.txt" and exc.value.lineno == 7
 
 
 def test_read_mesh_takes_integral_floats_and_reports_the_first_bad_line(tmp_path):
@@ -324,7 +337,7 @@ def test_read_mesh_takes_integral_floats_and_reports_the_first_bad_line(tmp_path
         for row, text in edits.items():
             bad[row] = text
         (tmp_path / "bad.txt").write_text("\n".join(bad) + "\n")
-        with pytest.raises(MeshFormatError) as exc:
+        with pytest.raises(FormatError) as exc:
             read_mesh(tmp_path / "bad.txt")
         return exc.value
 
