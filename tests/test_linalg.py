@@ -10,8 +10,8 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swelab import dynamics, fem, helmholtz
-from swelab.dynamics import SweParams
+from swelab import bloch, dynamics, fem, helmholtz, linalg
+from swelab.dynamics import RossbyParams, SweParams
 from swelab.linalg import Solver, SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
@@ -132,6 +132,47 @@ def test_solve_spd_property(n, seed):
     b = np.random.default_rng(seed).standard_normal(n)
     x = Solver(A).solve(b, tol=1e-12)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1.0)
+
+
+class _CountingMatrix:
+    """Stands in for a solver's A and counts the products with it."""
+
+    def __init__(self, A):
+        self.A, self.products = A, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def test_solve_from_zero_forms_no_product_with_the_zero_start():
+    # a symmetric solve takes one step; its only product with A checks the
+    # residual after it, as the residual of x = 0 is b itself
+    A = _random_spd(30, np.random.RandomState(5))
+    b = np.random.default_rng(5).standard_normal(30)
+    solver = Solver(A)
+    solver.A = counting = _CountingMatrix(A)
+    x = solver.solve(b)
+    assert counting.products == 1
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    # a start x0 costs the product that forms its residual
+    solver.solve(b, x0=x + 1e-3 * b)
+    assert counting.products == 3
+
+
+def test_guess_worse_than_zero_is_dropped():
+    A = _random_spd(30, np.random.RandomState(6))
+    b = np.random.default_rng(6).standard_normal(30)
+    solver = Solver(A)
+    cold = solver.solve(b)
+    # |b - A x0| = 11 |b| for x0 = -10 x: the solve starts from zero instead
+    assert np.array_equal(solver.solve(b, x0=-10.0 * cold), cold)
+    # a guess better than zero is kept: the solve returns it untouched
+    assert np.array_equal(solver.solve(b, x0=cold), cold)
+    # a guess that is not finite is kept too, and reported
+    with pytest.raises(SolverError, match="not finite") as info:
+        solver.solve(b, x0=np.full(30, np.nan))
+    assert info.value.iterations == 0
 
 
 
@@ -305,6 +346,61 @@ def test_definite_multigrid_agrees_with_jacobi(kind):
     x = solver.solve(b, tol=1e-12)
     ref = Solver(S).solve(b, tol=1e-12)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("scale", [10, 100, 1000])
+@pytest.mark.parametrize("kind", SCHUR_KINDS)
+def test_definite_multigrid_meets_the_true_residual_for_a_strong_skew_part(kind, scale, tol):
+    # the skew part of the Schur complement scaled up (scale 1 is the test
+    # above): the loose phase hands over to exact CGW, which meets tol
+    S, R = _schur(kind)
+    A = (0.5 * (S + S.T) + (0.5 * scale) * (S - S.T)).tocsr()
+    b = np.random.default_rng(9).standard_normal(S.shape[0])
+    x = Solver(A, coarse=R).solve(b, tol=tol)
+    assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
+
+
+def test_beta_plane_step_takes_few_vcycles():
+    # the beta-plane workload's 32 x 64 torus at dt = 600 s: the skew part is
+    # weak (|Sym^-1 Skew| near 7e-4), and the loose phase runs to the end.
+    # With exact inner solves throughout, these three steps took 38, 36 and
+    # 35 V-cycles; 60 % of the least is 21
+    mesh = build_equilateral_torus(32, 64, 1e5)
+    ops = fem.operators(mesh)
+    stepper = dynamics._Stepper(mesh, 600.0, SweParams(f0=1e-4, beta=1e-12, c2=1e5))
+    assert isinstance(stepper.solver._precondition, linalg._VCycle)
+    calls = _count_iterations(stepper.solver)
+    rng = np.random.default_rng(41)
+    state = dynamics.State(fem.Field(ops.v, rng.standard_normal(ops.v.n_dofs)),
+                           fem.Field(ops.p2, rng.standard_normal(ops.p2.n_dofs)), 0.0)
+    for _ in range(3):
+        del calls[:]
+        state = stepper.step(state, 1e-12)
+        assert 0 < len(calls) <= 21
+
+
+def test_rossby_trajectory_keeps_its_jacobi_applications(monkeypatch):
+    # the Rossby solve is nonsymmetric with Jacobi and keeps exact CGW from
+    # the start: 40 steps of the lattice mode (1, 1) on the beta-plane
+    # workload's 32 x 64 torus take 2392 Jacobi applications, where a loose
+    # phase took 6917
+    mesh = build_equilateral_torus(32, 64, 1e5)
+    ops = fem.operators(mesh)
+    params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    omega, psi_hat = bloch.lattice_rossby_mode(mesh, 1, 1, params)
+    counted = []
+
+    class CountingSolver(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counted.append(_count_iterations(self))
+
+    monkeypatch.setattr(linalg, "Solver", CountingSolver)
+    dt = 0.05 / abs(omega)
+    dynamics.solve_rossby(fem.Field(ops.p2, np.real(psi_hat)), dt=dt, T=40 * dt, params=params)
+    [calls] = counted
+    assert 0 < len(calls) <= 2392
 
 
 def _textbook_vcycle(B, r, level=0):
