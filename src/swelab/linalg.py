@@ -31,7 +31,7 @@ step cuts the true residual to ``_LOOSE_CUT`` times its value or less.
 After the first step that does not, the solve runs exact CGW, started
 afresh from the better of the last two iterates, and never loosens again.
 This only moves the start of CGW, so its convergence holds for any skew
-part.  There a step's solve takes 16 V-cycles in place of 35 to 38.
+part.  There a step's solve takes 12 or 13 V-cycles in place of 35 to 38.
 Symmetric solves keep their one exact step.  Jacobi-preconditioned solves
 (the Rossby solve and the mass-dominated steps) keep exact CGW from the
 start: a loose phase restarts the inner Krylov space at every step, and
@@ -53,17 +53,18 @@ level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
 ``_COARSEST`` unknowns, which a dense inverse solves, or a dense
 pseudo-inverse on the mean-free subspace when the nullspace is the
 constants, unless aggregation stalls first (see ``_VCycle``).  Every level
-smooths by damped Jacobi, and folds its post-smoothing into a correction
-operator Q = (I - omega D^-1 A) P formed at set-up, so that a level applies
-A once, R once and Q once.  The set-up takes no random vectors, so it is
-deterministic.
+smooths by Jacobi, damped by a Lanczos estimate of the spectral radius of
+D^-1 A (see ``_damped_inv_diag``), and folds its post-smoothing into a
+correction operator Q = (I - omega D^-1 A) P formed at set-up, so that a
+level applies A once, R once and Q once.  The set-up takes no random
+vectors, so it is deterministic.
 
 The Rossby operator K = L + M/L_R^2 of ``dynamics.solve_rossby`` is
 stiffness-dominated wherever the deformation radius L_R spans many cells:
 on the 32 x 64 equilateral torus with L_R/dx = 31.6, L's diagonal is 3.25e4
 times M/L_R^2's.  Its solves keep Jacobi, warm-started from the previous
-step.  Over 40 steps there Jacobi took 2198 applications against 1878
-V-cycles from a lattice mode, and 37,639 against 3644 from a Gaussian bump:
+step.  Over 40 steps there Jacobi took 2392 applications against 1640
+V-cycles from a lattice mode, and 36,720 against 1360 from a Gaussian bump:
 the modal start is Jacobi's best case, and aggregation is not translation
 invariant, so the V-cycle spreads the one Bloch mode.
 
@@ -88,16 +89,19 @@ _COARSEST = 300
 # strength-of-connection threshold of the aggregation
 _STRENGTH = 0.08
 # outer iterations without a new minimum of the true residual after which a
-# solve has stalled at a rounding floor above its tolerance.  Converging
-# solves went at most 23 iterations without one, in the tests and in random
-# systems with a skew part up to 3000 times the symmetric one
+# solve has stalled at a rounding floor above its tolerance.  It also stops
+# solves that would converge once the skew part is strong: of 60 random
+# V-cycle systems (M + kappa L on tori plus a random skew part 1e-4 to 3000
+# times as large by row sums), all of which converge to 1e-12 without it, the
+# 23 above 20 times went 50 to 1131 iterations without one, those below 17 at
+# most 45
 _STALL = 50
 # the loose phase of a nonsymmetric V-cycle solve: the floor of its inner
 # relative tolerance, and the factor by which each of its steps must cut the
-# true residual for the phase to go on.  Floors of 1e-2 and 1e-4 took 17 and
-# 18 V-cycles per beta-plane workload step against 16; a factor of 0.1 took
-# 42 to 44 % more V-cycles than 0.3 on the tests' Schur complements with the
-# skew part scaled by 10, and 0.5 did no better
+# true residual for the phase to go on.  Over 10 beta-plane workload steps,
+# floors of 1e-2 and 1e-4 took 12.4 and 14.2 V-cycles per step against 12.5;
+# a factor of 0.1 took 33 to 43 % more V-cycles than 0.3 on the tests' Schur
+# complements with the skew part scaled by 10, and 0.5 did no better
 _LOOSE_INNER = 1e-3
 _LOOSE_CUT = 0.3
 
@@ -268,14 +272,26 @@ def _inv_diag(A):
 
 
 def _damped_inv_diag(A):
-    """omega D^-1 with omega = 4 / (3 rho), rho the Gershgorin bound of D^-1 A.
+    """omega D^-1 with omega = 4 / (3 rho), rho the largest Ritz value of ten
+    Lanczos steps on D^-1/2 A D^-1/2 from the fixed start cos(2.39996 i).
 
-    rho bounds the spectrum of D^-1 A from above, so omega D^-1 is a
-    convergent smoother and a stable prolongator smoothing."""
+    A Ritz value lies below the spectral radius rho_A of D^-1 A; on the
+    levels measured rho was 0.93 to 0.98 of rho_A, so omega rho_A <= 1.44 < 2
+    and omega D^-1 is a convergent smoother and a stable prolongator
+    smoothing."""
     inv_diag = _inv_diag(A)
-    # |A| shares A's index arrays, so only |a_ij| is a new array
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    rho = (abs_A @ np.ones(A.shape[0]) * inv_diag).max()
+    scale = np.sqrt(inv_diag)
+    w, q = np.cos(2.39996 * np.arange(A.shape[0])), 0.0
+    alphas, betas = [], [np.linalg.norm(w)]
+    # fewer steps where the Krylov space is invariant and its Ritz values exact
+    while len(alphas) < 10 and betas[-1] > 1e-12:
+        q_prev, q = q, w / betas[-1]
+        w = scale * (A @ (scale * q)) - betas[-1] * q_prev
+        alphas.append(q @ w)
+        w -= alphas[-1] * q
+        betas.append(np.linalg.norm(w))
+    T = np.diag(alphas) + np.diag(betas[1:-1], 1)
+    rho = np.linalg.eigvalsh(T, UPLO="U")[-1]
     return (4.0 / (3.0 * rho)) * inv_diag
 
 
@@ -320,8 +336,9 @@ class _VCycle:
     """One symmetric V(1,1)-cycle of multigrid for the symmetric matrix A.
 
     The first prolongation is ``coarse``; each further one is the aggregation
-    prolongator T smoothed to (I - omega D^-1 A) T.  Coarse matrices are the
-    Galerkin products P^T A P.  A level is (A, omega D^-1, R = P^T, Q) with
+    prolongator T smoothed to (I - omega D^-1 A) T, with omega D^-1 the
+    level's ``_damped_inv_diag``, a convergent smoother.  Coarse matrices are
+    the Galerkin products P^T A P.  A level is (A, omega D^-1, R = P^T, Q) with
     Q = (I - omega D^-1 A) P.  Pre-smoothing gives x1 = omega D^-1 r and the
     residual t = r - A x1; the coarse correction e solves for R t, and
     post-smoothing the residual t - A P e of x1 + P e gives

@@ -380,6 +380,47 @@ def test_beta_plane_step_takes_few_vcycles():
         assert 0 < len(calls) <= 21
 
 
+def test_lanczos_damping_takes_fewer_vcycles_per_beta_plane_step():
+    # the set-up above: with omega from the Gershgorin bound of D^-1 A, each
+    # of these steps took 16 V-cycles; with the Ritz value, 12 to 13
+    mesh = build_equilateral_torus(32, 64, 1e5)
+    ops = fem.operators(mesh)
+    stepper = dynamics._Stepper(mesh, 600.0, SweParams(f0=1e-4, beta=1e-12, c2=1e5))
+    calls = _count_iterations(stepper.solver)
+    rng = np.random.default_rng(41)
+    state = dynamics.State(fem.Field(ops.v, rng.standard_normal(ops.v.n_dofs)),
+                           fem.Field(ops.p2, rng.standard_normal(ops.p2.n_dofs)), 0.0)
+    for _ in range(3):
+        del calls[:]
+        state = stepper.step(state, 1e-12)
+        assert 0 < len(calls) <= 14
+
+
+def _exact_jacobi_radius(A):
+    """The largest eigenvalue of D^-1/2 A D^-1/2, by a dense solve."""
+    scale = 1.0 / np.sqrt(A.diagonal())
+    return np.linalg.eigvalsh(scale[:, None] * A.toarray() * scale)[-1]
+
+
+@pytest.mark.parametrize("matrix", ["right", "equilateral", "jittered",
+                                    *(f"schur-{k}" for k in SCHUR_KINDS)])
+def test_smoother_damping_reads_a_ritz_value_of_the_jacobi_radius(matrix):
+    # the largest Ritz value of ten Lanczos steps lies below the spectral
+    # radius of D^-1 A and, on these matrices, within 10 % of it
+    if matrix.startswith("schur-"):
+        A = Solver(_schur(matrix[6:])[0]).sym
+    else:
+        A = _operators(matrix, 12).L
+    smoother = linalg._damped_inv_diag(A)
+    omega = smoother * A.diagonal()
+    assert np.ptp(omega) <= 1e-15 * omega.max()
+    rho = 4.0 / (3.0 * omega.max())
+    exact = _exact_jacobi_radius(A)
+    assert 0.9 * exact <= rho <= exact * (1.0 + 1e-12)
+    # the Lanczos run starts from a fixed vector, so the set-up is deterministic
+    assert np.array_equal(linalg._damped_inv_diag(A), smoother)
+
+
 def test_rossby_trajectory_keeps_its_jacobi_applications(monkeypatch):
     # the Rossby solve is nonsymmetric with Jacobi and keeps exact CGW from
     # the start: 40 steps of the lattice mode (1, 1) on the beta-plane
