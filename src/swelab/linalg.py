@@ -50,9 +50,9 @@ preconditioner is one symmetric multigrid V(1,1)-cycle on the symmetric
 part, whose iteration count does not grow with the mesh.  Level 0 is Sym,
 level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
 (P. Vanek, J. Mandel & M. Brezina, Computing 56, 1996) coarsens to at most
-``_COARSEST`` unknowns, which a dense inverse solves, or a dense
-pseudo-inverse on the mean-free subspace when the nullspace is the
-constants, unless aggregation stalls first (see ``_VCycle``).  Every level
+``_COARSEST`` unknowns, which one dense inverse solves, shifted by a
+rank-one term where the nullspace is the constants, unless aggregation
+stalls first (see ``_VCycle``).  Every level
 smooths by Jacobi, damped by a Lanczos estimate of the spectral radius of
 D^-1 A (see ``_damped_inv_diag``), and folds its post-smoothing into a
 correction operator Q = (I - omega D^-1 A) P formed at set-up, so that a
@@ -63,8 +63,11 @@ The Rossby operator K = L + M/L_R^2 of ``dynamics.solve_rossby`` is
 stiffness-dominated wherever the deformation radius L_R spans many cells:
 on the 32 x 64 equilateral torus with L_R/dx = 31.6, L's diagonal is 3.25e4
 times M/L_R^2's.  Its solves keep Jacobi, warm-started from the previous
-step.  Over 40 steps there Jacobi took 2392 applications against 1640
-V-cycles from a lattice mode, and 36,720 against 1360 from a Gaussian bump:
+step.  Over 40 steps of dt = 0.05/|omega| there (f0 = 1e-4, beta = 1e-12,
+c2 = 1e5, tol 1e-13), Jacobi took 2392 applications (0.34 to 0.36 s)
+against 1640 V-cycles (0.56 to 0.57 s) from the lattice mode (1, 1), and
+36,845 (3.9 to 4.2 s) against 1360 (0.46 to 0.54 s) from the Gaussian bump
+exp(-|x - x_c|^2 / (4 dx)^2), x_c the centre of the torus, less its mean:
 the modal start is Jacobi's best case, and aggregation is not translation
 invariant, so the V-cycle spreads the one Bloch mode.
 
@@ -84,7 +87,7 @@ from . import ParameterError
 
 __all__ = ["SolverError", "Solver"]
 
-# largest multigrid level solved by a dense (pseudo-)inverse
+# largest multigrid level solved by a dense inverse
 _COARSEST = 300
 # strength-of-connection threshold of the aggregation
 _STRENGTH = 0.08
@@ -326,12 +329,6 @@ def _aggregate(A):
     return sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, count))
 
 
-def _center(M):
-    """Pi M Pi for the projection Pi = I - 1 1^T / n onto mean-free vectors."""
-    M = M - M.mean(axis=0)
-    return M - M.mean(axis=1)[:, None]
-
-
 class _VCycle:
     """One symmetric V(1,1)-cycle of multigrid for the symmetric matrix A.
 
@@ -348,11 +345,15 @@ class _VCycle:
     the textbook V(1,1)-cycle with one product with A per level instead of
     two.
 
-    A definite A has a definite coarsest level, which a dense inverse
-    solves.  With ``nullspace`` A is semi-definite with the constants as
-    nullspace; every prolongation maps constants to constants and so keeps
-    the nullspace of each level the constants, and the coarsest
-    pseudo-inverse acts on mean-free vectors.
+    One dense inverse solves the coarsest level A_c.  A definite A has a
+    definite A_c.  With ``nullspace`` A is semi-definite with the constants
+    as nullspace.  Every prolongation maps constants to constants, so each
+    level keeps that nullspace, and R = P^T keeps mean-free residuals
+    mean-free.  The coarsest level then inverts A_c + s 1 1^T / n_c, with s
+    the mean diagonal of A_c.  That matrix is definite, and on mean-free
+    vectors its inverse is the pseudo-inverse of A_c: the usual
+    regularisation of the pure Neumann problem (P. Bochev & R. B. Lehoucq,
+    SIAM Review 47, 2005).
 
     Aggregation stalls, keeping more than half of a level's unknowns, where
     most of them have no strong neighbour, as on the mass-dominated coarse
@@ -378,13 +379,11 @@ class _VCycle:
             A, P = (R @ AP).tocsr(), None
         if A.shape[0] > _COARSEST:
             self.coarsest = functools.partial(np.multiply, smoother)
-        elif nullspace:
-            # the cut-off drops the nullspace, whose eigenvalue rounding leaves
-            # at up to 3e-15 of the largest, above the default cut-off of 1e-15
-            pinv = np.linalg.pinv(_center(A.toarray()), rcond=1e-10, hermitian=True)
-            self.coarsest = functools.partial(np.dot, _center(pinv))
         else:
-            self.coarsest = functools.partial(np.dot, np.linalg.inv(A.toarray()))
+            A = A.toarray()
+            if nullspace:
+                A += A.diagonal().mean() / A.shape[0]
+            self.coarsest = functools.partial(np.dot, np.linalg.inv(A))
 
     def __call__(self, r, level=0):
         if level == len(self.levels):

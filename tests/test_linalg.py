@@ -475,6 +475,39 @@ def test_folded_vcycle_matches_the_textbook_cycle(hierarchy):
         assert np.linalg.norm(B(r) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+# the nullspace hierarchies of L whose coarsest level the test below checks
+COARSEST_MESHES = {
+    "right-32": lambda: build_right_triangle_torus(32, 32, 1.0, 1.0),
+    "equilateral-32x64": lambda: build_equilateral_torus(32, 64, 1.0 / 32),
+    "jittered-24": lambda: jittered_torus(24),
+    "right-8": lambda: build_right_triangle_torus(8, 8, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("mesh", list(COARSEST_MESHES))
+def test_shifted_coarsest_inverse_is_the_pseudo_inverse(mesh):
+    # the nullspace hierarchy's coarsest level inverts A_c + s 1 1^T / n_c;
+    # on mean-free vectors that is the pseudo-inverse of A_c.  The 8 x 8 torus
+    # has no levels, so A_c is L itself
+    ops = fem.operators(COARSEST_MESHES[mesh]())
+    B = ops.L_solver._precondition
+    if B.levels:
+        A, _, R, _ = B.levels[-1]
+        Ac = (R @ A @ R.T).toarray()
+    else:
+        Ac = ops.L.toarray()
+    assert B.coarsest.args[0].shape == Ac.shape
+    # the default cut-off would keep the nullspace: its eigenvalue rounds to
+    # 1.1e-15 of the largest on the 222 unknowns of the equilateral level
+    pinv = np.linalg.pinv(Ac, rcond=1e-10, hermitian=True)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        r = _mean_free(rng, Ac.shape[0])
+        x, ref = B.coarsest(r), pinv @ r
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+
+
 def test_small_definite_matrix_is_solved_in_one_step():
     # at most 300 unknowns: the coarsest level is the matrix, inverted exactly,
     # here the symmetric f-plane Schur complement M + kappa L past the Courant limit
