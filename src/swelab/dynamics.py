@@ -27,7 +27,9 @@ quadratics are mass-orthogonal to gradients of quadratics.  On the beta-plane W 
 S is mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h
 is below about one, and stiffness-dominated past it.  On either plane the
 stepper reads which from the diagonal of S and preconditions the solve by
-Jacobi or, past ``_MULTIGRID_ABOVE``, by the multigrid V-cycle.
+Jacobi or, past ``_MULTIGRID_ABOVE``, by the exact Bloch solve where S is
+translation invariant on a cell torus (the f-plane on a lattice), else by
+the multigrid V-cycle.
 
 On a torus the beta-plane has a seam: f is evaluated at each face's
 unrolled coordinates, so it jumps by beta Ly across the line y = 0, which
@@ -142,10 +144,11 @@ def energy(state, params):
 
 
 # Schur complements whose stiffness part exceeds this many times their mass
-# part, on the average diagonal entry, are solved with the multigrid V-cycle
-# instead of Jacobi; the two once cost the same per step near this ratio.  Now
-# the V-cycle step is cheaper from a ratio near 1: at 7.3 it took 4.3 to 6.9 ms
-# against Jacobi's 9.4 to 12.8 on 32 x 64 equilateral and 48 x 48 right tori
+# part, on the average diagonal entry, are solved by Bloch blocks or with the
+# multigrid V-cycle instead of Jacobi; the V-cycle once cost as much per step
+# as Jacobi near this ratio.  Now it is cheaper from a ratio near 1: at 7.3 it
+# took 4.3 to 6.9 ms against Jacobi's 9.4 to 12.8 on 32 x 64 equilateral and
+# 48 x 48 right tori
 _MULTIGRID_ABOVE = 18.0
 
 
@@ -221,8 +224,9 @@ class _Stepper:
         # from inf - inf; the inf or nan that remains keeps Jacobi, and the
         # solver's finiteness check reports the overflow
         stiffness = np.mean(abs(S.diagonal()) / ops.M.diagonal()) - 1.0
-        coarse = ops.p1_prolongation if _MULTIGRID_ABOVE < stiffness < np.inf else None
-        self.solver = linalg.Solver(S, coarse=coarse)
+        stiff = _MULTIGRID_ABOVE < stiffness < np.inf
+        self.solver = linalg.Solver(S, coarse=ops.p1_prolongation if stiff else None,
+                                    lattice=ops.cell_layout if stiff else None)
 
     def step(self, state, tol):
         u_n, eta_n = state.u.coeffs, state.eta.coeffs
@@ -456,24 +460,29 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     if abs(mean0) * math.sqrt(ops.area) > 1e-10 * max(scale, 1e-300):
         raise ParameterError(f"psi0 must have zero integral mean (got {mean0:.3e})")
 
-    K = (ops.L + params.lr2_inv * ops.M).tocsr()
-    D = fem.assemble_ddx_p2(ops.p2, east)
-    n_steps = max(1, round(T / dt))
-
-    n = ops.p2.n_dofs
-    psis = np.empty((n_steps + 1, n))
-    psis[0] = psi0.coeffs
-    invariant = np.empty(n_steps + 1)
-    invariant[0] = float(psis[0] @ (K @ psis[0]))
+    # L and D share M's pattern: K, D and K - beta dt D/2 are data on its indices
+    M, D = ops.M, fem.assemble_ddx_p2(ops.p2, east)
+    for A in (ops.L, D):
+        if not (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
+            raise ValueError("L and D must share the sparsity pattern of M")
+    K, D = (sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+            for data in (ops.L.data + params.lr2_inv * M.data, D.data))
 
     # (K - beta dt D/2) psi_{n+1} = (K + beta dt D/2) psi_n
     half = 0.5 * params.beta * dt
-    solver = linalg.Solver(K - half * D)
-    psi = psis[0].copy()
+    solver = linalg.Solver(sp.csr_matrix((K.data - half * D.data, M.indices, M.indptr),
+                                         shape=M.shape), lattice=ops.cell_layout)
+    n_steps = max(1, round(T / dt))
+    psis = np.empty((n_steps + 1, ops.p2.n_dofs))
+    psis[0] = psi = psi0.coeffs
+    invariant = np.empty(n_steps + 1)
+    Kpsi = K @ psi
+    invariant[0] = float(psi @ Kpsi)
     for s in range(n_steps):
-        psi = solver.solve(K @ psi + half * (D @ psi), tol=tol, x0=psi)
+        psi = solver.solve(Kpsi + half * (D @ psi), tol=tol, x0=psi)
+        Kpsi = K @ psi
         psis[s + 1] = psi
-        invariant[s + 1] = float(psi @ (K @ psi))
+        invariant[s + 1] = float(psi @ Kpsi)
 
     times = dt * np.arange(n_steps + 1)
     return RossbyTrajectory(times, psis, invariant)

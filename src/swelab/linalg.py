@@ -32,44 +32,44 @@ After the first step that does not, the solve runs exact CGW, started
 afresh from the better of the last two iterates, and never loosens again.
 This only moves the start of CGW, so its convergence holds for any skew
 part.  There a step's solve takes 12 or 13 V-cycles in place of 35 to 38.
-Symmetric solves keep their one exact step.  Jacobi-preconditioned solves
-(the Rossby solve and the mass-dominated steps) keep exact CGW from the
-start: a loose phase restarts the inner Krylov space at every step, and
-Jacobi-CG needs its long recurrences.  Over 40 steps of a modal
-``dynamics.solve_rossby`` trajectory on that torus, a loose phase took 6883
-to 7014 Jacobi applications against 2195 to 2392 for exact CGW.
+Symmetric solves keep their one exact step.  Jacobi- and Bloch-
+preconditioned solves keep exact CGW from the start: a loose phase restarts
+the inner Krylov space at every step, and Jacobi-CG needs its long
+recurrences.  Over 40 steps of a modal ``dynamics.solve_rossby`` trajectory
+on that torus with Jacobi, a loose phase took 6883 to 7014 applications
+against 2195 to 2392 for exact CGW.
 
-Two preconditioners serve two kinds of matrix.  Mass-dominated ones
+Three preconditioners serve three kinds of matrix.  Mass-dominated ones
 (M + kappa L at the usual steps, the midpoint Schur complement below the
 gravity-wave Courant limit) are well conditioned, and Jacobi-CG solves them
 in tens of iterations.  Stiffness-dominated ones are not: for the P2
-stiffness matrix L, and for a Schur complement at a step past the Courant
-limit, Jacobi-CG needs iterations in proportion to 1/h.  For these the
-caller passes ``coarse``, the P2 -> P1 interpolation, and the
-preconditioner is one symmetric multigrid V(1,1)-cycle on the symmetric
-part, whose iteration count does not grow with the mesh.  Level 0 is Sym,
-level 1 the Galerkin product R^T Sym R; below that, smoothed aggregation
-(P. Vanek, J. Mandel & M. Brezina, Computing 56, 1996) coarsens to at most
-``_COARSEST`` unknowns, which one dense inverse solves, shifted by a
-rank-one term where the nullspace is the constants, unless aggregation
-stalls first (see ``_VCycle``).  Every level
-smooths by Jacobi, damped by a Lanczos estimate of the spectral radius of
-D^-1 A (see ``_damped_inv_diag``), and folds its post-smoothing into a
-correction operator Q = (I - omega D^-1 A) P formed at set-up, so that a
-level applies A once, R once and Q once.  The set-up takes no random
-vectors, so it is deterministic.
+stiffness matrix L, the Rossby operator and a Schur complement at a step
+past the Courant limit, Jacobi-CG needs iterations in proportion to 1/h.
+Where such a matrix is translation invariant on a cell torus (L, K and
+M + kappa L on a lattice), the caller's ``lattice`` selects its exact
+inverse by Bloch blocks (``_Bloch``), which costs about three sparse
+products and solves to rounding in one application.  Elsewhere (a jittered
+torus; the beta-plane, whose f = f0 + beta y breaks the invariance) the
+caller's ``coarse``, the P2 -> P1 interpolation, selects one symmetric
+multigrid V(1,1)-cycle on the symmetric part, whose iteration count does
+not grow with the mesh.  Level 0 is Sym, level 1 the Galerkin product
+R^T Sym R; below that, smoothed aggregation (P. Vanek, J. Mandel &
+M. Brezina, Computing 56, 1996) coarsens to at most ``_COARSEST``
+unknowns, which one dense inverse solves, shifted by a rank-one term where
+the nullspace is the constants, unless aggregation stalls first (see
+``_VCycle``).  Every level smooths by Jacobi, damped by a Lanczos estimate
+of the spectral radius of D^-1 A (see ``_damped_inv_diag``), and folds its
+post-smoothing into a correction operator Q = (I - omega D^-1 A) P formed
+at set-up, so that a level applies A once, R once and Q once.  The set-up
+takes no random vectors, so it is deterministic.
 
 The Rossby operator K = L + M/L_R^2 of ``dynamics.solve_rossby`` is
-stiffness-dominated wherever the deformation radius L_R spans many cells:
-on the 32 x 64 equilateral torus with L_R/dx = 31.6, L's diagonal is 3.25e4
-times M/L_R^2's.  Its solves keep Jacobi, warm-started from the previous
-step.  Over 40 steps of dt = 0.05/|omega| there (f0 = 1e-4, beta = 1e-12,
-c2 = 1e5, tol 1e-13), Jacobi took 2392 applications (0.34 to 0.36 s)
-against 1640 V-cycles (0.56 to 0.57 s) from the lattice mode (1, 1), and
-36,845 (3.9 to 4.2 s) against 1360 (0.46 to 0.54 s) from the Gaussian bump
-exp(-|x - x_c|^2 / (4 dx)^2), x_c the centre of the torus, less its mean:
-the modal start is Jacobi's best case, and aggregation is not translation
-invariant, so the V-cycle spreads the one Bloch mode.
+stiffness-dominated wherever L_R spans many cells: with L_R/dx = 31.6 on
+the 32 x 64 equilateral torus, L's diagonal is 3.25e4 times M/L_R^2's.  Over
+40 steps of dt = 0.05/|omega| there (f0 = 1e-4, beta = 1e-12, c2 = 1e5,
+tol 1e-13), its Bloch solves took 80 applications from the lattice mode
+(1, 1) and 240 from the bump exp(-|x - x_c|^2 / (4 dx)^2) less its mean,
+x_c the centre of the torus, where Jacobi took 2392 and 36,845.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -124,12 +124,14 @@ class Solver:
     or semi-definite with constant nullspace when ``nullspace=True``; then
     iterates are kept mean-free and solutions have zero coefficient mean.
 
-    ``coarse``, a sparse prolongation from a coarser space that maps
-    constants to constants, selects the multigrid preconditioner on the
+    ``lattice``, the dof layout ``fem.OperatorSet.cell_layout``, selects the
+    exact Bloch solve where the symmetric part is translation invariant on
+    it; otherwise ``coarse``, a sparse prolongation from a coarser space that
+    maps constants to constants, selects the multigrid preconditioner on the
     symmetric part in place of Jacobi.
     """
 
-    def __init__(self, A, nullspace=False, coarse=None):
+    def __init__(self, A, nullspace=False, coarse=None, lattice=None):
         A = sp.csr_matrix(A)
         n = A.shape[0]
         if A.shape[1] != n:
@@ -139,12 +141,13 @@ class Solver:
         self.max_iter = max(50, 10 * n)
         self._project = (lambda v: v - v.mean()) if nullspace else (lambda v: v)
         self.sym = _symmetric_part(A)
-        if coarse is None:
+        self._precondition = None if lattice is None else _Bloch.build(self.sym, lattice, nullspace)
+        if self._precondition is None and coarse is None:
             self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
-        else:
+        elif self._precondition is None:
             self._precondition = _VCycle(self.sym, coarse, nullspace)
         # a nonsymmetric solve with the V-cycle starts in the loose phase
-        self._loose = coarse is not None and self.sym is not A
+        self._loose = isinstance(self._precondition, _VCycle) and self.sym is not A
 
     def solve(self, b, tol=1e-12, x0=None):
         """x with |b - A x| <= tol |b|; x0 is an optional initial guess.
@@ -393,4 +396,68 @@ class _VCycle:
         t = r - A @ x
         x += smoother * t
         x += Q @ self(R @ t, level + 1)
+        return x
+
+
+class _Bloch:
+    """The exact inverse of a matrix A that is translation invariant on the
+    cell torus of a layout (n1, n2, perm).  There A is block circulant: a
+    stencil T[c, c', d] couples class c of each cell m to class c' of cell
+    m + d, so a Bloch wave e^{i k . m} X sees the 4 x 4 Hermitian block
+    sum_d T[c, c', d] e^{i k . d}, the conjugate of rfft2(T), and two real FFTs
+    around one batched 4 x 4 product solve A (R. H. Chan & M. K. Ng, SIAM
+    Review 38, 1996).  With ``nullspace`` the k = 0 block takes s 1 1^T / 4,
+    s the mean diagonal, for A + s 1 1^T / n as at the coarsest V-cycle level.
+    """
+
+    def __init__(self, inverse, perm, shape):
+        self.inverse, self.perm, self.shape = inverse, perm, shape
+
+    @classmethod
+    def build(cls, A, lattice, nullspace):
+        """The inverse of the symmetric A, or None unless every entry of A is
+        the stencil read from the four rows of cell (0, 0), to 1e-12 max|A|; a
+        diagonal that varies within a class is refused first, in O(n)."""
+        n1, n2, perm = lattice
+        cells = n1 * n2
+        scale = 1e-12 * np.abs(A.data).max(initial=0.0)
+        diag = A.diagonal()[perm].reshape(4, cells)
+        if not np.ptp(diag, axis=1).max() <= scale < np.inf:
+            return None
+        # entry (r, s) is T[c, c', d] with d = (i_s - i_r, j_s - j_r) mod (n1, n2);
+        # in T tiled to offsets -n1 < d1 < n1, -n2 < d2 < n2 its flat index is
+        # a sum of one term per row and one per column
+        idx = np.int32 if 64 * cells <= np.iinfo(np.int32).max else np.intp
+        kind, i, j = (a.astype(idx) for a in np.unravel_index(np.argsort(perm), (4, n1, n2)))
+        row_term = 16 * cells * kind - 2 * n2 * i - j
+        col_term = 4 * cells * kind + 2 * n2 * (i + n1) + j + n2
+        tiled = np.zeros(64 * cells)
+        for r in perm[::cells]:
+            entries = slice(A.indptr[r], A.indptr[r + 1])
+            tiled[row_term[r] + col_term[A.indices[entries]]] = A.data[entries]
+        tiled = tiled.reshape(4, 4, 2 * n1, 2 * n2)
+        tiled[:, :, :n1] = tiled[:, :, n1:]
+        tiled[..., :n2] = tiled[..., n2:]
+        stencil = tiled[:, :, n1:, n2:]
+        # every entry matches the stencil, and every row holds all of its
+        # class's nonzero stencil entries
+        where = np.repeat(row_term, np.diff(A.indptr))
+        where += col_term[A.indices]
+        values = tiled.reshape(-1)[where]
+        del where
+        held = np.diff(np.concatenate(([0], np.cumsum(values != 0.0, dtype=idx)))[A.indptr])
+        values -= A.data
+        if not (np.abs(values, out=values).max(initial=0.0) <= scale and np.array_equal(
+                held, np.count_nonzero(stencil.reshape(4, -1), axis=1)[kind])):
+            return None
+        blocks = np.fft.rfft2(stencil).conj().transpose(2, 3, 0, 1)
+        if nullspace:
+            blocks[0, 0] += diag.mean() / 4.0
+        inverse = np.linalg.inv(blocks).transpose(2, 3, 0, 1)
+        return cls(np.ascontiguousarray(inverse), perm, (n1, n2))
+
+    def __call__(self, r):
+        R = np.fft.rfft2(r[self.perm].reshape(4, *self.shape))
+        x = np.empty_like(r)
+        x[self.perm] = np.fft.irfft2((self.inverse * R).sum(axis=1), s=self.shape).ravel()
         return x

@@ -21,7 +21,7 @@ instead; ``bloch_matrix_S`` is its phase matrix.  ``ref_p2_basis`` evaluates
 the package's basis at one checked barycentric point, the form in which the
 tests compare it with the symbolic basis.  ``random_field``, ``recompose``,
 ``jittered_torus`` (and its hypothesis strategy ``jittered_tori``),
-``symbolic_reference`` and ``v_mean`` are helpers that only the tests use.
+``renumbered_torus``, ``symbolic_reference`` and ``v_mean`` are helpers that only the tests use.
 ``midpoint_step_dense`` is a time step written from the ``dynamics`` module
 docstring with dense solves on those blocks, and ``p2_point_value``
 evaluates a quadratic at a physical point by a barycentric solve, apart from
@@ -83,6 +83,12 @@ def jittered_torus(n, seed=0, amount=0.2, min_angle=MIN_ANGLE):
         worst = min_angle_degrees(mesh)
         assert worst >= min_angle, f"jittered torus has a {worst:.1f} degree angle"
     return mesh
+
+
+def renumbered_torus(mesh, seed=4):
+    """The same torus with its vertices numbered in a random order."""
+    order = np.random.default_rng(seed).permutation(mesh.n_v)
+    return Mesh(mesh.vertices[order], np.argsort(order)[mesh.triangles], mesh.shifts, mesh.lattice)
 
 
 @hst.composite

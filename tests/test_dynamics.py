@@ -18,7 +18,7 @@ from swelab.dynamics import (
 )
 from swelab.fem import Field
 from swelab.linalg import SolverError
-from swelab.mesh import build_equilateral_torus, build_right_triangle_torus, write_mesh
+from swelab.mesh import Mesh, build_equilateral_torus, build_right_triangle_torus, write_mesh
 
 from .oracles import (
     duffy_integrate,
@@ -332,6 +332,18 @@ def test_solve_rossby_checks_dt_and_T_before_assembly(dt, T, monkeypatch):
     assert calls == []
     dynamics.solve_rossby(psi0, dt=0.1, T=0.2, params=params)
     assert len(calls) == 1
+
+
+def test_solve_rossby_checks_that_d_shares_the_mass_pattern(monkeypatch):
+    # K and K - beta dt D/2 are formed as data arrays on M's index arrays
+    mesh = build_equilateral_torus(3, 3, 0.5)
+    ops = fem.operators(mesh)
+    psi0 = random_field(ops.p2, seed=1)
+    psi0.coeffs -= ops.p2_mean(psi0.coeffs)
+    real = fem.assemble_ddx_p2
+    monkeypatch.setattr(fem, "assemble_ddx_p2", lambda *a: real(*a)[:, ::-1].tocsr())
+    with pytest.raises(ValueError, match="sparsity pattern of M"):
+        dynamics.solve_rossby(psi0, dt=0.1, T=0.2, params=RossbyParams(f0=1.0, beta=0.4, c2=1.0))
 
 
 def test_split_solve_converges_or_raises():
@@ -743,9 +755,17 @@ def test_mass_dominated_steps_keep_jacobi(case):
 @pytest.mark.parametrize("beta,dt", [(1e-12, 600.0), (1e-10, 6e3), (0.0, 6e3), (0.0, 6e4)])
 def test_stiffness_dominated_steps_use_multigrid(beta, dt):
     # beta-plane at the workload's dt = 600 s (Courant number 1.9), and the
-    # f-plane at large dt, where kappa = c2 dt^2 / (4 (1 + gamma^2)) nears c2 / f0^2
-    mesh = build_equilateral_torus(16, 32, 1e5)
-    assert _uses_multigrid(mesh, dt, SweParams(beta=beta, **OCEAN))
+    # f-plane at large dt, where kappa = c2 dt^2 / (4 (1 + gamma^2)) nears c2 / f0^2.
+    # The f-plane's S = M + kappa L is translation invariant on the lattice and
+    # takes the exact Bloch solve; the beta-plane's f = f0 + beta y is not, nor
+    # is S on the same torus jittered, and those take the V-cycle
+    params = SweParams(beta=beta, **OCEAN)
+    lattice = build_equilateral_torus(16, 32, 1e5)
+    solver = dynamics._stepper(lattice, dt, params).solver
+    assert isinstance(solver._precondition, linalg._VCycle if beta > 0 else linalg._Bloch)
+    unit = jittered_torus(16, seed=2)
+    jittered = Mesh(1.6e6 * unit.vertices, unit.triangles, unit.shifts, 1.6e6 * unit.lattice)
+    assert _uses_multigrid(jittered, dt, params)
 
 
 def test_large_courant_step_matches_dense_oracle():

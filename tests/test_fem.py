@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swelab import ParameterError, fem
-from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
+from swelab.mesh import (
+    build_equilateral_torus,
+    build_right_triangle_torus,
+    read_mesh,
+    write_mesh,
+)
 
 from . import oracles
 from .oracles import (
@@ -438,3 +443,38 @@ def test_east_normalizes_directions_of_any_finite_size():
 def test_east_rejects_fhat_that_is_not_a_direction(fhat):
     with pytest.raises(ParameterError, match="fhat"):
         fem._east(fhat)
+
+
+# the layout of the P2 dofs on a cell torus, which linalg.Solver's Bloch solve reads
+
+def _written_and_read(mesh, tmp_path):
+    write_mesh(mesh, tmp_path / "m.txt")
+    return read_mesh(tmp_path / "m.txt")
+
+
+LAYOUT_TORI = {
+    "right-6x4": lambda tmp: build_right_triangle_torus(6, 4, 3.0, 1.0),
+    "equilateral-4x8": lambda tmp: build_equilateral_torus(4, 8, 1e5),
+    "equilateral-2x3": lambda tmp: build_equilateral_torus(2, 3, 1.0),
+    "read-back": lambda tmp: _written_and_read(build_equilateral_torus(5, 3, 0.1), tmp),
+    "renumbered": lambda tmp: oracles.renumbered_torus(build_right_triangle_torus(4, 6, 1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("mesh", list(LAYOUT_TORI))
+def test_cell_layout_orders_the_dofs_by_class_then_cell(mesh, tmp_path):
+    # dof k of the layout, k = c n1 n2 + i n2 + j, lies at cell (i, j) from
+    # vertex 0, offset by half a cell side along each axis where class c has
+    # bit 0 or bit 1 set: vertex, first edge, second edge, diagonal
+    mesh = LAYOUT_TORI[mesh](tmp_path)
+    n1, n2, perm = fem.operators(mesh).cell_layout
+    assert n1 * n2 == mesh.n_v and sorted(perm) == list(range(4 * n1 * n2))
+    c, i, j = np.unravel_index(np.arange(4 * n1 * n2), (4, n1, n2))
+    cells = np.stack([(i + 0.5 * (c % 2)) / n1, (j + 0.5 * (c // 2)) / n2], axis=1)
+    points = fem.P2Space(mesh).dof_points()[perm] - mesh.vertices[0]
+    offset = points @ np.linalg.inv(mesh.lattice) - cells
+    assert np.abs(offset - np.rint(offset)).max() <= 1e-12
+
+
+def test_cell_layout_is_none_off_the_lattice():
+    assert fem.operators(oracles.jittered_torus(8, seed=1)).cell_layout is None

@@ -15,7 +15,7 @@ from swelab.dynamics import RossbyParams, SweParams
 from swelab.linalg import Solver, SolverError
 from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
 
-from .oracles import jittered_torus
+from .oracles import jittered_torus, renumbered_torus
 
 
 def _random_spd(n, rng, density=0.4):
@@ -209,7 +209,9 @@ def _count_iterations(solver):
 @given(st.sampled_from([("right", 16), ("right", 24), ("equilateral", 16), ("jittered", 16)]),
        st.integers(min_value=0, max_value=10_000))
 def test_vcycle_is_symmetric_positive_definite(mesh, seed):
-    B = _operators(*mesh).L_solver._precondition
+    # L_solver takes the Bloch solve on the lattices, so the V-cycle is built here
+    ops = _operators(*mesh)
+    B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
     rng = np.random.default_rng(seed)
     n = _operators(*mesh).p2.n_dofs
     x, y = _mean_free(rng, n), _mean_free(rng, n)
@@ -246,11 +248,13 @@ def test_multigrid_agrees_with_jacobi(kind):
 @pytest.mark.parametrize("n", [16, 32, 64])
 @pytest.mark.parametrize("kind", ["right", "equilateral"])
 def test_multigrid_iterations_do_not_grow(kind, n):
-    # Jacobi-CG needs 88, 181 and 363 iterations on the right torus
+    # Jacobi-CG needs 88, 181 and 363 iterations on the right torus.  L_solver
+    # takes the Bloch solve on these lattices, so the V-cycle is built here
     ops = fem.operators(TORI[kind](n))
-    calls = _count_iterations(ops.L_solver)
+    solver = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)
+    calls = _count_iterations(solver)
     b = _mean_free(np.random.default_rng(7), ops.p2.n_dofs)
-    ops.L_solver.solve(b, tol=1e-12)
+    solver.solve(b, tol=1e-12)
     assert 0 < len(calls) <= 60
 
 
@@ -275,6 +279,115 @@ def test_stalled_solve_fails_fast():
     assert ops.L_solver.max_iter == 10240
     assert info.value.iterations <= 60
     assert 1e-16 < info.value.residual < 1e-14
+
+
+# --------------------------------------------------------------------------
+# the exact Bloch solve of translation-invariant matrices on lattice tori
+
+BLOCH_TORI = {
+    "right-8": lambda: build_right_triangle_torus(8, 8, 1.0, 1.0),
+    "right-16": lambda: build_right_triangle_torus(16, 16, 1.0, 1.0),
+    "aspect-16": lambda: build_right_triangle_torus(16, 16, 16.0, 1.0),
+    "equilateral-8x16": lambda: build_equilateral_torus(8, 16, 1.0),
+    "renumbered-16": lambda: renumbered_torus(build_right_triangle_torus(16, 16, 1.0, 1.0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bloch_operators(mesh):
+    return fem.operators(BLOCH_TORI[mesh]())
+
+
+def _lattice_matrix(ops, matrix):
+    """(A, nullspace): M + kappa L past the Courant limit, L, or the Rossby
+    operator K = L + M / L_R^2 with a deformation radius of ten cells."""
+    cell = ops.area / ops.p2.mesh.n_v
+    return {"M+kappa L": (ops.M + 4.0 * cell * ops.L, False),
+            "L": (ops.L, True),
+            "K": (ops.L + ops.M / (100.0 * cell), False)}[matrix]
+
+
+@pytest.mark.parametrize("matrix", ["M+kappa L", "L", "K"])
+@pytest.mark.parametrize("mesh", list(BLOCH_TORI))
+def test_bloch_solves_lattice_matrices_exactly(mesh, matrix):
+    # one application solves to rounding.  On the aspect-16 torus rounding
+    # bounds a solve of L near 2e-13 (see above), and CGW takes 2 (K) to 11
+    # (L) applications to reach 1e-13
+    ops = _bloch_operators(mesh)
+    A, nullspace = _lattice_matrix(ops, matrix)
+    solver = Solver(A, nullspace=nullspace, lattice=ops.cell_layout)
+    assert isinstance(solver._precondition, linalg._Bloch)
+    calls = _count_iterations(solver)
+    b = np.random.default_rng(15).standard_normal(ops.p2.n_dofs)
+    b = b - b.mean() if nullspace else b
+    x = solver.solve(b, tol=1e-13)
+    assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
+    assert len(calls) == 1 or mesh == "aspect-16"
+    if nullspace:
+        assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(BLOCH_TORI)), st.sampled_from(["L", "K"]),
+       st.integers(min_value=0, max_value=10_000))
+def test_bloch_solve_is_symmetric_positive_definite(mesh, matrix, seed):
+    ops = _bloch_operators(mesh)
+    A, nullspace = _lattice_matrix(ops, matrix)
+    B = Solver(A, nullspace=nullspace, lattice=ops.cell_layout)._precondition
+    rng = np.random.default_rng(seed)
+    x, y = _mean_free(rng, ops.p2.n_dofs), _mean_free(rng, ops.p2.n_dofs)
+    Bx, By = B(x), B(y)
+    scale = max(np.linalg.norm(x) * np.linalg.norm(By), np.linalg.norm(y) * np.linalg.norm(Bx))
+    assert abs(x @ By - y @ Bx) <= 1e-12 * scale
+    assert x @ Bx > 0.0
+
+
+def _perturbed(row):
+    """M + kappa L on the 16 x 16 right torus with the first off-diagonal entry
+    of one row scaled by 1 + 1e-8."""
+    ops = _bloch_operators("right-16")
+    A = sparse.csr_matrix(_lattice_matrix(ops, "M+kappa L")[0], copy=True)
+    entry = next(e for e in range(A.indptr[row], A.indptr[row + 1]) if A.indices[e] != row)
+    A.data[entry] *= 1.0 + 1e-8
+    return A, False, ops.cell_layout, ops.p1_prolongation
+
+
+def _stiffness(ops, layout):
+    return ops.L, True, layout, ops.p1_prolongation
+
+
+REFUSED = {
+    # not a lattice: its layout is None
+    "jittered": lambda: _stiffness(_operators("jittered", 16), _operators("jittered", 16).cell_layout),
+    # f = f0 + beta y varies the diagonal within each class
+    "beta-plane-schur": lambda: (_schur("right")[0], False, _operators("right", 16).cell_layout,
+                                 _schur("right")[1]),
+    # in a row of cell (0, 0), which the stencil is read from, and in another
+    "perturbed-cell-0": lambda: _perturbed(_bloch_operators("right-16").cell_layout[2][0]),
+    "perturbed-last-row": lambda: _perturbed(_bloch_operators("right-16").p2.n_dofs - 1),
+    # L of a renumbered torus under the layout of the torus as built: its own
+    # layout is recognised, but this one does not fit its numbering
+    "renumbered": lambda: _stiffness(fem.operators(renumbered_torus(BLOCH_TORI["right-16"]())),
+                                     _bloch_operators("right-16").cell_layout),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_bloch_is_refused_and_the_solve_still_passes(case, monkeypatch):
+    A, nullspace, layout, coarse = REFUSED[case]()
+    if case == "beta-plane-schur":
+        # the diagonal check refuses it before any FFT
+        monkeypatch.setattr(np.fft, "rfft2", None)
+    if case == "jittered":
+        assert layout is None
+    else:
+        assert linalg._Bloch.build(Solver(A).sym, layout, nullspace) is None
+    solver = Solver(A, nullspace=nullspace, coarse=coarse, lattice=layout)
+    assert isinstance(solver._precondition, linalg._VCycle)
+    b = np.random.default_rng(16).standard_normal(A.shape[0])
+    b = b - b.mean() if nullspace else b
+    x = solver.solve(b, tol=1e-12)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 # --------------------------------------------------------------------------
@@ -421,11 +534,22 @@ def test_smoother_damping_reads_a_ritz_value_of_the_jacobi_radius(matrix):
     assert np.array_equal(linalg._damped_inv_diag(A), smoother)
 
 
-def test_rossby_trajectory_keeps_its_jacobi_applications(monkeypatch):
-    # the Rossby solve is nonsymmetric with Jacobi and keeps exact CGW from
-    # the start: 40 steps of the lattice mode (1, 1) on the beta-plane
-    # workload's 32 x 64 torus take 2392 Jacobi applications, where a loose
-    # phase took 6917
+def _rossby_start(mesh, ops, start, psi_hat):
+    """The lattice mode (1, 1), or the Gaussian bump exp(-|x - x_c|^2 / (4 dx)^2)
+    about the centre x_c of the torus, less its integral mean."""
+    if start == "mode":
+        return np.real(psi_hat)
+    x = ops.p2.dof_points() - 0.5 * mesh.lattice.sum(axis=0)
+    bump = np.exp(-(x * x).sum(axis=1) / (4e5) ** 2)
+    return bump - ops.p2_mean(bump)
+
+
+@pytest.mark.parametrize("start,per_step", [("mode", 3), ("bump", 8)])
+def test_rossby_trajectory_takes_few_bloch_applications(monkeypatch, start, per_step):
+    # K = L + M / L_R^2 is translation invariant on the beta-plane workload's
+    # 32 x 64 torus, so each of 40 steps solves it exactly by Bloch blocks: 80
+    # applications from the lattice mode (1, 1) and 240 from the bump.
+    # Jacobi took 2392 and 36,845 (60 and 921 per step)
     mesh = build_equilateral_torus(32, 64, 1e5)
     ops = fem.operators(mesh)
     params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
@@ -435,13 +559,16 @@ def test_rossby_trajectory_keeps_its_jacobi_applications(monkeypatch):
     class CountingSolver(Solver):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            assert isinstance(self._precondition, linalg._Bloch)
             counted.append(_count_iterations(self))
 
     monkeypatch.setattr(linalg, "Solver", CountingSolver)
     dt = 0.05 / abs(omega)
-    dynamics.solve_rossby(fem.Field(ops.p2, np.real(psi_hat)), dt=dt, T=40 * dt, params=params)
+    psi0 = fem.Field(ops.p2, _rossby_start(mesh, ops, start, psi_hat))
+    traj = dynamics.solve_rossby(psi0, dt=dt, T=40 * dt, params=params)
     [calls] = counted
-    assert 0 < len(calls) <= 2392
+    assert 0 < len(calls) <= 40 * per_step
+    assert np.ptp(traj.invariant) <= 1e-12 * traj.invariant[0]
 
 
 def _textbook_vcycle(B, r, level=0):
@@ -460,7 +587,9 @@ def test_folded_vcycle_matches_the_textbook_cycle(hierarchy):
     # the Schur complements of the 16 x 16 tori, and the nullspace hierarchy
     # of L on the 32 x 32 right torus, whose aggregation levels smooth P
     if hierarchy == "stiffness":
-        B = _operators("right", 32).L_solver._precondition
+        # L_solver takes the Bloch solve on a lattice, so the V-cycle is built here
+        ops = _operators("right", 32)
+        B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
         assert len(B.levels) >= 2
     else:
         S, R = _schur(hierarchy)
@@ -488,9 +617,10 @@ COARSEST_MESHES = {
 def test_shifted_coarsest_inverse_is_the_pseudo_inverse(mesh):
     # the nullspace hierarchy's coarsest level inverts A_c + s 1 1^T / n_c;
     # on mean-free vectors that is the pseudo-inverse of A_c.  The 8 x 8 torus
-    # has no levels, so A_c is L itself
+    # has no levels, so A_c is L itself.  L_solver takes the Bloch solve on the
+    # lattices, so the V-cycle is built here
     ops = fem.operators(COARSEST_MESHES[mesh]())
-    B = ops.L_solver._precondition
+    B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
     if B.levels:
         A, _, R, _ = B.levels[-1]
         Ac = (R @ A @ R.T).toarray()
