@@ -27,9 +27,9 @@ quadratics are mass-orthogonal to gradients of quadratics.  On the beta-plane W 
 S is mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h
 is below about one, and stiffness-dominated past it.  On either plane the
 stepper reads which from the diagonal of S and preconditions the solve by
-Jacobi or, past ``_MULTIGRID_ABOVE``, by the exact Bloch solve where S is
-translation invariant on a cell torus (the f-plane on a lattice), else by
-the multigrid V-cycle.
+Jacobi or, past ``_MULTIGRID_ABOVE``, by the Bloch inverse of S's
+translation average on a cell torus (exact on the f-plane; 8 applications a
+step where the beta-plane's V-cycle took 12 or 13), else by the V-cycle.
 
 On a torus the beta-plane has a seam: f is evaluated at each face's
 unrolled coordinates, so it jumps by beta Ly across the line y = 0, which
