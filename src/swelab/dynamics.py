@@ -24,12 +24,17 @@ quadratics are mass-orthogonal to gradients of quadratics.  On the beta-plane W 
 (c2 dt/2) couple E, and S also has a skew-symmetric part, which
 ``linalg.Solver`` handles for any beta dt.
 
-S is mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h
-is below about one, and stiffness-dominated past it.  On either plane the
-stepper reads which from the diagonal of S and preconditions the solve by
-Jacobi or, past ``_MULTIGRID_ABOVE``, by the Bloch inverse of S's
-translation average on a cell torus (exact on the f-plane; 8 applications a
-step where the beta-plane's V-cycle took 12 or 13), else by the V-cycle.
+On a cell torus the solve starts on Jacobi, and the solver itself switches,
+within the first solve whose Jacobi iterations pass
+``linalg._SWITCH_AFTER``, to the Bloch inverse of S's translation average
+(exact on the f-plane; 4 applications a step on the beta-plane benchmark,
+where the V-cycle took 12 or 13): a random state takes 27 Jacobi
+applications even at the default step, a warm-started smooth one 4.  Where
+the Bloch build refuses, it switches to the V-cycle.  Off the lattice S is
+mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h is
+below about one, and stiffness-dominated past it; the stepper reads which
+from the diagonal of S and, past ``_MULTIGRID_ABOVE``, preconditions the
+solve by the V-cycle from the start, else by Jacobi.
 
 On a torus the beta-plane has a seam: f is evaluated at each face's
 unrolled coordinates, so it jumps by beta Ly across the line y = 0, which
@@ -143,12 +148,12 @@ def energy(state, params):
 # implicit midpoint stepper
 
 
-# Schur complements whose stiffness part exceeds this many times their mass
-# part, on the average diagonal entry, are solved by Bloch blocks or with the
-# multigrid V-cycle instead of Jacobi; the V-cycle once cost as much per step
-# as Jacobi near this ratio.  Now it is cheaper from a ratio near 1: at 7.3 it
-# took 4.3 to 6.9 ms against Jacobi's 9.4 to 12.8 on 32 x 64 equilateral and
-# 48 x 48 right tori
+# off a cell torus, Schur complements whose stiffness part exceeds this many
+# times their mass part, on the average diagonal entry, are solved with the
+# multigrid V-cycle instead of Jacobi.  The V-cycle once cost as much per
+# step as Jacobi near this ratio.  Now it is cheaper from a ratio near 1: at
+# 7.3 it took 4.3 to 6.9 ms against Jacobi's 9.4 to 12.8 on 32 x 64
+# equilateral and 48 x 48 right tori
 _MULTIGRID_ABOVE = 18.0
 
 
@@ -224,9 +229,12 @@ class _Stepper:
         # from inf - inf; the inf or nan that remains keeps Jacobi, and the
         # solver's finiteness check reports the overflow
         stiffness = np.mean(abs(S.diagonal()) / ops.M.diagonal()) - 1.0
-        stiff = _MULTIGRID_ABOVE < stiffness < np.inf
-        self.solver = linalg.Solver(S, coarse=ops.p1_prolongation if stiff else None,
-                                    lattice=ops.cell_layout if stiff else None)
+        # on a cell torus the solver builds the V-cycle only once Jacobi has
+        # proved slow and the Bloch build refused, so it is offered at any ratio
+        lattice = ops.cell_layout
+        offer = stiffness < np.inf and (lattice is not None or stiffness > _MULTIGRID_ABOVE)
+        self.solver = linalg.Solver(S, coarse=ops.p1_prolongation if offer else None,
+                                    lattice=lattice)
 
     def step(self, state, tol):
         u_n, eta_n = state.u.coeffs, state.eta.coeffs

@@ -442,9 +442,11 @@ class OperatorSet:
 
     @functools.cached_property
     def L_solver(self):
-        """Solver for L on the mean-free subspace, prepared on first use: the
-        exact Bloch solve on ``cell_layout``, or, where the mesh is not a cell
-        torus, the multigrid preconditioner on ``p1_prolongation``."""
+        """Solver for L on the mean-free subspace, prepared on first use: on
+        ``cell_layout`` Jacobi until the first solve passes
+        ``linalg._SWITCH_AFTER`` applications, then the exact Bloch solve;
+        where the mesh is not a cell torus, the multigrid preconditioner on
+        ``p1_prolongation``."""
         return linalg.Solver(self.L, nullspace=True, coarse=self.p1_prolongation,
                              lattice=self.cell_layout)
 

@@ -24,45 +24,56 @@ complement on the 32 x 64 equilateral torus with 100 km cells, f0 = 1e-4,
 beta = 1e-12 and c2 = 1e5 has |Sym^-1 Skew| near 7e-4 at dt = 600 s.
 There the outer residual went 27 -> 8.3e-4 -> 4.5e-7 -> 1.1e-10, relative
 to |b|, while the first two inner solves went to 1e-12 and 1.2e-10 of |r|.
-So a nonsymmetric solve with the V-cycle preconditioner starts in a loose
-phase.  Each of its steps is the plain correction x + z, whose inner
-tolerance is floored at ``_LOOSE_INNER``.  The phase lasts while every
-step cuts the true residual to ``_LOOSE_CUT`` times its value or less.
+So a nonsymmetric solve whose preconditioner only approximates Sym (the
+V-cycle, or the Bloch inverse of Sym's translation average where Sym lies
+off it) starts in a loose phase.  Each of its steps is the plain correction
+x + z, whose inner tolerance is floored at ``_LOOSE_INNER``.  The phase
+lasts while every step cuts the true residual to ``_LOOSE_CUT`` times its
+value or less.
 After the first step that does not, the solve runs exact CGW, started
 afresh from the better of the last two iterates, and never loosens again.
 This only moves the start of CGW, so its convergence holds for any skew
-part.  There a step's solve takes 12 or 13 V-cycles in place of 35 to 38.
-Symmetric solves keep their one exact step.  Jacobi- and Bloch-
-preconditioned solves keep exact CGW from the start: a loose phase restarts
-the inner Krylov space at every step, and Jacobi-CG needs its long
-recurrences.  Over 40 steps of a modal ``dynamics.solve_rossby`` trajectory
-on that torus with Jacobi, a loose phase took 6883 to 7014 applications
-against 2195 to 2392 for exact CGW.
+part.  There a step's solve takes 12 or 13 V-cycles in place of 35 to 38,
+and 4 applications of the averaged Bloch inverse in place of 8 (2.7 to 4.1
+against 6.0 to 6.3 ms, medians of 12 steps in three runs; the 12-step energy
+drift was 2.5e-14 against 1.8e-15).  Symmetric solves keep their one exact
+step.  Jacobi-preconditioned solves, the one that switches preconditioner
+included, and Bloch-preconditioned ones whose Sym is exactly translation
+invariant keep exact CGW from the start: a loose phase restarts the inner
+Krylov space at every step, and Jacobi-CG needs its long recurrences.  Over 40 steps of a modal
+``dynamics.solve_rossby`` trajectory on that torus with Jacobi, a loose
+phase took 6883 to 7014 applications against 2195 to 2392 for exact CGW,
+and with the exact Bloch inverse 173 to 270 against 75 to 98 ms.
 
-Three preconditioners serve three kinds of matrix.  Mass-dominated ones
-(M + kappa L at the usual steps, the midpoint Schur complement below the
-gravity-wave Courant limit) are well conditioned, and Jacobi-CG solves them
-in tens of iterations.  Stiffness-dominated ones are not: for the P2
-stiffness matrix L, the Rossby operator and a Schur complement at a step
-past the Courant limit, Jacobi-CG needs iterations in proportion to 1/h.
-On a cell torus the caller's ``lattice`` selects the Bloch-block inverse
-(``_Bloch``, about three sparse products) of such a matrix's translation
-average.  It solves an invariant matrix (L, K, M + kappa L) to rounding in
-one application, and the beta-plane Schur complement at dt = 600 s, 4.9e-5
-of max|S| off its average, in 8 applications a step, not 12 or 13 V-cycles.
-Elsewhere (a jittered torus; a matrix far from its average) the
-caller's ``coarse``, the P2 -> P1 interpolation, selects one symmetric
-multigrid V(1,1)-cycle on the symmetric part, whose iteration count does
-not grow with the mesh.  Level 0 is Sym, level 1 the Galerkin product
-R^T Sym R; below that, smoothed aggregation (P. Vanek, J. Mandel &
-M. Brezina, Computing 56, 1996) coarsens to at most ``_COARSEST``
-unknowns, which one dense inverse solves, shifted by a rank-one term where
-the nullspace is the constants, unless aggregation stalls first (see
-``_VCycle``).  Every level smooths by Jacobi, damped by a Lanczos estimate
-of the spectral radius of D^-1 A (see ``_damped_inv_diag``), and folds its
-post-smoothing into a correction operator Q = (I - omega D^-1 A) P formed
-at set-up, so that a level applies A once, R once and Q once.  The set-up
-takes no random vectors, so it is deterministic.
+Three preconditioners serve three kinds of solve.  Cheap ones take Jacobi:
+a warm-started step of a smooth state, as in ``dynamics.run_convergence``,
+takes 4 Jacobi applications on M + kappa L.  Hard ones do not: for the P2
+stiffness matrix L, the Rossby operator and a Schur complement past the
+gravity-wave Courant limit Jacobi-CG needs iterations in proportion to 1/h,
+and from a random state even the mass-dominated M + kappa L of a default
+``swelab simulate`` takes 27.  So on a cell torus, given as the caller's
+``lattice``, a solver starts on Jacobi, and the first inner solve that
+passes ``_SWITCH_AFTER`` Jacobi applications builds its better
+preconditioner once and keeps it: the Bloch-block inverse (``_Bloch``, about
+three sparse products) of the matrix's translation average.  It solves an
+invariant matrix (L, K, M + kappa L) to rounding in one application, and
+the beta-plane Schur complement at dt = 600 s, 4.9e-5 of max|S| off its
+average, in 4 applications a step, not 12 or 13 V-cycles.  The rule reads
+only what the solve costs, never a parameter of the matrix.  Where the
+Bloch build refuses (a matrix far from its average), and off the lattice
+(a jittered torus) from the start, the caller's ``coarse``, the P2 -> P1
+interpolation, selects one symmetric multigrid V(1,1)-cycle on the
+symmetric part, whose iteration count does not grow with the mesh.  Level
+0 is Sym, level 1 the Galerkin product R^T Sym R; below that, smoothed
+aggregation (P. Vanek, J. Mandel & M. Brezina, Computing 56, 1996)
+coarsens to at most ``_COARSEST`` unknowns, which one dense inverse solves,
+shifted by a rank-one term where the nullspace is the constants, unless
+aggregation stalls first (see ``_VCycle``).  Every level smooths by
+Jacobi, damped by a Lanczos estimate of the spectral radius of D^-1 A (see
+``_damped_inv_diag``), and folds its post-smoothing into a correction
+operator Q = (I - omega D^-1 A) P formed at set-up, so that a level applies
+A once, R once and Q once.  The set-up takes no random vectors, so it is
+deterministic.
 
 The Rossby operator K = L + M/L_R^2 of ``dynamics.solve_rossby`` is
 stiffness-dominated wherever L_R spans many cells: with L_R/dx = 31.6 on
@@ -70,7 +81,8 @@ the 32 x 64 equilateral torus, L's diagonal is 3.25e4 times M/L_R^2's.  Over
 40 steps of dt = 0.05/|omega| there (f0 = 1e-4, beta = 1e-12, c2 = 1e5,
 tol 1e-13), its Bloch solves took 80 applications from the lattice mode
 (1, 1) and 240 from the bump exp(-|x - x_c|^2 / (4 dx)^2) less its mean,
-x_c the centre of the torus, where Jacobi took 2392 and 36,845.
+x_c the centre of the torus, after the first solve's ``_SWITCH_AFTER``
+Jacobi ones, where Jacobi throughout took 2392 and 36,845.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -100,18 +112,29 @@ _STRENGTH = 0.08
 # 23 above 20 times went 50 to 1131 iterations without one, those below 17 at
 # most 45
 _STALL = 50
-# the loose phase of a nonsymmetric V-cycle solve: the floor of its inner
-# relative tolerance, and the factor by which each of its steps must cut the
-# true residual for the phase to go on.  Over 10 beta-plane workload steps,
-# floors of 1e-2 and 1e-4 took 12.4 and 14.2 V-cycles per step against 12.5;
-# a factor of 0.1 took 33 to 43 % more V-cycles than 0.3 on the tests' Schur
-# complements with the skew part scaled by 10, and 0.5 did no better
+# the loose phase of a nonsymmetric solve with an inexact preconditioner: the
+# floor of its inner relative tolerance, and the factor by which each of its
+# steps must cut the true residual for the phase to go on.  Over 10
+# beta-plane workload steps, floors of 1e-2 and 1e-4 took 12.4 and 14.2
+# V-cycles per step against 12.5; a factor of 0.1 took 33 to 43 % more
+# V-cycles than 0.3 on the tests' Schur complements with the skew part scaled
+# by 10, and 0.5 did no better
 _LOOSE_INNER = 1e-3
 _LOOSE_CUT = 0.3
 # the largest deviation of an entry from its translation average, relative to
 # max|A|, at which _Bloch inverts the average: beta-plane steps took 9.7 against
 # 13.3 ms for the V-cycle at 1.6e-2, 11.5 against 10.5 at 2.1e-2 (CHANGES.md)
 _AVERAGE_WITHIN = 2e-2
+# Jacobi applications in one inner solve after which a solver on a cell torus
+# builds its better preconditioner (Solver._upgrade).  On one thread the
+# Bloch build of M + kappa L costs 33 to 45 Jacobi CG iterations and a Bloch
+# one 2.6 to 3.3 (right 32 x 32 and 48 x 48, equilateral 32 x 64), so the
+# switch repays within 12 solves that take more than 6 to 7 Jacobi
+# applications, within 100 from 3 to 4.  A warm-started step of the
+# converge run takes 4 (set-up and 100 steps at 32 x 32: 68 ms with the
+# switch forced, 72 without; at 16 x 16: 25 and 21), a step of M + kappa L
+# from a random state 26 to 29
+_SWITCH_AFTER = 12
 
 
 class SolverError(RuntimeError):
@@ -129,11 +152,14 @@ class Solver:
     or semi-definite with constant nullspace when ``nullspace=True``; then
     iterates are kept mean-free and solutions have zero coefficient mean.
 
-    ``lattice``, the dof layout ``fem.OperatorSet.cell_layout``, selects the
-    Bloch inverse of the symmetric part's translation average where the part
-    lies near it; otherwise ``coarse``, a sparse prolongation from a coarser
-    space that maps constants to constants, selects the multigrid
-    preconditioner on the symmetric part in place of Jacobi.
+    Solves are preconditioned by Jacobi until one inner solve passes
+    ``_SWITCH_AFTER`` applications; then ``lattice``, the dof layout
+    ``fem.OperatorSet.cell_layout``, selects the Bloch inverse of the
+    symmetric part's translation average where the part lies near it, and
+    otherwise ``coarse``, a sparse prolongation from a coarser space that maps
+    constants to constants, selects the multigrid preconditioner on the
+    symmetric part, for that solve and every later one.  Without ``lattice``
+    that V-cycle is built at once.
     """
 
     def __init__(self, A, nullspace=False, coarse=None, lattice=None):
@@ -146,13 +172,27 @@ class Solver:
         self.max_iter = max(50, 10 * n)
         self._project = (lambda v: v - v.mean()) if nullspace else (lambda v: v)
         self.sym = _symmetric_part(A)
-        self._precondition = None if lattice is None else _Bloch.build(self.sym, lattice, nullspace)
-        if self._precondition is None and coarse is None:
-            self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
-        elif self._precondition is None:
-            self._precondition = _VCycle(self.sym, coarse, nullspace)
-        # a nonsymmetric solve with the V-cycle starts in the loose phase
-        self._loose = isinstance(self._precondition, _VCycle) and self.sym is not A
+        self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
+        self._loose = False
+        # on a cell torus Jacobi runs until an inner solve passes _SWITCH_AFTER
+        # applications; elsewhere the V-cycle, if offered, is built at once
+        self._better = (lattice, coarse, nullspace)
+        if lattice is None:
+            self._upgrade()
+
+    def _upgrade(self):
+        """Replace Jacobi, once, by the Bloch inverse on ``lattice`` or, where
+        that build refuses, by the V-cycle on ``coarse``; with neither keep it."""
+        lattice, coarse, nullspace = self._better
+        self._better = None
+        better = None if lattice is None else _Bloch.build(self.sym, lattice, nullspace)
+        if better is None and coarse is not None:
+            better = _VCycle(self.sym, coarse, nullspace)
+        if better is not None:
+            self._precondition = better
+            # a nonsymmetric solve with an inexact preconditioner starts loose
+            inexact = isinstance(better, _VCycle) or better.averaged
+            self._loose = inexact and self.sym is not self.A
 
     def solve(self, b, tol=1e-12, x0=None):
         """x with |b - A x| <= tol |b|; x0 is an optional initial guess.
@@ -222,19 +262,26 @@ class Solver:
             residual=rnorm / bnorm, iterations=self.max_iter)
 
     def _cg(self, r, tol):
-        """z with |r - Sym z| <= tol |r| by preconditioned conjugate gradients:
-        Jacobi, or the multigrid V-cycle when the solver was given ``coarse``."""
+        """z with |r - Sym z| <= tol |r| by preconditioned conjugate gradients.
+
+        Jacobi-CG that passes ``_SWITCH_AFTER`` iterations with a better
+        preconditioner pending builds it (``_upgrade``) and goes on from z
+        with a fresh search direction."""
         A, precondition, project = self.sym, self._precondition, self._project
         z = np.zeros(self.n)
         r = r.copy()
         r0 = np.linalg.norm(r)
+        start = 0
         for k in range(self.max_iter):
             rel = np.linalg.norm(r) / r0
             if rel <= tol:
                 return project(z)
+            if k == _SWITCH_AFTER and self._better is not None:
+                self._upgrade()
+                precondition, start = self._precondition, k
             s = project(precondition(r))
             rs_new = r @ s
-            p = s if k == 0 else s + (rs_new / rs) * p
+            p = s if k == start else s + (rs_new / rs) * p
             rs = rs_new
             Ap = project(A @ p)
             pAp = p @ Ap
@@ -255,13 +302,21 @@ class Solver:
 def _symmetric_part(A):
     """(A + A^T) / 2, or A itself when its skew part is below 1e-12 max|A|.
 
-    A finite-element matrix has a symmetric sparsity pattern; then A^T has
-    A's index arrays once sorted, the parts are sums of the two data arrays,
-    and the symmetric part shares A's index arrays.  An A with entries that
-    are not finite, from an overflowed time step, is returned as it is, and
-    its solves report a residual that is not finite.
+    An A symmetric by assembly is recognised without a transpose: with
+    sorted indices, the products of A and of its CSC view A^T with one vector
+    add the same terms in the same order, so they agree bitwise, where a
+    transpose and sort would take four times as long (0.2 against 0.9 ms
+    for L on the 48 x 48 torus).  A finite-element matrix has a symmetric
+    sparsity pattern; then A^T has A's index arrays once sorted, the parts
+    are sums of the two data arrays, and the symmetric part shares A's index
+    arrays.  An A with entries that are not finite, from an overflowed time
+    step, is returned as it is, and its solves report a residual that is not
+    finite.
     """
     if not np.isfinite(A.data).all():
+        return A
+    probe = np.cos(2.39996 * np.arange(A.shape[0]))
+    if A.has_sorted_indices and np.array_equal(A @ probe, A.T @ probe):
         return A
     At = A.T.tocsr()
     At.sort_indices()
@@ -417,8 +472,11 @@ class _Bloch:
     s the mean diagonal, for A + s 1 1^T / n as at the coarsest V-cycle level.
     """
 
-    def __init__(self, inverse, perm, shape):
+    def __init__(self, inverse, perm, shape, averaged):
         self.inverse, self.perm, self.shape = inverse, perm, shape
+        # whether A lies off its average by more than rounding, so that the
+        # inverse preconditions A rather than solving it
+        self.averaged = averaged
 
     @classmethod
     def build(cls, A, lattice, nullspace):
@@ -429,8 +487,8 @@ class _Bloch:
         every entry lies within ``_AVERAGE_WITHIN`` max|A| of the average."""
         n1, n2, perm = lattice
         cells = n1 * n2
-        scale = _AVERAGE_WITHIN * np.abs(A.data).max(initial=0.0)
-        if not scale < np.inf:
+        top = np.abs(A.data).max(initial=0.0)
+        if not top < np.inf:
             return None
         # entry (r, s) is T[c, c', d] with d = (i_s - i_r, j_s - j_r) mod (n1, n2);
         # in T tiled to offsets -n1 < d1 < n1, -n2 < d2 < n2 its flat index is
@@ -457,14 +515,18 @@ class _Bloch:
         mean = np.bincount(where, values, 64 * cells).reshape(4, 4, 2, n1, 2, n2).sum(axis=(2, 4))
         mean /= cells
         values -= np.tile(mean, (2, 2)).reshape(-1)[where]
-        if not (np.abs(values, out=values).max(initial=0.0) <= scale and np.array_equal(
+        deviation = np.abs(values, out=values).max(initial=0.0)
+        if not (deviation <= _AVERAGE_WITHIN * top and np.array_equal(
                 held, np.count_nonzero(stencil.reshape(4, -1), axis=1)[kind])):
             return None
         blocks = np.fft.rfft2(stencil - mean).conj().transpose(2, 3, 0, 1)
         if nullspace:
             blocks[0, 0] += A.diagonal()[perm].mean() / 4.0
         inverse = np.linalg.inv(blocks).transpose(2, 3, 0, 1)
-        return cls(np.ascontiguousarray(inverse), perm, (n1, n2))
+        # the entries of an invariant A vary across cells by rounding (2.8e-14
+        # of max|L| on the 32 x 64 equilateral torus)
+        averaged = deviation > 1e-12 * top
+        return cls(np.ascontiguousarray(inverse), perm, (n1, n2), averaged)
 
     def __call__(self, r):
         R = np.fft.rfft2(r[self.perm].reshape(4, *self.shape))

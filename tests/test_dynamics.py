@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -28,6 +29,7 @@ from .oracles import (
     p2_point_value,
     random_field,
 )
+from .test_linalg import _bloch_count, _count_iterations
 
 
 def _random_state(mesh, seed=0):
@@ -727,9 +729,11 @@ def test_rossby_frequencies_converge_at_third_order_on_jittered_tori(seed):
 OCEAN = dict(f0=1e-4, c2=1e5)
 
 
-def _uses_multigrid(mesh, dt, params):
-    solver = dynamics._stepper(mesh, dt, params).solver
-    return isinstance(solver._precondition, linalg._VCycle)
+def _stepped_preconditioner(mesh, dt, params):
+    """The preconditioner of the step's solver after one step from a random
+    state, by which a solver on a cell torus has left Jacobi if it is slow."""
+    dynamics.step_midpoint(_random_state(mesh, seed=44), dt, params)
+    return dynamics._stepper(mesh, dt, params).solver._precondition
 
 
 def _transit_dt(n):
@@ -738,44 +742,88 @@ def _transit_dt(n):
     return 2.0 * math.pi / abs(spec.omega(params)) / math.ceil(96.0 * (n / 8) ** 1.5)
 
 
-@pytest.mark.parametrize("case", ["fplane-diag", "transit-8", "transit-32", "cli-default"])
-def test_mass_dominated_steps_keep_jacobi(case):
-    mesh, dt, params = {
-        "fplane-diag": lambda: (build_right_triangle_torus(48, 48, 48.0, 48.0), 0.1,
-                                SweParams(f0=1.0, c2=1.0)),
-        "transit-8": lambda: (build_right_triangle_torus(8, 8, 1.0, 1.0), _transit_dt(8),
-                              SweParams(f0=math.pi, c2=1.0)),
-        "transit-32": lambda: (build_right_triangle_torus(32, 32, 1.0, 1.0), _transit_dt(32),
-                               SweParams(f0=math.pi, c2=1.0)),
-        "cli-default": lambda: (build_equilateral_torus(8, 8, 1.0), 0.1, SweParams(f0=1.0, c2=1.0)),
-    }[case]()
-    assert not _uses_multigrid(mesh, dt, params)
+SWITCH_CASES = {
+    # (mesh, dt, params, initial state); stiffness ratios 0.081, 0.081, 0.045, 0.011
+    "fplane-diag": lambda: (build_right_triangle_torus(48, 48, 48.0, 48.0), 0.1,
+                            SweParams(f0=1.0, c2=1.0), "random"),
+    "cli-default": lambda: (build_equilateral_torus(8, 8, 1.0), 0.1, SweParams(f0=1.0, c2=1.0),
+                            "random"),
+    "transit-8": lambda: (build_right_triangle_torus(8, 8, 1.0, 1.0), _transit_dt(8),
+                          SweParams(f0=math.pi, c2=1.0), "wave"),
+    "transit-32": lambda: (build_right_triangle_torus(32, 32, 1.0, 1.0), _transit_dt(32),
+                           SweParams(f0=math.pi, c2=1.0), "wave"),
+}
+
+
+@pytest.mark.parametrize("case", list(SWITCH_CASES))
+def test_slow_jacobi_solves_switch_to_bloch(case):
+    # the solver reads a solve's own Jacobi work, not the stiffness ratio.
+    # From transit's plane-wave states every solve takes 4 Jacobi
+    # applications, below linalg._SWITCH_AFTER, and no Bloch inverse is
+    # built; from random states the first solve passes the count (Jacobi
+    # took 27), switches, and one Bloch application then solves M + kappa L
+    mesh, dt, params, init = SWITCH_CASES[case]()
+    solver = dynamics._stepper(mesh, dt, params).solver
+    calls = _count_iterations(solver)
+    if init == "wave":
+        spec = PlaneWaveSpec(k=(2.0 * math.pi, 0.0))
+        for mode in ("collocated", "projected"):
+            state = dynamics._initial_state(mesh, mode, spec, params)
+            for _ in range(5):
+                del calls[:]
+                state = dynamics.step_midpoint(state, dt, params, tol=1e-12)
+                assert 0 < len(calls) < linalg._SWITCH_AFTER
+        assert _bloch_count(calls) == 0 and solver._better is not None
+        return
+    state = _random_state(mesh, seed=45)
+    for step in range(4):
+        del calls[:]
+        state = dynamics.step_midpoint(state, dt, params, tol=1e-12)
+        jacobi = linalg._SWITCH_AFTER if step == 0 else 0
+        assert len(calls) - jacobi == _bloch_count(calls) <= 2
+        assert _bloch_count(calls) > 0
 
 
 @pytest.mark.parametrize("beta,dt", [(1e-12, 600.0), (1e-10, 6e3), (0.0, 6e3), (0.0, 6e4)])
 def test_stiffness_dominated_steps_use_multigrid(beta, dt):
     # beta-plane at the workload's dt = 600 s (Courant number 1.9), and the
     # f-plane at large dt, where kappa = c2 dt^2 / (4 (1 + gamma^2)) nears c2 / f0^2.
-    # The f-plane's S = M + kappa L is translation invariant on the lattice and
-    # takes the exact Bloch solve.  The beta-plane's f = f0 + beta y is not: at
-    # beta = 1e-12 S deviates from its translation average by 2.4e-5 of max|S|
-    # and takes the Bloch inverse of the average; at beta = 1e-10 and dt = 6e3
-    # by 0.27, past linalg._AVERAGE_WITHIN, and takes the V-cycle, as does S on
-    # the same torus jittered
+    # On the lattice the first step's Jacobi iterations pass the count.  The
+    # f-plane's S = M + kappa L is translation invariant there and takes the
+    # exact Bloch solve.  The beta-plane's f = f0 + beta y is not: at beta =
+    # 1e-12 S deviates from its translation average by 2.4e-5 of max|S| and
+    # takes the Bloch inverse of the average; at beta = 1e-10 and dt = 6e3 by
+    # 0.27, past linalg._AVERAGE_WITHIN, and takes the V-cycle.  S on the same
+    # torus jittered takes the V-cycle at construction
     params = SweParams(beta=beta, **OCEAN)
     lattice = build_equilateral_torus(16, 32, 1e5)
-    solver = dynamics._stepper(lattice, dt, params).solver
-    assert isinstance(solver._precondition, linalg._VCycle if beta == 1e-10 else linalg._Bloch)
+    assert isinstance(dynamics._stepper(lattice, dt, params).solver._precondition, functools.partial)
+    B = _stepped_preconditioner(lattice, dt, params)
+    assert isinstance(B, linalg._VCycle if beta == 1e-10 else linalg._Bloch)
     unit = jittered_torus(16, seed=2)
     jittered = Mesh(1.6e6 * unit.vertices, unit.triangles, unit.shifts, 1.6e6 * unit.lattice)
-    assert _uses_multigrid(jittered, dt, params)
+    assert isinstance(dynamics._stepper(jittered, dt, params).solver._precondition, linalg._VCycle)
+
+
+def test_refused_lattice_steps_take_the_vcycle_at_any_stiffness():
+    # beta = 3e-9 at dt = 100 s: stiffness ratio 0.77, far below
+    # _MULTIGRID_ABOVE, but S lies 4.0e-2 of max|S| off its translation
+    # average.  On the lattice the first solve's Jacobi iterations pass the
+    # count, the Bloch build refuses, and the V-cycle takes over; off it the
+    # ratio keeps Jacobi
+    params, dt = SweParams(beta=3e-9, **OCEAN), 100.0
+    lattice = build_equilateral_torus(16, 32, 1e5)
+    assert isinstance(_stepped_preconditioner(lattice, dt, params), linalg._VCycle)
+    unit = jittered_torus(16, seed=2)
+    jittered = Mesh(1.6e6 * unit.vertices, unit.triangles, unit.shifts, 1.6e6 * unit.lattice)
+    assert isinstance(_stepped_preconditioner(jittered, dt, params), functools.partial)
 
 
 def test_large_courant_step_matches_dense_oracle():
     # Courant number sqrt(c2) dt / h = 19; 8 x 16 keeps the dense oracle small
     mesh = build_equilateral_torus(8, 16, 1e5)
     params, dt = SweParams(beta=1e-10, **OCEAN), 6e3
-    assert _uses_multigrid(mesh, dt, params)
+    assert isinstance(_stepped_preconditioner(mesh, dt, params), linalg._VCycle)
     state = _random_state(mesh, seed=42)
     u, eta = state.u.coeffs, state.eta.coeffs
     e0 = dynamics.energy(state, params)
@@ -787,20 +835,19 @@ def test_large_courant_step_matches_dense_oracle():
         assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
 
 
-def test_large_courant_multigrid_step_matches_jacobi(monkeypatch):
+def test_large_courant_multigrid_step_matches_jacobi():
     # the same Courant number on 16 x 32, whose hierarchy has an aggregated level
     mesh = build_equilateral_torus(16, 32, 1e5)
     params, dt = SweParams(beta=1e-10, **OCEAN), 6e3
-    multigrid = dynamics._Stepper(mesh, dt, params)
-    monkeypatch.setattr(dynamics, "_MULTIGRID_ABOVE", np.inf)
-    jacobi = dynamics._Stepper(mesh, dt, params)
-    assert len(multigrid.solver._precondition.levels) == 2
-    assert not isinstance(jacobi.solver._precondition, linalg._VCycle)
+    multigrid, jacobi = dynamics._Stepper(mesh, dt, params), dynamics._Stepper(mesh, dt, params)
+    jacobi.solver = linalg.Solver(jacobi.solver.A)
     state = ref = _random_state(mesh, seed=43)
     e0 = dynamics.energy(state, params)
     for _ in range(5):
         state, ref = multigrid.step(state, 1e-12), jacobi.step(ref, 1e-12)
         assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+    assert len(multigrid.solver._precondition.levels) == 2
+    assert isinstance(jacobi.solver._precondition, functools.partial)
     for a, b in ((state.u, ref.u), (state.eta, ref.eta)):
         assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-10 * np.linalg.norm(b.coeffs)
 

@@ -198,11 +198,34 @@ def _mean_free(rng, n):
 
 
 def _count_iterations(solver):
-    """Wrap the solver's preconditioner; the list grows by one per CG iteration."""
+    """Wrap the solver's preconditioner, and the one it switches to; the list
+    grows by the preconditioner applied at each CG iteration."""
     calls = []
-    precondition = solver._precondition
-    solver._precondition = lambda r: calls.append(1) or precondition(r)
+
+    def wrap():
+        precondition = solver._precondition
+        solver._precondition = lambda r: calls.append(precondition) or precondition(r)
+
+    def upgrade(upgrade=solver._upgrade):
+        before = solver._precondition
+        upgrade()
+        if solver._precondition is not before:
+            wrap()
+
+    wrap()
+    solver._upgrade = upgrade
     return calls
+
+
+def _bloch_count(calls):
+    return sum(isinstance(p, linalg._Bloch) for p in calls)
+
+
+def _upgraded(solver):
+    """The solver with its better preconditioner built at once, as a solve
+    builds it once Jacobi passes linalg._SWITCH_AFTER applications."""
+    solver._upgrade()
+    return solver
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,13 +282,18 @@ def test_multigrid_iterations_do_not_grow(kind, n):
 
 
 def test_small_mesh_is_solved_in_one_step():
+    # the first solve switches from Jacobi to the Bloch solve, which then
+    # solves in one application
     ops = fem.operators(TORI["right"](8))
     assert ops.p2.n_dofs <= 300
     calls = _count_iterations(ops.L_solver)
-    b = _mean_free(np.random.default_rng(8), ops.p2.n_dofs)
-    x = ops.L_solver.solve(b, tol=1e-12)
-    assert len(calls) == 1
-    assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
+    rng = np.random.default_rng(8)
+    for jacobi in (linalg._SWITCH_AFTER, 0):
+        del calls[:]
+        b = _mean_free(rng, ops.p2.n_dofs)
+        x = ops.L_solver.solve(b, tol=1e-12)
+        assert len(calls) == jacobi + 1 and _bloch_count(calls) == 1
+        assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_stalled_solve_fails_fast():
@@ -315,7 +343,7 @@ def test_bloch_solves_lattice_matrices_exactly(mesh, matrix):
     # (L) applications to reach 1e-13
     ops = _bloch_operators(mesh)
     A, nullspace = _lattice_matrix(ops, matrix)
-    solver = Solver(A, nullspace=nullspace, lattice=ops.cell_layout)
+    solver = _upgraded(Solver(A, nullspace=nullspace, lattice=ops.cell_layout))
     assert isinstance(solver._precondition, linalg._Bloch)
     calls = _count_iterations(solver)
     b = np.random.default_rng(15).standard_normal(ops.p2.n_dofs)
@@ -333,7 +361,7 @@ def test_bloch_solves_lattice_matrices_exactly(mesh, matrix):
 def test_bloch_solve_is_symmetric_positive_definite(mesh, matrix, seed):
     ops = _bloch_operators(mesh)
     A, nullspace = _lattice_matrix(ops, matrix)
-    B = Solver(A, nullspace=nullspace, lattice=ops.cell_layout)._precondition
+    B = _upgraded(Solver(A, nullspace=nullspace, lattice=ops.cell_layout))._precondition
     rng = np.random.default_rng(seed)
     x, y = _mean_free(rng, ops.p2.n_dofs), _mean_free(rng, ops.p2.n_dofs)
     Bx, By = B(x), B(y)
@@ -382,7 +410,7 @@ def test_bloch_inverts_the_translation_average(case):
     # these matrices are not translation invariant, but their symmetric parts
     # lie within _AVERAGE_WITHIN of their averages, whose inverse preconditions
     A, nullspace, layout = AVERAGED[case]()
-    solver = Solver(A, nullspace=nullspace, lattice=layout)
+    solver = _upgraded(Solver(A, nullspace=nullspace, lattice=layout))
     assert isinstance(solver._precondition, linalg._Bloch)
     rng = np.random.default_rng(16)
     x = rng.standard_normal(A.shape[0])
@@ -435,11 +463,44 @@ def test_bloch_is_refused_and_the_solve_still_passes(case, monkeypatch):
     else:
         assert linalg._Bloch.build(Solver(A).sym, layout, nullspace) is None
     solver = Solver(A, nullspace=nullspace, coarse=coarse, lattice=layout)
-    assert isinstance(solver._precondition, linalg._VCycle)
     b = np.random.default_rng(16).standard_normal(A.shape[0])
     b = b - b.mean() if nullspace else b
     x = solver.solve(b, tol=1e-12)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    # the solve's Jacobi iterations passed the count; the V-cycle took over
+    assert isinstance(solver._precondition, linalg._VCycle)
+
+
+@pytest.mark.parametrize("matrix", ["M+kappa L", "L"])
+def test_a_solve_that_switches_midway_agrees_with_jacobi(matrix):
+    # the inner solve goes on from its Jacobi iterate under the Bloch solve
+    ops = _bloch_operators("right-16")
+    A, nullspace = _lattice_matrix(ops, matrix)
+    solver = Solver(A, nullspace=nullspace, lattice=ops.cell_layout)
+    calls = _count_iterations(solver)
+    b = np.random.default_rng(17).standard_normal(ops.p2.n_dofs)
+    b = b - b.mean() if nullspace else b
+    x = solver.solve(b, tol=1e-12)
+    jacobi = len(calls) - _bloch_count(calls)
+    assert jacobi == linalg._SWITCH_AFTER and isinstance(calls[-1], linalg._Bloch)
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+    ref = Solver(A, nullspace=nullspace)
+    assert isinstance(ref._precondition, functools.partial)
+    x_ref = ref.solve(b, tol=1e-12)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("case", ["beta-plane-past-the-average", "renumbered"])
+def test_refused_bloch_without_coarse_keeps_jacobi(case):
+    # offered no V-cycle, the solver keeps Jacobi and never builds again
+    A, nullspace, layout, _ = REFUSED[case]()
+    solver = Solver(A, nullspace=nullspace, lattice=layout)
+    b = np.random.default_rng(16).standard_normal(A.shape[0])
+    b = b - b.mean() if nullspace else b
+    for _ in range(2):
+        x = solver.solve(b, tol=1e-12)
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        assert isinstance(solver._precondition, functools.partial) and solver._better is None
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -452,11 +513,12 @@ def test_bloch_refuses_a_matrix_that_is_not_finite(value):
 
 
 @functools.lru_cache(maxsize=None)
-def _ocean_operators(kind, n):
-    """The operators of an n x n torus of 100 km cells."""
+def _ocean_operators(kind, n1, n2=None):
+    """The operators of an n1 x n2 torus of 100 km cells, square by default."""
+    n2 = n2 or n1
     if kind == "right":
-        return fem.operators(build_right_triangle_torus(n, n, n * 1e5, n * 1e5))
-    return fem.operators(build_equilateral_torus(n, n, 1e5))
+        return fem.operators(build_right_triangle_torus(n1, n2, n1 * 1e5, n2 * 1e5))
+    return fem.operators(build_equilateral_torus(n1, n2, 1e5))
 
 
 @settings(max_examples=30, deadline=None)
@@ -469,7 +531,7 @@ def test_averaged_bloch_solve_is_symmetric_positive_definite(kind, n, beta, dt, 
     # dt = 3000 s on the 16 x 16 right torus)
     ops = _ocean_operators(kind, n)
     stepper = dynamics._Stepper(ops.p2.mesh, dt, SweParams(f0=1e-4, beta=beta, c2=1e5))
-    B = stepper.solver._precondition
+    B = _upgraded(stepper.solver)._precondition
     assert isinstance(B, linalg._Bloch)
     rng = np.random.default_rng(seed)
     x, y = _mean_free(rng, ops.p2.n_dofs), _mean_free(rng, ops.p2.n_dofs)
@@ -593,17 +655,68 @@ def test_lanczos_damping_takes_fewer_vcycles_per_beta_plane_step():
 
 def test_beta_plane_step_takes_few_bloch_applications():
     # the set-up above: the symmetric part of S deviates from its translation
-    # average by 4.9e-5 of max|S|, and the stepper's Bloch inverse of the
-    # average takes 8 applications per step against 12 to 13 V-cycles
+    # average by 4.9e-5 of max|S|.  The first step's Jacobi iterations pass
+    # the count, and the stepper switches to the Bloch inverse of the
+    # average; then the loose phase takes 4 applications per step, where
+    # exact CGW took 8 and the V-cycle 12 to 13
     stepper, params, state = _workload_step()
-    assert isinstance(stepper.solver._precondition, linalg._Bloch)
     calls = _count_iterations(stepper.solver)
     e0 = dynamics.energy(state, params)
+    state = stepper.step(state, 1e-12)
+    assert calls[:linalg._SWITCH_AFTER] == [calls[0]] * linalg._SWITCH_AFTER
+    assert _bloch_count(calls) == len(calls) - linalg._SWITCH_AFTER
+    assert stepper.solver._loose and calls[-1].averaged
     for _ in range(3):
         del calls[:]
         state = stepper.step(state, 1e-12)
-        assert 0 < len(calls) <= 10
+        assert 0 < _bloch_count(calls) == len(calls) <= 5
         assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+
+
+@functools.lru_cache(maxsize=None)
+def _strong_skew_schur():
+    """The beta-plane Schur complement of the 16 x 32 equilateral torus of
+    100 km cells at beta = 1e-11 and dt = 3000 s (f0 = 1e-4, c2 = 1e5): it
+    deviates from its translation average by 6.9e-3 of max|S|, and
+    |Sym^-1 Skew| is near 1.9e-2, 26 times the workload step's."""
+    ops = _ocean_operators("equilateral", 16, 32)
+    params = SweParams(f0=1e-4, beta=1e-11, c2=1e5)
+    return dynamics._Stepper(ops.p2.mesh, 3e3, params).solver.A, ops.cell_layout
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("scale", [1, 10, 100, 1000])
+def test_loose_bloch_solve_meets_the_true_residual_for_a_strong_skew_part(scale, tol):
+    # the loose phase under the averaged Bloch inverse: its steps stop cutting
+    # the residual by _LOOSE_CUT, and exact CGW takes over and meets tol
+    S, layout = _strong_skew_schur()
+    A = (0.5 * (S + S.T) + (0.5 * scale) * (S - S.T)).tocsr()
+    solver = _upgraded(Solver(A, lattice=layout))
+    assert solver._loose and solver._precondition.averaged
+    b = np.random.default_rng(9).standard_normal(S.shape[0])
+    x = solver.solve(b, tol=tol)
+    assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind,n1,n2", [("equilateral", 32, 64), ("right", 48, 48)])
+def test_loose_bloch_step_matches_jacobi_at_a_strong_skew_part(kind, n1, n2):
+    # beta = 1e-11 and dt = 3000 s on the crossover tori of the averaged
+    # Bloch solve (32 x 64 equilateral, 48 x 48 right): deviations 1.6e-2 and
+    # 1.3e-2 of max|S|, the largest that the build accepts there
+    ops = _ocean_operators(kind, n1, n2)
+    mesh, params, dt = ops.p2.mesh, SweParams(f0=1e-4, beta=1e-11, c2=1e5), 3e3
+    stepper, jacobi = dynamics._Stepper(mesh, dt, params), dynamics._Stepper(mesh, dt, params)
+    jacobi.solver = Solver(stepper.solver.A)
+    rng = np.random.default_rng(46)
+    state = ref = dynamics.State(fem.Field(ops.v, rng.standard_normal(ops.v.n_dofs)),
+                                 fem.Field(ops.p2, rng.standard_normal(ops.p2.n_dofs)), 0.0)
+    e0 = dynamics.energy(state, params)
+    for _ in range(3):
+        state, ref = stepper.step(state, 1e-12), jacobi.step(ref, 1e-12)
+        assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+    assert stepper.solver._loose and isinstance(stepper.solver._precondition, linalg._Bloch)
+    for a, b in ((state.u, ref.u), (state.eta, ref.eta)):
+        assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-10 * np.linalg.norm(b.coeffs)
 
 
 def _exact_jacobi_radius(A):
@@ -644,9 +757,11 @@ def _rossby_start(mesh, ops, start, psi_hat):
 @pytest.mark.parametrize("start,per_step", [("mode", 3), ("bump", 8)])
 def test_rossby_trajectory_takes_few_bloch_applications(monkeypatch, start, per_step):
     # K = L + M / L_R^2 is translation invariant on the beta-plane workload's
-    # 32 x 64 torus, so each of 40 steps solves it exactly by Bloch blocks: 80
-    # applications from the lattice mode (1, 1) and 240 from the bump.
-    # Jacobi took 2392 and 36,845 (60 and 921 per step)
+    # 32 x 64 torus.  The first inner solve switches from Jacobi to its Bloch
+    # blocks, and the 40 steps take 80 Bloch applications from the lattice
+    # mode (1, 1) and 240 from the bump.  Jacobi took 2392 and 36,845 (60 and
+    # 921 per step).  The symmetric part K is exactly invariant, so the solves
+    # keep exact CGW from the start
     mesh = build_equilateral_torus(32, 64, 1e5)
     ops = fem.operators(mesh)
     params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
@@ -656,15 +771,18 @@ def test_rossby_trajectory_takes_few_bloch_applications(monkeypatch, start, per_
     class CountingSolver(Solver):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            assert isinstance(self._precondition, linalg._Bloch)
-            counted.append(_count_iterations(self))
+            # Jacobi, with the Bloch solve pending
+            assert self._better is not None
+            counted.append((self, _count_iterations(self)))
 
     monkeypatch.setattr(linalg, "Solver", CountingSolver)
     dt = 0.05 / abs(omega)
     psi0 = fem.Field(ops.p2, _rossby_start(mesh, ops, start, psi_hat))
     traj = dynamics.solve_rossby(psi0, dt=dt, T=40 * dt, params=params)
-    [calls] = counted
-    assert 0 < len(calls) <= 40 * per_step
+    [(solver, calls)] = counted
+    assert isinstance(calls[-1], linalg._Bloch) and not solver._loose
+    assert len(calls) - _bloch_count(calls) == linalg._SWITCH_AFTER
+    assert 0 < _bloch_count(calls) <= 40 * per_step
     assert np.ptp(traj.invariant) <= 1e-12 * traj.invariant[0]
 
 
