@@ -3,7 +3,9 @@
 The 1x1 equilateral torus (``mesh._equilateral_cells``) is one periodic
 cell: two unit-edge triangles, one up and one down, and 4 quadratic dofs,
 one vertex and three edge midpoints, which are the 4 translation classes of
-the lattice's nodes.  A Bloch phase reduces the lattice operators to 4x4
+the lattice's nodes.  ``lattice_dof_classes`` reads them from
+``fem._cell_layout``, in any face order, on this cell and on the tori of the
+lattice modes alike.  A Bloch phase reduces the lattice operators to 4x4
 matrices whose eigenvalues give the discrete dispersion relation:
 inertia-gravity branches from the mass and stiffness reductions, Rossby
 branches from the directional-derivative reductions.  Closed-form
@@ -60,11 +62,6 @@ __all__ = [
 
 _S3 = math.sqrt(3.0)
 
-# class, in the order of the closed-form 4x4 blocks (0 x-edge midpoints,
-# 1 oblique and 2 anti-oblique midpoints, 3 vertices), of each P2 dof of the
-# one-cell torus: its vertex, then its oblique, anti-oblique and x-edge
-_CELL_CLASS = np.array([3, 1, 2, 0])
-
 # zone points per batched evaluation; bounds the temporaries of a sweep.  On
 # the dispersion benchmark (2-core Xeon, one BLAS thread), blocks of 64 peak
 # at 61.3-61.5 MB.  One block of all 672 points of the ngrid-32 sweeps peaked
@@ -89,7 +86,7 @@ def _displacement_table(quad_degree=4):
     Row j of C, read as (4, 4, 4), holds in column (x, class_n, class_m)
     3 times the sum of the element-block entries X[x][n, m] (mass, stiffness,
     d/dx, d/dy) of the one cell's two faces whose displacement xi_m - xi_n is
-    d[j]; the 4 dofs of the cell are mapped to the classes by _CELL_CLASS.
+    d[j]; the 4 dofs of the cell take their classes from lattice_dof_classes.
     Nodes sit at exact integer keys in half-lattice units from the corner
     shifts s (the cell's one vertex is the origin): 2 s at a corner and
     s_a + s_b at the midpoint of the side from corner a to corner b.  Pairs
@@ -108,7 +105,7 @@ def _displacement_table(quad_degree=4):
     half = np.concatenate([2 * s, s[:, [1, 2, 0]] + s[:, [2, 0, 1]]], axis=1)
     keys = (half[:, None, :] - half[:, :, None]).reshape(-1, 2)
     _, first, row = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    classes = _CELL_CLASS[fem.P2Space(cell).cell_dofs()]
+    classes = lattice_dof_classes(cell)[fem.P2Space(cell).cell_dofs()]
     C = np.zeros((len(first), 4, 4, 4))
     np.add.at(C, (row.reshape(2, 1, 6, 6), np.arange(4)[:, None, None],
                   classes[:, None, :, None], classes[:, None, None, :]), blocks)
@@ -420,41 +417,35 @@ def sweep_brillouin(n_grid, kind, params, fhat=(0.0, 1.0), dx=1.0):
 # lattice-compatible modes for cross-validation against time stepping
 
 
-def _mesh_dx(mesh):
-    X = mesh.corner_coords()
-    return float(np.linalg.norm(X[0, 1] - X[0, 0]))
+def _equilateral_classes(mesh):
+    """dx and lattice_dof_classes of an equilateral torus."""
+    layout = fem._cell_layout(fem.P2Space(mesh))
+    if layout is not None:
+        n1, n2, perm = layout
+        dx = float(np.linalg.norm(mesh.lattice[0]) / n1)
+        rows = dx * np.array([[n1, 0.0], [0.5 * n2, 0.5 * _S3 * n2]])
+        sides = np.linalg.norm(np.diff(mesh.corner_coords()[:, [0, 1, 2, 0]], axis=1), axis=-1)
+        if max(np.abs(mesh.lattice - rows).max(), np.abs(sides - dx).max()) <= 1e-9 * dx:
+            return dx, np.repeat([3, 0, 1, 2], n1 * n2)[np.argsort(perm)]
+    raise ParameterError("mesh is not a torus of translated equilateral cells")
 
 
 def lattice_dof_classes(mesh):
-    """Translation class of every P2 dof on an equilateral torus.
-
-    Faces 2c and 2c + 1 must be the one cell's two faces, scaled by dx and
-    translated (the face order of build_equilateral_torus); their dofs take
-    the classes of the cell's dofs in the same local places.  ParameterError
-    otherwise.
-    """
-    cell = _equilateral_cells(1, 1, 1.0)
-    cell_classes = _CELL_CLASS[fem.P2Space(cell).cell_dofs()]
-    dx = _mesh_dx(mesh)
-    space = fem.P2Space(mesh)
-    if mesh.n_f % 2 == 0:
-        offset = mesh.corner_coords().reshape(-1, 2, 3, 2) - dx * cell.corner_coords()
-        dofs = space.cell_dofs().reshape(-1, 2, 6)
-        classes = np.empty(space.n_dofs, dtype=np.intp)
-        classes[dofs] = cell_classes
-        # translates, and no dof shared by faces with different classes
-        translated = np.abs(offset - offset[:, :, :1]).max() <= 1e-9 * dx
-        if translated and np.all(classes[dofs] == cell_classes):
-            return classes
-    raise ParameterError("mesh faces are not translates of the equilateral cell's faces")
+    """Translation class of every P2 dof on an equilateral torus, in the order
+    of the closed-form blocks (0 x-edge, 1 oblique and 2 anti-oblique
+    midpoints, 3 vertices): ``fem._cell_layout``'s vertex, first edge, second
+    edge and diagonal are 3, 0, 1 and 2, once the lattice rows are n1 dx (1, 0)
+    and n2 dx (1/2, sqrt(3)/2) and every face side is dx.  ParameterError on
+    other tori: right, jittered, rotated or split along the long diagonal."""
+    return _equilateral_classes(mesh)[1]
 
 
 def _lattice_phases(mesh, m1, m2):
     """dx, the wave vector k of torus mode (m1, m2), the P2 dof classes and
     the phases exp(i k . x) at the dofs."""
-    classes = lattice_dof_classes(mesh)
+    dx, classes = _equilateral_classes(mesh)
     k = reciprocal_wavevector(mesh, m1, m2)
-    return _mesh_dx(mesh), k, classes, np.exp(1j * (fem.P2Space(mesh).dof_points() @ k))
+    return dx, k, classes, np.exp(1j * (fem.P2Space(mesh).dof_points() @ k))
 
 
 def lattice_gravity_mode(mesh, m1, m2, params, branch=0):

@@ -196,7 +196,7 @@ class _Stepper:
         if params.beta == 0.0:
             gamma = 0.5 * params.f0 * dt
             # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
-            # so a huge dt reaches the solver's finiteness check
+            # so a huge dt reaches the solver, which refuses the matrix
             scale = 1.0 + gamma * gamma
             R = self.node_rotation = np.array([[1.0, gamma], [-gamma, 1.0]]) / scale
             W = np.kron(np.eye(3), R)
@@ -226,13 +226,12 @@ class _Stepper:
         self.couple.data *= 0.5 * dt
         # the mean of (S_ii - M_ii) / M_ii.  S_ii >= M_ii > 0, but an overflowed
         # S has entries of both signs on its diagonal, whose abs keeps the sum
-        # from inf - inf; the inf or nan that remains keeps Jacobi, and the
-        # solver's finiteness check reports the overflow
+        # from inf - inf and its warning; the solver refuses such an S
         stiffness = np.mean(abs(S.diagonal()) / ops.M.diagonal()) - 1.0
         # on a cell torus the solver builds the V-cycle only once Jacobi has
         # proved slow and the Bloch build refused, so it is offered at any ratio
         lattice = ops.cell_layout
-        offer = stiffness < np.inf and (lattice is not None or stiffness > _MULTIGRID_ABOVE)
+        offer = lattice is not None or stiffness > _MULTIGRID_ABOVE
         self.solver = linalg.Solver(S, coarse=ops.p1_prolongation if offer else None,
                                     lattice=lattice)
 
@@ -478,8 +477,8 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
 
     # (K - beta dt D/2) psi_{n+1} = (K + beta dt D/2) psi_n
     half = 0.5 * params.beta * dt
-    solver = linalg.Solver(sp.csr_matrix((K.data - half * D.data, M.indices, M.indptr),
-                                         shape=M.shape), lattice=ops.cell_layout)
+    A = sp.csr_matrix((K.data - half * D.data, M.indices, M.indptr), shape=M.shape)
+    solver = linalg.Solver(A, coarse=ops.p1_prolongation, lattice=ops.cell_layout)
     n_steps = max(1, round(T / dt))
     psis = np.empty((n_steps + 1, ops.p2.n_dofs))
     psis[0] = psi = psi0.coeffs

@@ -390,6 +390,29 @@ def project_p2vec_to_p1dg(ux, uy, vspace=None):
 # shared operator bundle
 
 
+def _cell_layout(space):
+    """(n1, n2, perm) if the P2 space's mesh is a torus of n1 x n2 translated
+    cells, else None; perm orders the dofs by class, then by cell i n2 + j.
+    In cell coordinates from vertex 0 such dofs lie on the half-integer grid,
+    whatever the face order, and the parities of their two coordinates give
+    their class: vertex, first edge, second edge (along the lattice rows) or
+    diagonal."""
+    mesh = space.mesh
+    frac = (space.dof_points() - mesh.vertices[0]) @ np.linalg.inv(mesh.lattice)
+    frac -= np.rint(frac)
+    # the cell sides are the least nonzero vertex fractions, 1/n1 and 1/n2
+    side = [abs(f[abs(f) > 0.25 / mesh.n_v]).min(initial=1.0) for f in frac[:mesh.n_v].T]
+    n1, n2 = np.rint(1.0 / np.array(side)).astype(int)
+    half = 2.0 * frac * (n1, n2)
+    grid = np.rint(half).astype(np.intp)
+    cell = grid // 2 % (n1, n2)
+    key = (grid[:, 0] % 2 + 2 * (grid[:, 1] % 2)) * mesh.n_v + cell[:, 0] * n2 + cell[:, 1]
+    perm = np.argsort(key)
+    # every point on the grid, and one dof per class and cell
+    ok = n1 * n2 == mesh.n_v and abs(half - grid).max() <= 1e-6
+    return (n1, n2, perm) if ok and np.array_equal(key[perm], np.arange(len(key))) else None
+
+
 @dataclass(eq=False)
 class OperatorSet:
     p2: P2Space
@@ -421,24 +444,8 @@ class OperatorSet:
 
     @functools.cached_property
     def cell_layout(self):
-        """(n1, n2, perm) if the mesh is a torus of n1 x n2 translated cells, else
-        None; perm orders the P2 dofs by class, then by cell i n2 + j.  In cell
-        coordinates from vertex 0 such dofs lie on the half-integer grid, and
-        the parities of their two coordinates give their class."""
-        mesh = self.p2.mesh
-        frac = (self.p2.dof_points() - mesh.vertices[0]) @ np.linalg.inv(mesh.lattice)
-        frac -= np.rint(frac)
-        # the cell sides are the least nonzero vertex fractions, 1/n1 and 1/n2
-        side = [abs(f[abs(f) > 0.25 / mesh.n_v]).min(initial=1.0) for f in frac[:mesh.n_v].T]
-        n1, n2 = np.rint(1.0 / np.array(side)).astype(int)
-        half = 2.0 * frac * (n1, n2)
-        grid = np.rint(half).astype(np.intp)
-        cell = grid // 2 % (n1, n2)
-        key = (grid[:, 0] % 2 + 2 * (grid[:, 1] % 2)) * mesh.n_v + cell[:, 0] * n2 + cell[:, 1]
-        perm = np.argsort(key)
-        # every point on the grid, and one dof per class and cell
-        ok = n1 * n2 == mesh.n_v and abs(half - grid).max() <= 1e-6
-        return (n1, n2, perm) if ok and np.array_equal(key[perm], np.arange(len(key))) else None
+        """``_cell_layout`` of the P2 space, built once per mesh."""
+        return _cell_layout(self.p2)
 
     @functools.cached_property
     def L_solver(self):

@@ -13,9 +13,10 @@ with w_1 = 1 and w_{k+1} = 1 / (1 + rho_k / (rho_{k-1} w_k)), rho_k = z_k . r_k
 (P. Concus & G. H. Golub 1976; O. Widlund, SIAM J. Numer. Anal. 15, 1978).
 It converges for a skew part of any size.  The inner solves with Sym are
 preconditioned conjugate gradients; when A is symmetric, Sym is A and the
-first step solves the system.  A solve without a start x0 takes b as its
-first residual, and one whose start leaves a residual larger than |b|
-starts from zero instead.
+first step solves the system.  A matrix that is not finite, as from an
+overflowed time step, is refused when its solver is built.  A solve without
+a start x0 takes b as its first residual, and one whose start leaves a
+residual larger than |b| starts from zero instead.
 
 Each inner solve aims at the residual the solve must end with, but where
 the skew part is weak an outer step cannot use that accuracy: the step's
@@ -82,7 +83,9 @@ the 32 x 64 equilateral torus, L's diagonal is 3.25e4 times M/L_R^2's.  Over
 tol 1e-13), its Bloch solves took 80 applications from the lattice mode
 (1, 1) and 240 from the bump exp(-|x - x_c|^2 / (4 dx)^2) less its mean,
 x_c the centre of the torus, after the first solve's ``_SWITCH_AFTER``
-Jacobi ones, where Jacobi throughout took 2392 and 36,845.
+Jacobi ones, where Jacobi throughout took 2392 and 36,845.  Off the lattice
+its V-cycle took 1760 to 2595 applications (0.12 to 0.61 s, one thread) over
+such runs on jittered 16 x 16 and 32 x 32 tori, Jacobi 29,054 to 79,190.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -138,8 +141,8 @@ _SWITCH_AFTER = 12
 
 
 class SolverError(RuntimeError):
-    """Raised when a solve fails: no convergence, a stalled residual, a residual
-    that is not finite, or a symmetric part that is not definite."""
+    """Raised when a solve fails: a matrix or a residual that is not finite,
+    no convergence, a stalled residual, or a symmetric part not definite."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
@@ -159,7 +162,7 @@ class Solver:
     otherwise ``coarse``, a sparse prolongation from a coarser space that maps
     constants to constants, selects the multigrid preconditioner on the
     symmetric part, for that solve and every later one.  Without ``lattice``
-    that V-cycle is built at once.
+    that V-cycle is built at once.  An A that is not finite is refused.
     """
 
     def __init__(self, A, nullspace=False, coarse=None, lattice=None):
@@ -167,6 +170,8 @@ class Solver:
         n = A.shape[0]
         if A.shape[1] != n:
             raise ParameterError(f"matrix is not square: A is {A.shape}")
+        if not np.isfinite(A.data).all():
+            raise SolverError("matrix is not finite", iterations=0)
         self.A = A
         self.n = n
         self.max_iter = max(50, 10 * n)
@@ -309,12 +314,8 @@ def _symmetric_part(A):
     for L on the 48 x 48 torus).  A finite-element matrix has a symmetric
     sparsity pattern; then A^T has A's index arrays once sorted, the parts
     are sums of the two data arrays, and the symmetric part shares A's index
-    arrays.  An A with entries that are not finite, from an overflowed time
-    step, is returned as it is, and its solves report a residual that is not
-    finite.
+    arrays.
     """
-    if not np.isfinite(A.data).all():
-        return A
     probe = np.cos(2.39996 * np.arange(A.shape[0]))
     if A.has_sorted_indices and np.array_equal(A @ probe, A.T @ probe):
         return A
@@ -483,13 +484,11 @@ class _Bloch:
         """The inverse of the translation average of the symmetric A: cell
         (0, 0)'s stencil plus each entry's mean deviation from it over all
         cells, so an invariant A keeps its stencil.  None, before any FFT,
-        unless A is finite, every row holds its class's stencil pattern and
-        every entry lies within ``_AVERAGE_WITHIN`` max|A| of the average."""
+        unless every row holds its class's stencil pattern and every entry
+        lies within ``_AVERAGE_WITHIN`` max|A| of the average."""
         n1, n2, perm = lattice
         cells = n1 * n2
         top = np.abs(A.data).max(initial=0.0)
-        if not top < np.inf:
-            return None
         # entry (r, s) is T[c, c', d] with d = (i_s - i_r, j_s - j_r) mod (n1, n2);
         # in T tiled to offsets -n1 < d1 < n1, -n2 < d2 < n2 its flat index is
         # a sum of one term per row and one per column

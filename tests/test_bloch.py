@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from swelab import ParameterError, bloch, fem
 from swelab.dynamics import RossbyParams, SweParams
-from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
+from swelab.mesh import (
+    Mesh,
+    _cell_torus,
+    _equilateral_cells,
+    build_equilateral_torus,
+    build_right_triangle_torus,
+)
 
 from .oracles import (
     HEXAGON_CLASSES,
@@ -19,6 +25,7 @@ from .oracles import (
     jittered_torus,
     pencil_eigvals,
     rank_by_svd,
+    renumbered_torus,
     symbolic_reference,
 )
 
@@ -378,6 +385,9 @@ def test_degenerate_rossby_pairs_are_flagged():
 
 
 def test_lattice_dof_classes():
+    # the one-cell torus: its vertex, then its oblique, anti-oblique and
+    # x-edge midpoints
+    assert bloch.lattice_dof_classes(_equilateral_cells(1, 1, 1.0)).tolist() == [3, 1, 2, 0]
     for n1, n2, dx in [(2, 2, 1.0), (4, 4, 0.5), (5, 7, 0.3)]:
         mesh = build_equilateral_torus(n1, n2, dx)
         classes = bloch.lattice_dof_classes(mesh)
@@ -394,19 +404,58 @@ def test_lattice_dof_classes():
         assert np.array_equal(same, classes[:, None] == classes)
 
 
-@pytest.mark.parametrize("mesh", [build_right_triangle_torus(6, 6, 6.0, 6.0), jittered_torus(8)],
-                         ids=["right", "jittered"])
+def _face_permuted(mesh, seed=5):
+    """The same torus with its vertices renumbered, its faces in a random order
+    and each face's corners rotated: a mesh file may hold any of these."""
+    rng = np.random.default_rng(seed)
+    mesh = renumbered_torus(mesh, seed)
+    faces = rng.permutation(mesh.n_f)
+    turn = (np.arange(3) + rng.integers(0, 3, (mesh.n_f, 1))) % 3
+    triangles = np.take_along_axis(mesh.triangles[faces], turn, axis=1)
+    shifts = np.take_along_axis(mesh.shifts[faces], turn[..., None], axis=1)
+    return Mesh(mesh.vertices, triangles, shifts, mesh.lattice)
+
+
+def _by_point(mesh, values):
+    """values of the P2 dofs in the order of their points on the half-cell
+    grid of an n x n torus, read modulo the lattice."""
+    n = math.isqrt(mesh.n_v)
+    frac = fem.P2Space(mesh).dof_points() @ np.linalg.inv(mesh.lattice)
+    grid = np.rint(2 * n * frac).astype(int) % (2 * n)
+    return values[np.lexsort(grid.T)]
+
+
+def _long_diagonal_torus(n, dx):
+    """The equilateral torus with each rhombus split along its long diagonal."""
+    axes = [[1.0, 0.0], [0.5, 0.5 * math.sqrt(3.0)]]
+    return _cell_torus(n, n, (dx, dx), (n * dx, n * dx), axes, [[0, 1, 3], [0, 3, 2]])
+
+
+def _rotated(mesh, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s], [s, c]])
+    return Mesh(mesh.vertices @ R.T, mesh.triangles, mesh.shifts, mesh.lattice @ R.T)
+
+
+@pytest.mark.parametrize("mesh", [
+    build_right_triangle_torus(6, 6, 6.0, 6.0),
+    jittered_torus(8),
+    _rotated(build_equilateral_torus(6, 6, 1.0), math.pi / 6.0),
+    _long_diagonal_torus(6, 1.0),
+], ids=["right", "jittered", "rotated", "long-diagonal"])
 def test_lattice_modes_reject_non_equilateral_mesh(mesh):
-    with pytest.raises(ValueError, match="equilateral cell"):
+    # all but the jittered torus are cell tori, which the geometry check
+    # refuses: the right and rotated ones by their lattice rows, the
+    # long-diagonal one by its face sides
+    with pytest.raises(ParameterError, match="equilateral cell"):
+        bloch.lattice_dof_classes(mesh)
+    with pytest.raises(ParameterError, match="equilateral cell"):
         bloch.lattice_gravity_mode(mesh, 1, 0, SweParams(f0=1.0, c2=1.0))
-    with pytest.raises(ValueError, match="equilateral cell"):
+    with pytest.raises(ParameterError, match="equilateral cell"):
         bloch.lattice_rossby_mode(mesh, 1, 0, RossbyParams(f0=1e-4, beta=1e-12, c2=1e5))
 
 
-def test_lattice_gravity_mode_is_discrete_eigenpair():
-    dx = 0.5
-    mesh = build_equilateral_torus(6, 6, dx)
-    params = SweParams(f0=1.3, c2=2.0)
+def _check_gravity_mode(mesh, params, dx):
     omega, u_hat, eta_hat = bloch.lattice_gravity_mode(mesh, 1, 1, params)
     ops = fem.operators(mesh)
     # residuals of the coupled time-harmonic system at frequency omega:
@@ -423,18 +472,40 @@ def test_lattice_gravity_mode_is_discrete_eigenpair():
     k = bloch.reciprocal_wavevector(mesh, 1, 1)
     red = bloch.gravity_branches(k * dx, params, dx=dx)
     assert abs(omega - red.omegas[0]) < 1e-10 * omega
+    return omega
 
 
-def test_lattice_rossby_mode_is_discrete_eigenpair():
-    dx = 1e5
-    mesh = build_equilateral_torus(6, 6, dx)
-    params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+def _check_rossby_mode(mesh, params):
     omega, psi_hat = bloch.lattice_rossby_mode(mesh, 1, 0, params)
     ops = fem.operators(mesh)
     K = (ops.L + (params.f0**2 / params.c2) * ops.M).tocsr()
     D = fem.assemble_ddx_p2(ops.p2, np.array([1.0, 0.0]))
     r = (-1j * omega) * (K @ psi_hat) - params.beta * (D @ psi_hat)
     assert np.linalg.norm(r) < 1e-9 * abs(omega) * np.linalg.norm(K @ psi_hat)
+    return omega
+
+
+def test_lattice_gravity_mode_is_discrete_eigenpair():
+    _check_gravity_mode(build_equilateral_torus(6, 6, 0.5), SweParams(f0=1.3, c2=2.0), 0.5)
+
+
+def test_lattice_rossby_mode_is_discrete_eigenpair():
+    _check_rossby_mode(build_equilateral_torus(6, 6, 1e5), RossbyParams(f0=1e-4, beta=1e-12, c2=1e5))
+
+
+def test_face_permuted_torus_gets_lattice_modes():
+    # the classes come from the dof points, not from the face order
+    built = build_equilateral_torus(6, 6, 0.5)
+    permuted = _face_permuted(built)
+    assert not np.array_equal(fem.P2Space(permuted).dof_points(), fem.P2Space(built).dof_points())
+    assert np.array_equal(_by_point(permuted, bloch.lattice_dof_classes(permuted)),
+                          _by_point(built, bloch.lattice_dof_classes(built)))
+    params = SweParams(f0=1.3, c2=2.0)
+    assert _check_gravity_mode(permuted, params, 0.5) == _check_gravity_mode(built, params, 0.5)
+    rparams = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    scaled, scaled_permuted = (Mesh(m.vertices * 2e5, m.triangles, m.shifts, m.lattice * 2e5)
+                               for m in (built, permuted))
+    assert _check_rossby_mode(scaled_permuted, rparams) == _check_rossby_mode(scaled, rparams)
 
 
 def test_lattice_mode_rejects_incompatible_mesh():

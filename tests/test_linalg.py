@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from swelab import bloch, dynamics, fem, helmholtz, linalg
 from swelab.dynamics import RossbyParams, SweParams
 from swelab.linalg import Solver, SolverError
-from swelab.mesh import build_equilateral_torus, build_right_triangle_torus
+from swelab.mesh import Mesh, build_equilateral_torus, build_right_triangle_torus
 
 from .oracles import jittered_torus, renumbered_torus
 
@@ -504,12 +505,20 @@ def test_refused_bloch_without_coarse_keeps_jacobi(case):
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_bloch_refuses_a_matrix_that_is_not_finite(value):
-    # as from an overflowed step; refused without a warning from inf - inf
-    ops = _bloch_operators("right-8")
-    A = sparse.csr_matrix(ops.L, copy=True)
+@pytest.mark.parametrize("mesh", ["right", "jittered"])
+def test_solver_refuses_a_matrix_that_is_not_finite(mesh, value):
+    # as from an overflowed step: refused at construction, before a V-cycle
+    # is built from it or a solve runs to its iteration cap, and without a
+    # warning
+    ops = fem.operators(build_right_triangle_torus(16, 16, 1.0, 1.0) if mesh == "right"
+                        else jittered_torus(16, seed=1))
+    A = (ops.M + 3.0 * ops.L).tocsr()
     A.data[5] = value
-    assert linalg._Bloch.build(A, ops.cell_layout, True) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="matrix is not finite") as info:
+            Solver(A, coarse=ops.p1_prolongation, lattice=ops.cell_layout)
+    assert info.value.iterations == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -784,6 +793,32 @@ def test_rossby_trajectory_takes_few_bloch_applications(monkeypatch, start, per_
     assert len(calls) - _bloch_count(calls) == linalg._SWITCH_AFTER
     assert 0 < _bloch_count(calls) <= 40 * per_step
     assert np.ptp(traj.invariant) <= 1e-12 * traj.invariant[0]
+
+
+def test_rossby_trajectory_off_the_lattice_takes_the_vcycle(monkeypatch):
+    # a jittered 16 x 16 torus of 100 km cells is no cell torus, so the solver
+    # builds the V-cycle on K's symmetric part at once.  From the bump, 40
+    # steps took 1760 V-cycles; Jacobi took 42,416 (1060 per step)
+    base = jittered_torus(16, seed=1)
+    mesh = Mesh(base.vertices * 1.6e6, base.triangles, base.shifts, base.lattice * 1.6e6)
+    ops = fem.operators(mesh)
+    params = RossbyParams(f0=1e-4, beta=1e-12, c2=1e5)
+    k = 2.0 * np.pi * np.ones(2) / 1.6e6
+    dt = 0.05 * (k @ k + params.lr2_inv) / (params.beta * k[0])
+    counted = []
+
+    class CountingSolver(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counted.append((self, _count_iterations(self)))
+
+    monkeypatch.setattr(linalg, "Solver", CountingSolver)
+    psi0 = fem.Field(ops.p2, _rossby_start(mesh, ops, "bump", None))
+    traj = dynamics.solve_rossby(psi0, dt=dt, T=40 * dt, params=params)
+    [(solver, calls)] = counted
+    assert all(isinstance(p, linalg._VCycle) for p in calls)
+    assert len(calls) <= 40 * 50
+    assert np.ptp(traj.invariant) <= 1e-11 * traj.invariant[0]
 
 
 def _textbook_vcycle(B, r, level=0):
