@@ -170,14 +170,11 @@ class _Stepper:
 
     four operator products and the solve.  (reflect (u_n - g) - g, with
     reflect = 2 W - I and g = (c2 dt/2) E eta_m, makes twice the temporary
-    vectors and the benchmark's transit step 9 % slower; CHANGES.md.)  E's
-    rows 6f ... 6f+5 hold face f's six P2 columns in one order, so ``E.data``
-    reshaped to (n_f, 6, 6) are E's face blocks, and couple is built as a new
-    data array on E's index arrays and stored as CSR; the set-up checks that
-    layout.  Only the set-up tells the f-plane from the beta-plane.  On the f-plane every W_f is kron(I_3, R),
-    with ``node_rotation`` R = [[1, gamma], [-gamma, 1]] / (1 + gamma^2) and
-    gamma = f0 dt/2, applied as one dense product, and S = M + kappa L shares
-    M's index arrays.  On the beta-plane ``node_rotation`` is None, W_f comes
+    vectors and the benchmark's transit step 9 % slower; CHANGES.md.)  Only
+    the set-up tells the f-plane from the beta-plane.  On the f-plane every
+    W_f is kron(I_3, R), with ``node_rotation`` R = [[1, gamma], [-gamma, 1]]
+    / (1 + gamma^2) and gamma = f0 dt/2, applied as one dense product, and
+    S = M + kappa L shares M's index arrays.  On the beta-plane ``node_rotation`` is None, W_f comes
     from one batched solve, W is a block-sparse matrix, and S is
     M + (c2 dt/2) couple E.  On the f-plane R also rotates the potentials, so
     a step from the u_n in the mesh's potentials slot advances the slot to
@@ -188,11 +185,8 @@ class _Stepper:
         self.ops = ops = fem.operators(mesh)
         self.dt, self.c2 = dt, params.c2
         c2dt2 = params.c2 * dt * dt
-        E, n_f = ops.E, mesh.n_f
-        if E.nnz != 36 * n_f or np.diff(E.indices.reshape(n_f, 6, 6), axis=1).any():
-            raise ValueError("E must store face f's six P2 columns on each of rows 6f to 6f+5")
-        Eb = E.data.reshape(n_f, 6, 6)
-        X, _, area = fem._face_geometry(mesh)
+        X, Jinv, area = fem._face_geometry(mesh)
+        Eb = fem._gradient_blocks(Jinv)
         if params.beta == 0.0:
             gamma = 0.5 * params.f0 * dt
             # gamma * gamma, unlike gamma ** 2, overflows to inf instead of raising,
@@ -216,12 +210,13 @@ class _Stepper:
             coriolis = fem._coriolis_blocks(X, area, params.f0, params.beta, quad)
             W = np.linalg.solve(mv + 0.5 * dt * coriolis, mv)
             couple = np.swapaxes(mv @ W, 1, 2) @ Eb
-        # E^T M_v W, a CSC view on E's index arrays; its product with E keeps
-        # S's indices sorted, and the step's product with u_n is faster as CSR
-        couple = sp.csr_matrix((couple.ravel(), E.indices, E.indptr), shape=E.shape).T
+        del Eb
+        # E^T M_v W as CSC, whose product with E keeps S's indices sorted; CSR steps faster
+        couple = sp.csr_matrix((couple.ravel(), np.repeat(ops.p2.cell_dofs(), 6, axis=0).ravel(),
+                                np.arange(0, couple.size + 1, 6)), shape=ops.E.shape).T
         if self.node_rotation is None:
-            S = ops.M + (c2dt2 / 4.0) * (couple @ E)
-            self.rotate = sp.bsr_matrix((W, np.arange(n_f), np.arange(n_f + 1))).dot
+            S = ops.M + (c2dt2 / 4.0) * (couple @ ops.E)
+            self.rotate = sp.bsr_matrix((W, np.arange(len(W)), np.arange(len(W) + 1))).dot
         self.couple = couple.tocsr()
         self.couple.data *= 0.5 * dt
         # the mean of (S_ii - M_ii) / M_ii.  S_ii >= M_ii > 0, but an overflowed

@@ -392,12 +392,14 @@ def project_p2vec_to_p1dg(ux, uy, vspace=None):
 
 def _cell_layout(space):
     """(n1, n2, perm) if the P2 space's mesh is a torus of n1 x n2 translated
-    cells, else None; perm orders the dofs by class, then by cell i n2 + j.
-    In cell coordinates from vertex 0 such dofs lie on the half-integer grid,
-    whatever the face order, and the parities of their two coordinates give
-    their class: vertex, first edge, second edge (along the lattice rows) or
-    diagonal."""
+    cells, else None, read once per mesh; perm orders the dofs by class, then
+    by cell i n2 + j.  In cell coordinates from vertex 0 such dofs lie on the
+    half-integer grid, whatever the face order, and the parities of their two
+    coordinates give their class: vertex, first edge, second edge (along the
+    lattice rows) or diagonal."""
     mesh = space.mesh
+    if "cell_layout" in mesh.cache:
+        return mesh.cache["cell_layout"]
     frac = (space.dof_points() - mesh.vertices[0]) @ np.linalg.inv(mesh.lattice)
     frac -= np.rint(frac)
     # the cell sides are the least nonzero vertex fractions, 1/n1 and 1/n2
@@ -410,7 +412,8 @@ def _cell_layout(space):
     perm = np.argsort(key)
     # every point on the grid, and one dof per class and cell
     ok = n1 * n2 == mesh.n_v and abs(half - grid).max() <= 1e-6
-    return (n1, n2, perm) if ok and np.array_equal(key[perm], np.arange(len(key))) else None
+    layout = (n1, n2, perm) if ok and np.array_equal(key[perm], np.arange(len(key))) else None
+    return mesh.cache.setdefault("cell_layout", layout)
 
 
 @dataclass(eq=False)
@@ -419,8 +422,8 @@ class OperatorSet:
     v: P1dgVecSpace
     M: sp.csr_matrix    # P2 mass
     L: sp.csr_matrix    # P2 stiffness
-    Mv: sp.csr_matrix   # P1DG vector mass
-    E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG
+    Mv: sp.csr_matrix   # P1DG vector mass, the zeros of its kron(p1_mass, I_2) blocks not stored
+    E: sp.csr_matrix    # exact gradient embedding P2 -> P1DG, the zeros of its blocks not stored
     P: sp.csr_matrix    # pointwise perp
     area: float
 
@@ -442,9 +445,9 @@ class OperatorSet:
         return sp.csr_matrix((vals, (rows, np.concatenate([np.arange(n_v), mesh.edges.ravel()]))),
                              shape=(n_v + n_e, n_v))
 
-    @functools.cached_property
+    @property
     def cell_layout(self):
-        """``_cell_layout`` of the P2 space, built once per mesh."""
+        """``_cell_layout`` of the P2 space."""
         return _cell_layout(self.p2)
 
     @functools.cached_property
@@ -489,6 +492,8 @@ def operators(mesh):
             P=sp.kron(sp.identity(3 * mesh.n_f), _PERP, format="csr"),
             area=float(area.sum()),
         )
+        for A in (ops.Mv, ops.E):  # a product would pay for each stored zero
+            A.eliminate_zeros()
     return ops
 
 

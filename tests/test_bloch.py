@@ -455,6 +455,15 @@ def test_lattice_modes_reject_non_equilateral_mesh(mesh):
         bloch.lattice_rossby_mode(mesh, 1, 0, RossbyParams(f0=1e-4, beta=1e-12, c2=1e5))
 
 
+def test_lattice_modes_and_operators_read_one_cell_layout():
+    # the lattice classes and the operators' solvers read the same layout,
+    # computed once per mesh
+    mesh = build_equilateral_torus(4, 6, 1.0)
+    bloch.lattice_rossby_mode(mesh, 1, 0, RossbyParams(f0=1.0, beta=1.0, c2=1.0))
+    layout = fem.operators(mesh).cell_layout
+    assert layout is not None and layout is fem._cell_layout(fem.P2Space(mesh))
+
+
 def _check_gravity_mode(mesh, params, dx):
     omega, u_hat, eta_hat = bloch.lattice_gravity_mode(mesh, 1, 1, params)
     ops = fem.operators(mesh)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import math
@@ -591,25 +590,6 @@ def test_folded_step_operators_match_their_definitions(kind, beta):
     assert np.linalg.norm(stepped.u.coeffs - u_next) <= 1e-13 * np.linalg.norm(u_next)
     eta_next = 2.0 * eta_m - eta
     assert np.linalg.norm(stepped.eta.coeffs - eta_next) <= 1e-13 * np.linalg.norm(eta_next)
-
-
-@pytest.mark.parametrize("broken", ["dropped zeros", "rows swapped across faces"])
-def test_stepper_rejects_a_gradient_embedding_it_cannot_fold(broken):
-    # the fold reads E's data as one 6 x 6 block per face: 36 stored entries
-    # per face, face f's six P2 columns on rows 6f to 6f + 5
-    mesh = build_right_triangle_torus(4, 4, 1.0, 1.0)
-    ops = fem.operators(mesh)
-    E = ops.E.copy()
-    if broken == "dropped zeros":
-        E.eliminate_zeros()
-        assert E.nnz < 36 * mesh.n_f
-    else:
-        rows = np.arange(E.shape[0])
-        rows[[5, 6]] = rows[[6, 5]]
-        E = E[rows]
-    mesh.cache["operators"] = dataclasses.replace(ops, E=E)
-    with pytest.raises(ValueError, match="six P2 columns"):
-        dynamics._Stepper(mesh, 0.1, SweParams(f0=1.0, c2=1.0))
 
 
 def test_transit_slopes_on_jittered_tori(monkeypatch):

@@ -381,6 +381,34 @@ def test_operators_are_cached():
     assert fem.operators(mesh) is fem.operators(mesh)
 
 
+ZERO_FREE_MESHES = {
+    "right": lambda: build_right_triangle_torus(6, 4, 3.0, 1.0),
+    "equilateral": lambda: build_equilateral_torus(4, 6, 0.5),
+    "jittered": lambda: oracles.jittered_torus(6, seed=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_FREE_MESHES))
+def test_mv_and_e_store_no_zeros(kind):
+    # half of Mv's block entries and the gradient of each corner's opposite
+    # midpoint function there are exact zeros; dropped, the products add the
+    # same nonzero terms in the same order as with them stored
+    mesh = ZERO_FREE_MESHES[kind]()
+    ops = fem.operators(mesh)
+    _, Jinv, area = fem._face_geometry(mesh)
+    Eb = fem._gradient_blocks(Jinv)
+    assert ops.Mv.nnz == 18 * mesh.n_f
+    assert ops.E.nnz == np.count_nonzero(Eb) <= 30 * mesh.n_f
+    assert np.all(ops.Mv.data != 0.0) and np.all(ops.E.data != 0.0)
+    Mv = fem._scatter(fem._p1dg_mass_blocks(area, fem._RULES[4]), ops.v)
+    E = fem._scatter(Eb, ops.v, ops.p2)
+    assert Mv.nnz == E.nnz == 36 * mesh.n_f
+    rng = np.random.default_rng(5)
+    u, x = rng.standard_normal(ops.v.n_dofs), rng.standard_normal(ops.p2.n_dofs)
+    for got, want in ((ops.Mv @ u, Mv @ u), (ops.E @ x, E @ x), (ops.Et @ u, E.T @ u)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_means_and_constant_field():
     mesh = build_equilateral_torus(3, 3, 0.4)
     ops = fem.operators(mesh)
