@@ -33,8 +33,8 @@ applications even at the default step, a warm-started smooth one 4.  Where
 the Bloch build refuses, it switches to the V-cycle.  Off the lattice S is
 mass-dominated while the gravity-wave Courant number sqrt(c2) dt / h is
 below about one, and stiffness-dominated past it; the stepper reads which
-from the diagonal of S and, past ``_MULTIGRID_ABOVE``, preconditions the
-solve by the V-cycle from the start, else by Jacobi.
+from the diagonal of S and, past ``_MULTIGRID_ABOVE``, offers the solver
+the V-cycle, to which it switches in the same way, else keeps Jacobi.
 
 On a torus the beta-plane has a seam: f is evaluated at each face's
 unrolled coordinates, so it jumps by beta Ly across the line y = 0, which
@@ -87,10 +87,12 @@ class SweParams:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.c2 <= 0:
-            raise ParameterError("c2 must be positive")
-        if self.beta < 0:
-            raise ParameterError("beta must be nonnegative")
+        if not 0 < self.c2 < math.inf:
+            raise ParameterError("c2 must be positive and finite")
+        if not 0 <= self.beta < math.inf:
+            raise ParameterError("beta must be nonnegative and finite")
+        if not math.isfinite(self.f0):
+            raise ParameterError("f0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,12 @@ class RossbyParams:
     c2: float
 
     def __post_init__(self):
-        if self.c2 <= 0:
-            raise ParameterError("c2 must be positive")
-        if self.f0 == 0:
-            raise ParameterError("f0 must be nonzero (finite deformation radius)")
+        if not 0 < self.c2 < math.inf:
+            raise ParameterError("c2 must be positive and finite")
+        if not (self.f0 != 0 and math.isfinite(self.f0)):
+            raise ParameterError("f0 must be nonzero and finite")
+        if not math.isfinite(self.beta):
+            raise ParameterError("beta must be finite")
 
     @property
     def lr2_inv(self):
@@ -149,11 +153,11 @@ def energy(state, params):
 
 
 # off a cell torus, Schur complements whose stiffness part exceeds this many
-# times their mass part, on the average diagonal entry, are solved with the
-# multigrid V-cycle instead of Jacobi.  The V-cycle once cost as much per
-# step as Jacobi near this ratio.  Now it is cheaper from a ratio near 1: at
-# 7.3 it took 4.3 to 6.9 ms against Jacobi's 9.4 to 12.8 on 32 x 64
-# equilateral and 48 x 48 right tori
+# times their mass part, on the average diagonal entry, are offered the
+# V-cycle.  Offered at every ratio, it made 50 steps from a random state on
+# jittered tori of 100 km cells slower at ratio 0.9 (f-plane: 86 -> 136 ms at
+# 32 x 32, 327 -> 540 at 64 x 64) and 8.1 (188 -> 217 at 32 x 32), faster
+# only on the 64 x 64 beta-plane at 8.1 (1595 -> 1181)
 _MULTIGRID_ABOVE = 18.0
 
 
@@ -453,8 +457,8 @@ def solve_rossby(psi0, dt, T, params, fhat=(0.0, 1.0), tol=1e-13):
     The quadratic form psi^T (L + M f0^2/c2) psi is conserved because D is
     antisymmetric on a torus.  Each step solves to relative tol.
     """
-    if not (dt > 0 and T > 0):
-        raise ParameterError("dt and T must be positive")
+    if not (0 < dt < math.inf and 0 < T < math.inf):
+        raise ParameterError("dt and T must be positive and finite")
     east = fem._east(fhat)
     ops = fem.operators(psi0.space.mesh)
     mean0 = ops.p2_mean(psi0.coeffs)

@@ -52,25 +52,25 @@ takes 4 Jacobi applications on M + kappa L.  Hard ones do not: for the P2
 stiffness matrix L, the Rossby operator and a Schur complement past the
 gravity-wave Courant limit Jacobi-CG needs iterations in proportion to 1/h,
 and from a random state even the mass-dominated M + kappa L of a default
-``swelab simulate`` takes 27.  So on a cell torus, given as the caller's
-``lattice``, a solver starts on Jacobi, and the first inner solve that
-passes ``_SWITCH_AFTER`` Jacobi applications builds its better
-preconditioner once and keeps it: the Bloch-block inverse (``_Bloch``, about
+``swelab simulate`` takes 27.  So every solver starts on Jacobi, and the
+first inner solve that passes ``_SWITCH_AFTER`` Jacobi applications builds
+its better preconditioner once and keeps it.  The rule reads only what the
+solve costs, never a parameter of the matrix.  On a cell torus, given as
+the caller's ``lattice``, that is the Bloch-block inverse (``_Bloch``, about
 three sparse products) of the matrix's translation average.  It solves an
 invariant matrix (L, K, M + kappa L) to rounding in one application, and
 the beta-plane Schur complement at dt = 600 s, 4.9e-5 of max|S| off its
-average, in 4 applications a step, not 12 or 13 V-cycles.  The rule reads
-only what the solve costs, never a parameter of the matrix.  Where the
-Bloch build refuses (a matrix far from its average), and off the lattice
-(a jittered torus) from the start, the caller's ``coarse``, the P2 -> P1
-interpolation, selects one symmetric multigrid V(1,1)-cycle on the
-symmetric part, whose iteration count does not grow with the mesh.  Level
-0 is Sym, level 1 the Galerkin product R^T Sym R; below that, smoothed
-aggregation (P. Vanek, J. Mandel & M. Brezina, Computing 56, 1996)
-coarsens to at most ``_COARSEST`` unknowns, which one dense inverse solves,
-shifted by a rank-one term where the nullspace is the constants, unless
-aggregation stalls first (see ``_VCycle``).  Every level smooths by
-Jacobi, damped by a Lanczos estimate of the spectral radius of D^-1 A (see
+average, in 4 applications a step, not 12 or 13 V-cycles.  Where the Bloch
+build refuses (a matrix far from its average), and off the lattice (a
+jittered torus), the caller's ``coarse``, the P2 -> P1 interpolation,
+selects one symmetric multigrid V(1,1)-cycle on the symmetric part, whose
+iteration count does not grow with the mesh.  Level 0 is Sym, level 1 the
+Galerkin product R^T Sym R; below that, smoothed aggregation (P. Vanek,
+J. Mandel & M. Brezina, Computing 56, 1996) coarsens to at most
+``_COARSEST`` unknowns, which one dense inverse solves, shifted by a
+rank-one term where the nullspace is the constants, unless aggregation
+stalls first (see ``_VCycle``).  Every level smooths by Jacobi, damped by a
+Lanczos estimate of the spectral radius of D^-1 A (see
 ``_damped_inv_diag``), and folds its post-smoothing into a correction
 operator Q = (I - omega D^-1 A) P formed at set-up, so that a level applies
 A once, R once and Q once.  The set-up takes no random vectors, so it is
@@ -84,8 +84,8 @@ tol 1e-13), its Bloch solves took 80 applications from the lattice mode
 (1, 1) and 240 from the bump exp(-|x - x_c|^2 / (4 dx)^2) less its mean,
 x_c the centre of the torus, after the first solve's ``_SWITCH_AFTER``
 Jacobi ones, where Jacobi throughout took 2392 and 36,845.  Off the lattice
-its V-cycle took 1760 to 2595 applications (0.12 to 0.61 s, one thread) over
-such runs on jittered 16 x 16 and 32 x 32 tori, Jacobi 29,054 to 79,190.
+its V-cycle took 1804 to 2637 applications after those over such runs on
+jittered 16 x 16 and 32 x 32 tori, Jacobi 29,054 to 79,190.
 
 Nothing here imports ``scipy.sparse.linalg`` or ``scipy.linalg``: CG needs
 only products with A, and each of those imports costs several megabytes of
@@ -128,15 +128,14 @@ _LOOSE_CUT = 0.3
 # max|A|, at which _Bloch inverts the average: beta-plane steps took 9.7 against
 # 13.3 ms for the V-cycle at 1.6e-2, 11.5 against 10.5 at 2.1e-2 (CHANGES.md)
 _AVERAGE_WITHIN = 2e-2
-# Jacobi applications in one inner solve after which a solver on a cell torus
-# builds its better preconditioner (Solver._upgrade).  On one thread the
-# Bloch build of M + kappa L costs 33 to 45 Jacobi CG iterations and a Bloch
-# one 2.6 to 3.3 (right 32 x 32 and 48 x 48, equilateral 32 x 64), so the
-# switch repays within 12 solves that take more than 6 to 7 Jacobi
-# applications, within 100 from 3 to 4.  A warm-started step of the
-# converge run takes 4 (set-up and 100 steps at 32 x 32: 68 ms with the
-# switch forced, 72 without; at 16 x 16: 25 and 21), a step of M + kappa L
-# from a random state 26 to 29
+# Jacobi applications in one inner solve after which a solver builds its
+# better preconditioner (Solver._upgrade).  On one thread the Bloch build of
+# M + kappa L costs 33 to 45 Jacobi CG iterations and a Bloch one 2.6 to 3.3
+# (right 32 x 32 and 48 x 48, equilateral 32 x 64), so the switch repays
+# within 12 solves that take more than 6 to 7 Jacobi applications, within
+# 100 from 3 to 4.  A warm-started step of the converge run takes 4 (set-up
+# and 100 steps at 32 x 32: 68 ms with the switch forced, 72 without; at
+# 16 x 16: 25 and 21), a step of M + kappa L from a random state 26 to 29
 _SWITCH_AFTER = 12
 
 
@@ -161,8 +160,8 @@ class Solver:
     symmetric part's translation average where the part lies near it, and
     otherwise ``coarse``, a sparse prolongation from a coarser space that maps
     constants to constants, selects the multigrid preconditioner on the
-    symmetric part, for that solve and every later one.  Without ``lattice``
-    that V-cycle is built at once.  An A that is not finite is refused.
+    symmetric part, for that solve and every later one.  An A that is not
+    finite is refused.
     """
 
     def __init__(self, A, nullspace=False, coarse=None, lattice=None):
@@ -179,11 +178,7 @@ class Solver:
         self.sym = _symmetric_part(A)
         self._precondition = functools.partial(np.multiply, _inv_diag(self.sym))
         self._loose = False
-        # on a cell torus Jacobi runs until an inner solve passes _SWITCH_AFTER
-        # applications; elsewhere the V-cycle, if offered, is built at once
         self._better = (lattice, coarse, nullspace)
-        if lattice is None:
-            self._upgrade()
 
     def _upgrade(self):
         """Replace Jacobi, once, by the Bloch inverse on ``lattice`` or, where

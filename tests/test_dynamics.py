@@ -49,6 +49,16 @@ def test_params_validation():
         RossbyParams(f0=1.0, beta=1.0, c2=-2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["f0", "beta", "c2"])
+@pytest.mark.parametrize("kind", [SweParams, RossbyParams])
+def test_params_reject_values_that_are_not_finite(kind, name, value):
+    # nan passes c2 <= 0 and beta < 0, and an infinite parameter would reach
+    # the stepper's set-up; each is rejected when the parameters are built
+    with pytest.raises(ParameterError, match=f"{name} must be .*finite"):
+        kind(**{**dict(f0=1.0, beta=1.0, c2=1.0), name: value})
+
+
 def test_geostrophic_state_is_steady():
     mesh = build_equilateral_torus(4, 4, 0.25)
     ops = fem.operators(mesh)
@@ -318,7 +328,8 @@ def test_solve_rossby_rejects_bad_input():
         dynamics.solve_rossby(good, dt=-0.1, T=1.0, params=params)
 
 
-@pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0), (math.nan, 1.0)])
+@pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0), (math.nan, 1.0),
+                                  (math.inf, 1.0), (0.1, math.inf), (0.1, math.nan)])
 def test_solve_rossby_checks_dt_and_T_before_assembly(dt, T, monkeypatch):
     mesh = build_equilateral_torus(3, 3, 0.5)
     ops = fem.operators(mesh)
@@ -328,7 +339,7 @@ def test_solve_rossby_checks_dt_and_T_before_assembly(dt, T, monkeypatch):
     calls = []
     real = fem.assemble_ddx_p2
     monkeypatch.setattr(fem, "assemble_ddx_p2", lambda *a: calls.append(a) or real(*a))
-    with pytest.raises(ParameterError, match="dt and T must be positive"):
+    with pytest.raises(ParameterError, match="dt and T must be positive and finite"):
         dynamics.solve_rossby(psi0, dt=dt, T=T, params=params)
     assert calls == []
     dynamics.solve_rossby(psi0, dt=0.1, T=0.2, params=params)
@@ -810,7 +821,8 @@ def test_stiffness_dominated_steps_use_multigrid(beta, dt):
     # 1e-12 S deviates from its translation average by 2.4e-5 of max|S| and
     # takes the Bloch inverse of the average; at beta = 1e-10 and dt = 6e3 by
     # 0.27, past linalg._AVERAGE_WITHIN, and takes the V-cycle.  S on the same
-    # torus jittered takes the V-cycle at construction
+    # torus jittered is offered the V-cycle by its stiffness ratio and takes it
+    # once the first step's Jacobi iterations pass the count
     params = SweParams(beta=beta, **OCEAN)
     lattice = build_equilateral_torus(16, 32, 1e5)
     assert isinstance(dynamics._stepper(lattice, dt, params).solver._precondition, functools.partial)
@@ -818,7 +830,8 @@ def test_stiffness_dominated_steps_use_multigrid(beta, dt):
     assert isinstance(B, linalg._VCycle if beta == 1e-10 else linalg._Bloch)
     unit = jittered_torus(16, seed=2)
     jittered = Mesh(1.6e6 * unit.vertices, unit.triangles, unit.shifts, 1.6e6 * unit.lattice)
-    assert isinstance(dynamics._stepper(jittered, dt, params).solver._precondition, linalg._VCycle)
+    assert isinstance(dynamics._stepper(jittered, dt, params).solver._precondition, functools.partial)
+    assert isinstance(_stepped_preconditioner(jittered, dt, params), linalg._VCycle)
 
 
 def test_refused_lattice_steps_take_the_vcycle_at_any_stiffness():
@@ -862,6 +875,7 @@ def test_large_courant_multigrid_step_matches_jacobi():
     for _ in range(5):
         state, ref = multigrid.step(state, 1e-12), jacobi.step(ref, 1e-12)
         assert abs(dynamics.energy(state, params) - e0) <= 1e-10 * e0
+    assert isinstance(multigrid.solver._precondition, linalg._VCycle)
     assert len(multigrid.solver._precondition.levels) == 2
     assert isinstance(jacobi.solver._precondition, functools.partial)
     for a, b in ((state.u, ref.u), (state.eta, ref.eta)):

@@ -229,13 +229,21 @@ def _upgraded(solver):
     return solver
 
 
+def _vcycle(A, coarse, nullspace=False):
+    """The V-cycle on A's symmetric part that a solver offered ``coarse`` and
+    no lattice builds once a solve passes linalg._SWITCH_AFTER applications."""
+    B = _upgraded(Solver(A, nullspace=nullspace, coarse=coarse))._precondition
+    assert isinstance(B, linalg._VCycle)
+    return B
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([("right", 16), ("right", 24), ("equilateral", 16), ("jittered", 16)]),
        st.integers(min_value=0, max_value=10_000))
 def test_vcycle_is_symmetric_positive_definite(mesh, seed):
     # L_solver takes the Bloch solve on the lattices, so the V-cycle is built here
     ops = _operators(*mesh)
-    B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
+    B = _vcycle(ops.L, ops.p1_prolongation, nullspace=True)
     rng = np.random.default_rng(seed)
     n = _operators(*mesh).p2.n_dofs
     x, y = _mean_free(rng, n), _mean_free(rng, n)
@@ -253,9 +261,13 @@ def test_vcycle_is_symmetric_positive_definite(mesh, seed):
     [(kind, tol) for kind in TORI for tol in (1e-12, 1e-14) if (kind, tol) != ("aspect-16", 1e-14)],
 )
 def test_multigrid_meets_the_true_residual(kind, tol):
+    # L_solver without its lattice: the solve's Jacobi iterations pass the
+    # count and the V-cycle takes over within it, as on the jittered torus
     ops = _operators(kind, 24)
     b = _mean_free(np.random.default_rng(5), ops.p2.n_dofs)
-    x = ops.L_solver.solve(b, tol=tol)
+    solver = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)
+    x = solver.solve(b, tol=tol)
+    assert isinstance(solver._precondition, linalg._VCycle)
     assert np.linalg.norm(b - ops.L @ x) <= tol * np.linalg.norm(b)
     assert abs(x.mean()) <= 1e-14 * np.linalg.norm(x)
 
@@ -264,7 +276,9 @@ def test_multigrid_meets_the_true_residual(kind, tol):
 def test_multigrid_agrees_with_jacobi(kind):
     ops = _operators(kind, 24)
     b = _mean_free(np.random.default_rng(6), ops.p2.n_dofs)
-    x = ops.L_solver.solve(b, tol=1e-12)
+    solver = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)
+    x = solver.solve(b, tol=1e-12)
+    assert isinstance(solver._precondition, linalg._VCycle)
     ref = Solver(ops.L, nullspace=True).solve(b, tol=1e-12)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -275,11 +289,25 @@ def test_multigrid_iterations_do_not_grow(kind, n):
     # Jacobi-CG needs 88, 181 and 363 iterations on the right torus.  L_solver
     # takes the Bloch solve on these lattices, so the V-cycle is built here
     ops = fem.operators(TORI[kind](n))
-    solver = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)
+    solver = _upgraded(Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation))
     calls = _count_iterations(solver)
     b = _mean_free(np.random.default_rng(7), ops.p2.n_dofs)
     solver.solve(b, tol=1e-12)
     assert 0 < len(calls) <= 60
+    assert all(isinstance(p, linalg._VCycle) for p in calls)
+
+
+def test_solver_off_the_lattice_builds_the_vcycle_within_its_first_solve():
+    # every solver starts on Jacobi; off the lattice the first inner solve
+    # that passes the count builds the V-cycle on coarse and goes on under it
+    ops = _operators("jittered", 16)
+    assert ops.cell_layout is None
+    solver = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)
+    assert isinstance(solver._precondition, functools.partial)
+    b = _mean_free(np.random.default_rng(18), ops.p2.n_dofs)
+    x = solver.solve(b, tol=1e-12)
+    assert isinstance(solver._precondition, linalg._VCycle) and solver._better is None
+    assert np.linalg.norm(b - ops.L @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_small_mesh_is_solved_in_one_step():
@@ -587,7 +615,7 @@ def test_symmetric_part_shares_a_symmetric_pattern(kind):
 @given(st.sampled_from(SCHUR_KINDS), st.integers(min_value=0, max_value=10_000))
 def test_definite_vcycle_is_symmetric_positive_definite(kind, seed):
     S, R = _schur(kind)
-    B = Solver(S, coarse=R)._precondition
+    B = _vcycle(S, R)
     rng = np.random.default_rng(seed)
     x, y = rng.standard_normal(S.shape[0]), rng.standard_normal(S.shape[0])
     Bx, By = B(x), B(y)
@@ -603,7 +631,9 @@ def test_definite_vcycle_is_symmetric_positive_definite(kind, seed):
 def test_definite_multigrid_meets_the_true_residual(kind, tol):
     S, R = _schur(kind)
     b = np.random.default_rng(9).standard_normal(S.shape[0])
-    x = Solver(S, coarse=R).solve(b, tol=tol)
+    solver = _upgraded(Solver(S, coarse=R))
+    assert isinstance(solver._precondition, linalg._VCycle) and solver._loose
+    x = solver.solve(b, tol=tol)
     assert np.linalg.norm(b - S @ x) <= tol * np.linalg.norm(b)
 
 
@@ -611,7 +641,8 @@ def test_definite_multigrid_meets_the_true_residual(kind, tol):
 def test_definite_multigrid_agrees_with_jacobi(kind):
     S, R = _schur(kind)
     b = np.random.default_rng(10).standard_normal(S.shape[0])
-    solver = Solver(S, coarse=R)
+    solver = _upgraded(Solver(S, coarse=R))
+    assert isinstance(solver._precondition, linalg._VCycle)
     # level 0's correction is built from the given prolongation
     A0, smoother, _, Q0 = solver._precondition.levels[0]
     expected = R - sparse.diags(smoother) @ (A0 @ R)
@@ -630,7 +661,9 @@ def test_definite_multigrid_meets_the_true_residual_for_a_strong_skew_part(kind,
     S, R = _schur(kind)
     A = (0.5 * (S + S.T) + (0.5 * scale) * (S - S.T)).tocsr()
     b = np.random.default_rng(9).standard_normal(S.shape[0])
-    x = Solver(A, coarse=R).solve(b, tol=tol)
+    solver = _upgraded(Solver(A, coarse=R))
+    assert isinstance(solver._precondition, linalg._VCycle) and solver._loose
+    x = solver.solve(b, tol=tol)
     assert np.linalg.norm(b - A @ x) <= tol * np.linalg.norm(b)
 
 
@@ -641,7 +674,7 @@ def test_beta_plane_step_takes_few_vcycles():
     # V-cycles; 60 % of the least is 21.  The stepper inverts the translation
     # average of S by Bloch blocks on this lattice, so the V-cycle is built here
     stepper, _, state = _workload_step()
-    stepper.solver = Solver(stepper.solver.A, coarse=stepper.ops.p1_prolongation)
+    stepper.solver = _upgraded(Solver(stepper.solver.A, coarse=stepper.ops.p1_prolongation))
     assert isinstance(stepper.solver._precondition, linalg._VCycle)
     calls = _count_iterations(stepper.solver)
     for _ in range(3):
@@ -654,7 +687,8 @@ def test_lanczos_damping_takes_fewer_vcycles_per_beta_plane_step():
     # the set-up above: with omega from the Gershgorin bound of D^-1 A, each
     # of these steps took 16 V-cycles; with the Ritz value, 12 to 13
     stepper, _, state = _workload_step()
-    stepper.solver = Solver(stepper.solver.A, coarse=stepper.ops.p1_prolongation)
+    stepper.solver = _upgraded(Solver(stepper.solver.A, coarse=stepper.ops.p1_prolongation))
+    assert isinstance(stepper.solver._precondition, linalg._VCycle)
     calls = _count_iterations(stepper.solver)
     for _ in range(3):
         del calls[:]
@@ -796,9 +830,10 @@ def test_rossby_trajectory_takes_few_bloch_applications(monkeypatch, start, per_
 
 
 def test_rossby_trajectory_off_the_lattice_takes_the_vcycle(monkeypatch):
-    # a jittered 16 x 16 torus of 100 km cells is no cell torus, so the solver
-    # builds the V-cycle on K's symmetric part at once.  From the bump, 40
-    # steps took 1760 V-cycles; Jacobi took 42,416 (1060 per step)
+    # a jittered 16 x 16 torus of 100 km cells is no cell torus: the first
+    # solve's Jacobi iterations pass the count, and the solver builds the
+    # V-cycle on K's symmetric part.  From the bump, 40 steps took 1804
+    # V-cycles after those; Jacobi took 42,416 (1060 per step)
     base = jittered_torus(16, seed=1)
     mesh = Mesh(base.vertices * 1.6e6, base.triangles, base.shifts, base.lattice * 1.6e6)
     ops = fem.operators(mesh)
@@ -816,8 +851,10 @@ def test_rossby_trajectory_off_the_lattice_takes_the_vcycle(monkeypatch):
     psi0 = fem.Field(ops.p2, _rossby_start(mesh, ops, "bump", None))
     traj = dynamics.solve_rossby(psi0, dt=dt, T=40 * dt, params=params)
     [(solver, calls)] = counted
-    assert all(isinstance(p, linalg._VCycle) for p in calls)
-    assert len(calls) <= 40 * 50
+    jacobi = linalg._SWITCH_AFTER
+    assert isinstance(calls[0], functools.partial) and calls[:jacobi] == [calls[0]] * jacobi
+    assert all(isinstance(p, linalg._VCycle) for p in calls[jacobi:])
+    assert len(calls) <= 40 * 50 + jacobi
     assert np.ptp(traj.invariant) <= 1e-11 * traj.invariant[0]
 
 
@@ -839,11 +876,10 @@ def test_folded_vcycle_matches_the_textbook_cycle(hierarchy):
     if hierarchy == "stiffness":
         # L_solver takes the Bloch solve on a lattice, so the V-cycle is built here
         ops = _operators("right", 32)
-        B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
+        B = _vcycle(ops.L, ops.p1_prolongation, nullspace=True)
         assert len(B.levels) >= 2
     else:
-        S, R = _schur(hierarchy)
-        B = Solver(S, coarse=R)._precondition
+        B = _vcycle(*_schur(hierarchy))
     for A, smoother, R, Q in B.levels:
         ref = R.T - sparse.diags(smoother) @ (A @ R.T)
         assert abs(Q - ref).max() <= 1e-14 * abs(ref).max()
@@ -870,7 +906,7 @@ def test_shifted_coarsest_inverse_is_the_pseudo_inverse(mesh):
     # has no levels, so A_c is L itself.  L_solver takes the Bloch solve on the
     # lattices, so the V-cycle is built here
     ops = fem.operators(COARSEST_MESHES[mesh]())
-    B = Solver(ops.L, nullspace=True, coarse=ops.p1_prolongation)._precondition
+    B = _vcycle(ops.L, ops.p1_prolongation, nullspace=True)
     if B.levels:
         A, _, R, _ = B.levels[-1]
         Ac = (R @ A @ R.T).toarray()
@@ -890,15 +926,20 @@ def test_shifted_coarsest_inverse_is_the_pseudo_inverse(mesh):
 
 def test_small_definite_matrix_is_solved_in_one_step():
     # at most 300 unknowns: the coarsest level is the matrix, inverted exactly,
-    # here the symmetric f-plane Schur complement M + kappa L past the Courant limit
+    # here the symmetric f-plane Schur complement M + kappa L past the Courant
+    # limit.  The first solve switches from Jacobi to the V-cycle, which then
+    # solves in one application
     ops = fem.operators(TORI["right"](8))
     S = dynamics._Stepper(ops.p2.mesh, 0.5, SweParams(f0=1.0, c2=1.0)).solver.A
     solver = Solver(S, coarse=ops.p1_prolongation)
     calls = _count_iterations(solver)
-    b = np.random.default_rng(12).standard_normal(ops.p2.n_dofs)
-    x = solver.solve(b, tol=1e-12)
-    assert len(calls) == 1
-    assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b)
+    rng = np.random.default_rng(12)
+    for jacobi in (linalg._SWITCH_AFTER, 0):
+        del calls[:]
+        b = rng.standard_normal(ops.p2.n_dofs)
+        x = solver.solve(b, tol=1e-12)
+        assert len(calls) == jacobi + 1 and isinstance(calls[-1], linalg._VCycle)
+        assert np.linalg.norm(b - S @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_vcycle_ends_where_aggregation_stalls():
@@ -906,8 +947,9 @@ def test_vcycle_ends_where_aggregation_stalls():
     # mass-dominated, and aggregation would keep all of its 384 unknowns
     ops = fem.operators(build_right_triangle_torus(48, 48, 1.0, 1.0))
     S = dynamics._Stepper(ops.p2.mesh, 1.9 / 48, SweParams(f0=1.0, beta=0.5, c2=1.0)).solver.A
-    solver = Solver(S, coarse=ops.p1_prolongation)
+    solver = _upgraded(Solver(S, coarse=ops.p1_prolongation))
     B = solver._precondition
+    assert isinstance(B, linalg._VCycle)
     assert [A.shape[0] for A, *_ in B.levels] == [9216, 2304]
     assert B.coarsest.func is np.multiply
     rng = np.random.default_rng(11)
